@@ -133,7 +133,9 @@ def modified_tsp(
     q = inst.capacity_count if inst.capacity_count is not None else n
     spots = set(inst.spots)
 
-    # prefix sums along the order for chain walks and capacity checks
+    # prefix sums along the order for chain walks and capacity checks; seg_ok
+    # stays separate from Instance.over_capacity because it is O(1) per segment
+    # in the innermost loop
     chain = np.zeros(n + 1)
     for t in range(2, n + 1):
         chain[t] = chain[t - 1] + W[order[t - 2], order[t - 1]]

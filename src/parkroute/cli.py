@@ -103,7 +103,7 @@ def _cmd_solve(args) -> int:
         cat = enumerate_catalog(inst)
         if args.reduced:
             cat = reduce_catalog(cat)
-        res = solve_exact(inst, cat, budget=budget, threads=args.threads)
+        res = solve_exact(inst, cat, budget=budget)
         if res.solution is None:
             print(f"no incumbent found (bound {_fmt6(res.bound)})", file=sys.stderr)
             return 4
@@ -287,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="solve one instance")
     s.add_argument("instance")
     s.add_argument("--method", choices=["exact", "heuristic"], default="exact")
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--reduced", action="store_true", help="use the reduced catalog")
     s.add_argument("--budget-seconds", type=float, default=None)
     s.add_argument("-o", "--output", default=None)

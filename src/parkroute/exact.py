@@ -9,13 +9,13 @@ depth-first branch-and-bound over parking sequences whose lower bound
 combines the unavoidable drive legs with a per-customer share of the cheapest
 admissible walk-plus-park increment, which stays admissible on any input.
 
-Each bundle's optimal split into catalog sets comes from a per-spot subset DP
-shared by both paths.
+Each bundle's optimal split into catalog sets is read from one dense
+``servicesets.PartitionTable`` over all customers and spots, built up front
+and shared by both paths (and by the heuristic's set assignment).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 
@@ -24,7 +24,8 @@ import numpy as np
 from .errors import InfeasibleInstanceError, ResourceLimitError
 from .instance import Instance
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import ServiceSetCatalog
+from .servicesets import PartitionTable, ServiceSetCatalog
+from .tsp import nearest_neighbor_cycle
 
 _EPS = 1e-9
 
@@ -90,7 +91,6 @@ class _Control:
         self.best_value = float("inf")
         self.best_key: tuple | None = None
         self.best_state: tuple | None = None  # (stops, bundles) or ("warm", solution)
-        self.lock = threading.Lock()
 
     def tick(self) -> bool:
         self.nodes += 1
@@ -101,27 +101,24 @@ class _Control:
         return self.stopped
 
     def abandon(self, lb: float) -> None:
-        with self.lock:
-            if lb < self.abandoned_lb:
-                self.abandoned_lb = lb
+        if lb < self.abandoned_lb:
+            self.abandoned_lb = lb
 
     def offer(self, value: float, key: tuple, state) -> None:
-        with self.lock:
-            if value < self.best_value - _EPS:
-                self.best_value, self.best_key, self.best_state = value, key, state
-            elif value <= self.best_value + _EPS and (
-                self.best_state is None or self.best_key is None or key < self.best_key
-            ):
-                self.best_value = min(self.best_value, value)
-                self.best_key, self.best_state = key, state
+        if value < self.best_value - _EPS:
+            self.best_value, self.best_key, self.best_state = value, key, state
+        elif value <= self.best_value + _EPS and (
+            self.best_state is None or self.best_key is None or key < self.best_key
+        ):
+            self.best_value = min(self.best_value, value)
+            self.best_key, self.best_state = key, state
 
     def set_value_bound(self, value: float) -> None:
         """Prune with a known feasible value without adopting its solution."""
-        with self.lock:
-            if value < self.best_value - _EPS:
-                self.best_value = value
-                self.best_key = None
-                self.best_state = None
+        if value < self.best_value - _EPS:
+            self.best_value = value
+            self.best_key = None
+            self.best_state = None
 
 
 class _Searcher:
@@ -142,22 +139,15 @@ class _Searcher:
 
         if not self.spots:
             raise InfeasibleInstanceError("no parking locations: empty catalog coverage")
-        covered = set()
-        for j, s in enumerate(cat.sets):
-            if any(cat.admissible(i, j) for i in self.spots):
-                covered.update(s.members)
+        # walk cost of every catalog set from every spot, inf where inadmissible
+        costs = np.array([
+            [cat.walk_cost(i, j) if cat.admissible(i, j) else np.inf for i in self.spots]
+            for j in range(len(cat.sets))
+        ])
+        covered = {c for j, s in enumerate(cat.sets) if np.isfinite(costs[j]).any() for c in s.members}
         missing = [c for c in inst.customers if c not in covered]
         if missing:
             raise InfeasibleInstanceError(f"customers {missing} appear in no admissible set")
-
-        # candidate sets grouped by their smallest member, pre-filtered per spot
-        by_min: dict[int, list[tuple[int, int]]] = {c: [] for c in inst.customers}
-        for j, s in enumerate(cat.sets):
-            mask = 0
-            for c in s.members:
-                mask |= 1 << (c - 1)
-            by_min[s.members[0]].append((mask, j))
-        self.sets_by_min = by_min
 
         from .instance import _triangle_stats
 
@@ -167,63 +157,11 @@ class _Searcher:
         else:
             self.allow_empty = not options.require_served_stop
 
-        self.ssa: dict[int, object] = {}
-        for i in self.spots:
-            self.ssa[i] = self._build_ssa(i)
+        # bit b of a bundle mask is customer b + 1
+        self.part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
+        self.col = {i: si for si, i in enumerate(self.spots)}
+        self.ssa = dict(zip(self.spots, self.part.value.T))  # per-spot views for the hot loops
         self.dsum = None  # built on demand by the branch-and-bound path
-
-    def _admissible_cands(self, i: int):
-        cands: dict[int, list[tuple[int, float]]] = {}
-        for c, pairs in self.sets_by_min.items():
-            row = []
-            for mask, j in pairs:
-                if self.cat.admissible(i, j):
-                    row.append((mask, self.cat.walk_cost(i, j)))
-            cands[c] = row
-        return cands
-
-    def _build_ssa(self, i: int):
-        """ssa[mask] = cheapest split of the customer mask into admissible sets
-        walked from spot i.  Dense table for small n, memoized dict otherwise."""
-        cands = self._admissible_cands(i)
-        by_bit = [cands.get(b + 1, ()) for b in range(self.n)]
-        if self.n <= DP_MAX_CUSTOMERS:
-            size = self.full + 1
-            table = np.full(size, np.inf)
-            table[0] = 0.0
-            for mask in range(1, size):
-                b0 = (mask & -mask).bit_length() - 1
-                best = np.inf
-                for smask, cost in by_bit[b0]:
-                    if smask & mask == smask:
-                        cand = cost + table[mask ^ smask]
-                        if cand < best:
-                            best = cand
-                table[mask] = best
-            return table
-        memo = {0: 0.0}
-
-        def ssa(mask: int) -> float:
-            hit = memo.get(mask)
-            if hit is not None:
-                return hit
-            b0 = (mask & -mask).bit_length() - 1
-            best = float("inf")
-            for smask, cost in by_bit[b0]:
-                if smask & mask == smask:
-                    cand = cost + ssa(mask ^ smask)
-                    if cand < best:
-                        best = cand
-            memo[mask] = best
-            return best
-
-        class _Lazy:
-            __slots__ = ()
-
-            def __getitem__(_, mask):
-                return ssa(mask)
-
-        return _Lazy()
 
     def build_bound_tables(self):
         if self.dsum is not None:
@@ -466,27 +404,12 @@ class _Searcher:
 
     def _split_bundle(self, i: int, mask: int) -> list[int]:
         """Deterministic optimal split of a bundle into catalog set indices."""
-        ssa_i = self.ssa[i]
-        force_self = self.options.require_self_singleton
         parts: list[int] = []
         ibit = 1 << (i - 1)
-        if force_self and mask & ibit:
+        if self.options.require_self_singleton and mask & ibit:
             parts.append(self.cat.index_of((i,)))
             mask ^= ibit
-        while mask:
-            b0 = (mask & -mask).bit_length() - 1
-            target = ssa_i[mask]
-            chosen = None
-            for smask, j in self.sets_by_min[b0 + 1]:
-                if smask & mask == smask and self.cat.admissible(i, j):
-                    if self.cat.walk_cost(i, j) + ssa_i[mask ^ smask] <= target + 1e-9:
-                        chosen = (smask, j)
-                        break
-            if chosen is None:  # numeric guard; cannot happen for finite ssa
-                raise RuntimeError("bundle split reconstruction failed")
-            parts.append(chosen[1])
-            mask ^= chosen[0]
-        return parts
+        return parts + self.part.split(mask, self.col[i])
 
     def materialize(self, stops: tuple[int, ...], bundles: tuple[int, ...]) -> Solution:
         served = []
@@ -508,33 +431,18 @@ def _respects_structure(sol: Solution, options: SearchOptions, allow_empty: bool
     return True
 
 
-def _nn_park_all(inst: Instance) -> Solution | None:
-    if inst.spots != tuple(inst.customers):
-        return None
-    order = []
-    unvisited = set(inst.customers)
-    cur = 0
-    while unvisited:
-        nxt = min(unvisited, key=lambda c: (inst.drive[cur, c], c))
-        order.append(nxt)
-        unvisited.remove(nxt)
-        cur = nxt
-    return assemble_solution(inst, order, [((c,),) for c in order])
-
-
 def solve_exact(
     inst: Instance,
     cat: ServiceSetCatalog,
     budget: SearchBudget | None = None,
     options: SearchOptions | None = None,
-    threads: int = 1,
-    warm_start: bool = True,
 ) -> ExactResult:
     """Solve to proven optimality within the budget.
 
     Returns the solution, a status, and a lower bound valid in every status.
-    Deterministic with ``threads=1``; with more threads the objective value is
-    unchanged but cost ties may resolve differently under budget truncation.
+    Deterministic: cost ties resolve the same way on every run.  The
+    branch-and-bound starts from the better of the nearest-neighbour
+    park-everywhere tour and the two-echelon heuristic.
     """
     budget = budget or SearchBudget()
     options = options or SearchOptions()
@@ -554,30 +462,26 @@ def solve_exact(
     searcher.build_bound_tables()
     ctl = _Control(budget)
 
-    if warm_start:
-        candidates: list[Solution] = []
-        nn = _nn_park_all(inst)
-        if nn is not None:
-            candidates.append(nn)
-        try:
-            from .heuristic import heuristic_solve
+    candidates: list[Solution] = []
+    if inst.spots == tuple(inst.customers):
+        order = nearest_neighbor_cycle(inst.drive)
+        candidates.append(assemble_solution(inst, order, [((c,),) for c in order]))
+    try:
+        from .heuristic import heuristic_solve
 
-            candidates.append(heuristic_solve(inst, cat))
-        except Exception:
-            pass
-        for sol in candidates:
-            if _respects_structure(sol, options, searcher.allow_empty):
-                ctl.offer(sol.total, (sol.num_stops, sol.stops), ("warm", sol))
-            else:
-                ctl.set_value_bound(sol.total)
+        candidates.append(heuristic_solve(inst, cat))
+    except Exception:
+        pass
+    for sol in candidates:
+        if _respects_structure(sol, options, searcher.allow_empty):
+            ctl.offer(sol.total, (sol.num_stops, sol.stops), ("warm", sol))
+        else:
+            ctl.set_value_bound(sol.total)
 
     # search in completion-time space: the constant loading term is folded in
     # up front so incumbent totals and bounds are directly comparable
     root_lb = load + float(searcher.dsum[searcher.full])
-    if threads <= 1:
-        searcher.expand(ctl, 0, 0, 0, load, [], [], root_lb)
-    else:
-        _parallel_expand(searcher, ctl, threads, load, root_lb)
+    searcher.expand(ctl, 0, 0, 0, load, [], [], root_lb)
 
     if ctl.best_state is None:
         return ExactResult(
@@ -596,48 +500,6 @@ def solve_exact(
     return ExactResult(
         solution=sol, status="optimal", bound=ctl.best_value, value=sol.total, nodes=ctl.nodes,
     )
-
-
-def _parallel_expand(
-    searcher: _Searcher, ctl: _Control, threads: int, load: float, root_lb: float
-) -> None:
-    """Explore first-stop subtrees in a thread pool sharing one incumbent."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    ctl.tick()  # root node
-    jobs = []
-    U = searcher.full
-    for bi, i in enumerate(searcher.spots):
-        if searcher.options.require_self_singleton and not (U & (1 << (i - 1))):
-            continue
-        jobs.append((bi, i))
-
-    def run(job):
-        bi, i = job
-        arrive = load + searcher.D[0, i] + searcher.P[i]
-        ibit = 1 << (i - 1)
-        ssa_i = searcher.ssa[i]
-        A = U
-        while A:
-            if searcher.options.require_self_singleton and not (A & ibit):
-                A = (A - 1) & U
-                continue
-            walk = ssa_i[A ^ ibit] if searcher.options.require_self_singleton else ssa_i[A]
-            if walk < np.inf:
-                cg = arrive + walk
-                rem = U & ~A
-                if rem == 0:
-                    cand = cg + searcher.D[i, 0]
-                    if cand <= ctl.best_value + _EPS:
-                        searcher._consider(ctl, cand, [i], [A])
-                else:
-                    searcher.expand(ctl, A, 1 << bi, i, cg, [i], [A], cg)
-            A = (A - 1) & U
-        if searcher.allow_empty:
-            searcher.expand(ctl, 0, 1 << bi, i, arrive, [i], [0], arrive)
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(run, jobs))
 
 
 def check_feasible(inst: Instance, cat: ServiceSetCatalog, sol: Solution) -> list[str]:

@@ -3,8 +3,9 @@
 Stage 1 (PA-R) opens parking spots and assigns every customer to one, trading
 the per-spot search time against one-way walking distances; the vehicle is
 then routed over the opened spots.  Stage 2 (SSA) optimally partitions each
-spot's customers into walking sets.  The stages are independent subproblems,
-so the pipeline is fast and its output is always feasible.
+spot's customers into walking sets with the shared subset-partition table.
+The stages are independent subproblems, so the pipeline is fast and its
+output is always feasible.
 """
 
 from __future__ import annotations
@@ -17,10 +18,12 @@ import numpy as np
 from .errors import InfeasibleInstanceError, ResourceLimitError
 from .instance import Instance
 from .model import Solution, assemble_solution
-from .servicesets import ServiceSetCatalog, walk_tour
+from .servicesets import MAX_WALK_SET, PartitionTable, ServiceSetCatalog, walk_tour
 from .tsp import solve_tsp
 
 _EPS = 1e-9
+
+PAR_MAX_NODES = 300_000  # PA-R branch-and-bound nodes before local search takes over
 
 
 @dataclass
@@ -41,7 +44,7 @@ def _assignment_cost(W: np.ndarray, park: np.ndarray, spots, open_mask: np.ndarr
     return float(park[open_mask].sum() + walk)
 
 
-def solve_par(inst: Instance, max_nodes: int = 300_000) -> ParkingAssignment:
+def solve_par(inst: Instance) -> ParkingAssignment:
     """Exact opening/assignment via branch-and-bound over the spot subsets.
 
     Given the opened set, each customer independently takes its cheapest
@@ -138,7 +141,7 @@ def solve_par(inst: Instance, max_nodes: int = 300_000) -> ParkingAssignment:
     def rec():
         nonlocal nodes, exhausted
         nodes += 1
-        if nodes > max_nodes:
+        if nodes > PAR_MAX_NODES:
             exhausted = False
             return
         if not allowed.any():
@@ -209,7 +212,7 @@ def solve_ssa(
     allow_greedy: bool = False,
 ) -> tuple[list[tuple[int, ...]], float, bool]:
     """Cheapest partition of ``customers`` into admissible walking sets from
-    ``spot`` (exact subset DP up to 20 customers).
+    ``spot`` (exact up to 20 customers, read from a ``PartitionTable``).
 
     Returns (walking orders, walk minutes, exact flag).  With a catalog, set
     admissibility follows the catalog (including any reduction); without one,
@@ -228,76 +231,34 @@ def solve_ssa(
         return _greedy_ssa(inst, spot, K)
 
     q = inst.capacity_count if inst.capacity_count is not None else k
-    pos = {c: b for b, c in enumerate(K)}
-    cands: list[list[tuple[int, tuple[int, ...], float]]] = [[] for _ in range(k)]
+    cands: list[tuple[int, ...]] = []
+    tours: list[tuple[float, tuple[int, ...]]] = []
     for size in range(1, min(q, k) + 1):
         for members in combinations(K, size):
-            if not _set_allowed(inst, cat, spot, members):
-                continue
-            cost = (
-                cat.walk_cost(spot, cat.index_of(members))
-                if cat is not None
-                else walk_tour(inst, spot, members)[0]
-            )
-            mask = 0
-            for c in members:
-                mask |= 1 << pos[c]
-            cands[pos[members[0]]].append((mask, members, cost))
+            if cat is None:
+                if inst.over_capacity(members):
+                    continue
+                tours.append(walk_tour(inst, spot, members))
+            else:
+                try:
+                    j = cat.index_of(members)
+                except KeyError:
+                    continue
+                if not cat.admissible(spot, j):
+                    continue
+                tours.append(cat.walk_entry(spot, j))
+            cands.append(members)
 
+    part = PartitionTable(K, cands, np.array([cost for cost, _ in tours], dtype=float)[:, None])
     full = (1 << k) - 1
-    dp = np.full(full + 1, np.inf)
-    dp[0] = 0.0
-    for mask in range(1, full + 1):
-        b0 = (mask & -mask).bit_length() - 1
-        best = np.inf
-        for smask, _, cost in cands[b0]:
-            if smask & mask == smask:
-                v = cost + dp[mask ^ smask]
-                if v < best:
-                    best = v
-        dp[mask] = best
-    if not np.isfinite(dp[full]):
+    walk = float(part.value[full, 0])
+    if not np.isfinite(walk):
         raise InfeasibleInstanceError(f"customers {K} cannot be partitioned into admissible sets")
-
-    parts: list[tuple[int, ...]] = []
-    mask = full
-    while mask:
-        b0 = (mask & -mask).bit_length() - 1
-        target = dp[mask]
-        for smask, members, cost in cands[b0]:
-            if smask & mask == smask and cost + dp[mask ^ smask] <= target + 1e-9:
-                parts.append(members)
-                mask ^= smask
-                break
-        else:
-            raise RuntimeError("SSA reconstruction failed")
-    orders = [
-        walk_tour(inst, spot, members)[1] if cat is None else cat.walk_order(spot, cat.index_of(members))
-        for members in parts
-    ]
-    return orders, float(dp[full]), True
-
-
-def _set_allowed(inst: Instance, cat: ServiceSetCatalog | None, spot: int, members) -> bool:
-    if cat is not None:
-        try:
-            j = cat.index_of(members)
-        except KeyError:
-            return False
-        return cat.admissible(spot, j)
-    if inst.capacity_weight is not None and inst.weights is not None:
-        if sum(inst.weights[c] for c in members) > inst.capacity_weight + 1e-9:
-            return False
-    if inst.capacity_volume is not None and inst.volumes is not None:
-        if sum(inst.volumes[c] for c in members) > inst.capacity_volume + 1e-9:
-            return False
-    return True
+    return [tours[c][1] for c in part.split(full, 0)], walk, True
 
 
 def _greedy_ssa(inst: Instance, spot: int, K) -> tuple[list[tuple[int, ...]], float, bool]:
     """Chunk customers by walking distance from the spot; flagged non-exact."""
-    from .servicesets import MAX_WALK_SET
-
     q = inst.capacity_count if inst.capacity_count is not None else len(K)
     q = min(q, MAX_WALK_SET)
     remaining = sorted(K, key=lambda c: (inst.W(spot, c), c))
@@ -308,7 +269,7 @@ def _greedy_ssa(inst: Instance, spot: int, K) -> tuple[list[tuple[int, ...]], fl
         for c in list(remaining):
             if len(chunk) >= q:
                 break
-            if _set_allowed(inst, None, spot, chunk + [c]):
+            if not inst.over_capacity(chunk + [c]):
                 chunk.append(c)
                 remaining.remove(c)
         cost, order = walk_tour(inst, spot, chunk)
@@ -330,10 +291,9 @@ class TwoEchelonResult:
 def heuristic_solve_full(
     inst: Instance,
     cat: ServiceSetCatalog | None = None,
-    par_max_nodes: int = 300_000,
 ) -> TwoEchelonResult:
     """Run PA-R, route the opened spots, then split each spot's customers."""
-    pa = solve_par(inst, max_nodes=par_max_nodes)
+    pa = solve_par(inst)
     stops, _, routing_exact = route_parking(inst, pa.opened)
     assigned: dict[int, list[int]] = {s: [] for s in stops}
     for c, s in pa.assign.items():

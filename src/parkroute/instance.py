@@ -9,6 +9,7 @@ that ``walk[i, k]`` works with the same ids.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -63,6 +64,13 @@ class Instance:
             park = np.concatenate([[0.0], park])
         if park.shape != (n + 1,):
             raise InstanceFormatError(f"park_time must have {n} entries, got {park.shape[0]}")
+        for name, arr in (("drive", drive), ("walk", walk), ("park_time", park)):
+            if not np.isfinite(arr).all():
+                raise InstanceFormatError(f"non-finite value in {name}")
+        for name in ("load_per_package", "capacity_weight", "capacity_volume"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise InstanceFormatError(f"non-finite {name}: {value}")
         for name, mat in (("drive", drive), ("walk", walk)):
             if np.any(mat < 0):
                 raise InstanceFormatError(f"negative time in {name} matrix")
@@ -106,9 +114,25 @@ class Instance:
             arr = np.concatenate([[0.0], arr])
         if arr.shape != (n + 1,):
             raise InstanceFormatError(f"{name} must have {n} entries, got {arr.shape[0]}")
+        if not np.isfinite(arr).all():
+            raise InstanceFormatError(f"non-finite value in {name}")
         if np.any(arr[1:] < 0):
             raise InstanceFormatError(f"negative value in {name}")
         return arr
+
+    def over_capacity(self, members) -> list[str]:
+        """The capacities ("package", "weight", "volume") that one walking set
+        of these customers exceeds; empty when the set fits."""
+        over = []
+        if self.capacity_count is not None and len(members) > self.capacity_count:
+            over.append("package")
+        if self.capacity_weight is not None and self.weights is not None:
+            if sum(self.weights[c] for c in members) > self.capacity_weight + 1e-9:
+                over.append("weight")
+        if self.capacity_volume is not None and self.volumes is not None:
+            if sum(self.volumes[c] for c in members) > self.capacity_volume + 1e-9:
+                over.append("volume")
+        return over
 
     @property
     def n(self) -> int:
@@ -292,7 +316,8 @@ def instance_from_dict(doc: dict) -> Instance:
         drive = np.asarray(doc["drive"], dtype=float)
         walk_rows = doc["walk"]
         park = doc["park_time"]
-    except (KeyError, TypeError, ValueError) as exc:
+        q = None if doc.get("q") is None else int(doc["q"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"missing or malformed required field: {exc}") from exc
     if drive.shape != (n + 1, n + 1):
         raise InstanceFormatError(f"drive matrix must be {(n + 1, n + 1)}, got {drive.shape}")
@@ -303,7 +328,7 @@ def instance_from_dict(doc: dict) -> Instance:
         walk=np.asarray(walk_rows, dtype=float),
         park_time=np.asarray(park, dtype=float),
         load_per_package=float(doc.get("f", 0.0)),
-        capacity_count=None if doc.get("q") is None else int(doc["q"]),
+        capacity_count=q,
         capacity_weight=doc.get("cap_weight"),
         weights=doc.get("weights"),
         capacity_volume=doc.get("cap_volume"),

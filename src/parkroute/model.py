@@ -11,10 +11,8 @@ memory-prohibitive here -- variable accounting covers those).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import InfeasibleSolutionError, ResourceLimitError, UnsupportedError
 from .instance import Instance
@@ -98,7 +96,6 @@ def structural_violations(inst: Instance, stops, served) -> list[str]:
         violations.append(f"served lists ({len(served)}) do not match stops ({len(stops)})")
 
     seen: dict[int, int] = {}
-    q = inst.capacity_count
     for stop_sets in served:
         for order in stop_sets:
             if not order:
@@ -106,14 +103,9 @@ def structural_violations(inst: Instance, stops, served) -> list[str]:
                 continue
             if len(set(order)) != len(order):
                 violations.append(f"repeated customer inside set {tuple(order)}")
-            if q is not None and len(order) > q:
-                violations.append(f"set {tuple(order)} exceeds package capacity {q}")
-            if inst.capacity_weight is not None and inst.weights is not None:
-                if sum(inst.weights[c] for c in order) > inst.capacity_weight + 1e-9:
-                    violations.append(f"set {tuple(order)} exceeds weight capacity")
-            if inst.capacity_volume is not None and inst.volumes is not None:
-                if sum(inst.volumes[c] for c in order) > inst.capacity_volume + 1e-9:
-                    violations.append(f"set {tuple(order)} exceeds volume capacity")
+            for kind in inst.over_capacity(order):
+                limit = f" {inst.capacity_count}" if kind == "package" else ""
+                violations.append(f"set {tuple(order)} exceeds {kind} capacity{limit}")
             for c in order:
                 seen[c] = seen.get(c, 0) + 1
     for c in inst.customers:
@@ -449,10 +441,3 @@ def parse_lp(text: str) -> MipModel:
         lb, ub = bounds.get(name, (0.0, None))
         variables.append(VarDef(name, "I", lb=lb, ub=ub))
     return MipModel(variables=tuple(variables), objective=objective, constraints=tuple(rows))
-
-
-def write_solution(sol: Solution, path: str | Path, extra: dict | None = None) -> None:
-    doc = sol.to_dict()
-    if extra:
-        doc.update(extra)
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")

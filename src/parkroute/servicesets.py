@@ -1,9 +1,12 @@
-"""Service-set catalog: feasible customer sets, exact walking-tour costs, and
-the parked-customer variable reduction.
+"""Service-set catalog: feasible customer sets, exact walking-tour costs, the
+parked-customer variable reduction, and the subset-partition table.
 
 A service set is a group of customers served in one walking loop from a parked
 vehicle.  The catalog enumerates every set that fits the carrier capacity
 (count, weight, volume); walking costs are computed lazily and memoized.
+``PartitionTable`` splits every subset of a customer group into candidate
+walking sets at least cost, per parking spot; the exact solver and the
+heuristic's set assignment both read their splits from it.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ class ServiceSetCatalog:
     """Enumerated sets in lexicographic (size, members) order plus pair
     admissibility after the reduction that bans serving a multi-customer set
     from the location of one of its own members.
-
-    Walk-cost memoization uses a plain dict; concurrent reads/inserts of
-    immutable values are safe under the GIL and results are thread-count
-    independent.
     """
 
     inst: Instance
@@ -105,26 +104,13 @@ class ServiceSetCatalog:
             if c in spots
         )
 
-    def precompute_walk_costs(self, parkings=None, threads: int = 1) -> None:
-        """Opt-in eager fill of the walk-cost memo (the lazy default keeps the
-        pair count from dominating memory).  Independent per parking location,
-        so extra threads are safe: entries are immutable and identical however
-        the work is scheduled."""
-        parkings = list(parkings) if parkings is not None else list(self.inst.spots)
-
-        def fill(i: int) -> None:
+    def precompute_walk_costs(self) -> None:
+        """Opt-in eager fill of the walk-cost memo for every admissible pair
+        (the lazy default keeps the pair count from dominating memory)."""
+        for i in self.inst.spots:
             for j in range(len(self.sets)):
                 if self.admissible(i, j):
                     self.walk_entry(i, j)
-
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(fill, parkings))
-        else:
-            for i in parkings:
-                fill(i)
 
     def walk_cost(self, parking: int, j: int) -> float:
         return self.walk_entry(parking, j)[0]
@@ -162,17 +148,13 @@ def enumerate_catalog(
 
     weights = inst.weights
     volumes = inst.volumes
-    cap_w = inst.capacity_weight
-    cap_v = inst.capacity_volume
 
     for c in pool:
-        if cap_w is not None and weights is not None and weights[c] > cap_w + 1e-9:
-            raise InfeasibleInstanceError(f"package for customer {c} exceeds the weight capacity alone")
-        if cap_v is not None and volumes is not None and volumes[c] > cap_v + 1e-9:
-            raise InfeasibleInstanceError(f"package for customer {c} exceeds the volume capacity alone")
+        for kind in inst.over_capacity((c,)):
+            raise InfeasibleInstanceError(f"package for customer {c} exceeds the {kind} capacity alone")
 
     # size bound for the pair cap uses the count-only closed form first
-    if cap_w is None and cap_v is None:
+    if inst.capacity_weight is None and inst.capacity_volume is None:
         projected = len(inst.spots) * count_sets(len(pool), qmax)
         if projected > max_pairs:
             raise ResourceLimitError(
@@ -183,12 +165,10 @@ def enumerate_catalog(
     sets: list[ServiceSet] = []
     for size in range(1, qmax + 1):
         for members in combinations(pool, size):
+            if inst.over_capacity(members):
+                continue
             tw = float(sum(weights[c] for c in members)) if weights is not None else 0.0
             tv = float(sum(volumes[c] for c in members)) if volumes is not None else 0.0
-            if cap_w is not None and tw > cap_w + 1e-9:
-                continue
-            if cap_v is not None and tv > cap_v + 1e-9:
-                continue
             sets.append(ServiceSet(members, tw, tv))
     cat = ServiceSetCatalog(inst=inst, sets=tuple(sets))
     if cat.pair_count() > max_pairs:
@@ -253,6 +233,59 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
         local[a] = W[ids[a], list(ids)]
     cost, order = held_karp_cycle(local)
     return cost, tuple(ms[v - 1] for v in order)
+
+
+# ---------------------------------------------------------------------------
+# subset partition
+
+class PartitionTable:
+    """Cheapest split of every subset of ``customers`` into candidate walking
+    sets, for several parking spots at once.
+
+    Bit b of a mask stands for ``customers[b]``.  ``candidates`` lists member
+    tuples in catalog order and ``costs[c, s]`` is the walk cost of candidate c
+    from spot column s (inf where the pair is inadmissible).  ``value[mask, s]``
+    is the least total cost, inf when no split exists.  Each mask's split takes
+    the candidate holding its lowest bit, so the table is built over masks in
+    increasing order with one vectorised minimum per mask.
+    """
+
+    def __init__(self, customers, candidates, costs: np.ndarray):
+        pos = {c: b for b, c in enumerate(customers)}
+        self.masks = np.array(
+            [sum(1 << pos[c] for c in members) for members in candidates], dtype=np.int64
+        )
+        self.costs = np.asarray(costs, dtype=float)
+        self._low = self.masks & -self.masks
+        k = len(pos)
+        groups = []
+        for b in range(k):
+            sel = self._low == 1 << b
+            groups.append((self.masks[sel], self.costs[sel]))
+        value = np.full((1 << k, self.costs.shape[1]), np.inf)
+        value[0] = 0.0
+        for mask in range(1, 1 << k):
+            gm, gc = groups[(mask & -mask).bit_length() - 1]
+            fit = (gm & ~mask) == 0
+            value[mask] = np.min(gc[fit] + value[mask ^ gm[fit]], axis=0, initial=np.inf)
+        self.value = value
+
+    def split(self, mask: int, col: int) -> list[int]:
+        """Candidate indices of the optimal split of ``mask`` from spot column
+        ``col``: at each step, the first candidate in catalog order that holds
+        the lowest remaining bit and attains the table value."""
+        parts: list[int] = []
+        value = self.value[:, col]
+        costs = self.costs[:, col]
+        while mask:
+            fit = np.flatnonzero((self._low == (mask & -mask)) & ((self.masks & ~mask) == 0))
+            attains = costs[fit] + value[mask ^ self.masks[fit]] <= value[mask] + 1e-9
+            if not attains.any():  # numeric guard; cannot happen for a finite value
+                raise RuntimeError("subset partition split failed")
+            j = int(fit[np.argmax(attains)])
+            parts.append(j)
+            mask ^= int(self.masks[j])
+        return parts
 
 
 # ---------------------------------------------------------------------------

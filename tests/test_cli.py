@@ -148,6 +148,13 @@ def test_unreadable_instance_is_an_error(tmp_path):
     assert main(["solve", str(tmp_path / "missing.json")]) == 1
 
 
+def test_non_finite_instance_is_an_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 1, "drive": [[0, NaN], [2, 0]], "walk": [[0]], "park_time": [1], "q": 1}')
+    assert main(["solve", str(path)]) == 1
+    assert "non-finite value in drive" in capsys.readouterr().err
+
+
 def test_gen_grid_records_seed_and_loads(tmp_path):
     inst_path = tmp_path / "grid.json"
     assert main([

@@ -110,18 +110,6 @@ def test_determinism_two_runs():
     assert a.solution.served == b.solution.served
 
 
-def test_threads_return_same_value_on_bnb_path():
-    # triangle violation forces the branch-and-bound; threads must agree
-    drive = np.array([[0, 1, 9, 1], [1, 0, 9, 1], [9, 9, 0, 9], [1, 1, 9, 0.0]])
-    drive[0, 2] = 30; drive[2, 0] = 30
-    walk = np.full((3, 3), 4.0); np.fill_diagonal(walk, 0.0)
-    inst = Instance(drive=drive, walk=walk, park_time=[0.5, 0.5, 0.5], capacity_count=2)
-    cat = enumerate_catalog(inst)
-    one = solve_exact(inst, cat, threads=1)
-    two = solve_exact(inst, cat, threads=2)
-    assert one.value == pytest.approx(two.value, abs=1e-9)
-
-
 def test_budget_exhaustion_keeps_valid_bound():
     # non-metric drive forces the budgeted search path
     drive = np.array([[0, 1, 9, 1], [1, 0, 9, 1], [9, 9, 0, 9], [1, 1, 9, 0.0]])

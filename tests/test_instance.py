@@ -46,6 +46,38 @@ def test_nonzero_diagonal_rejected():
         Instance(drive=[[0.5, 1], [1, 0]], walk=[[0.0]], park_time=[1.0])
 
 
+_FINITE = dict(
+    drive=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], walk=[[0, 1], [1, 0]], park_time=[1.0, 1.0],
+    weights=[1.0, 2.0], volumes=[1.0, 2.0], load_per_package=0.5, capacity_weight=3.0, capacity_volume=3.0,
+)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", sorted(_FINITE))
+def test_non_finite_number_rejected(field, bad):
+    kwargs = {k: np.array(v, dtype=float) if isinstance(v, list) else v for k, v in _FINITE.items()}
+    Instance(**kwargs)
+    value = kwargs[field]
+    if np.ndim(value) == 2:
+        value[0, 1] = bad
+    elif np.ndim(value) == 1:
+        value[1] = bad
+    else:
+        kwargs[field] = bad
+    with pytest.raises(InstanceFormatError, match="non-finite"):
+        Instance(**kwargs)
+
+
+@pytest.mark.parametrize("field, literal", [("drive", "[[0, NaN], [2, 0]]"), ("park_time", "[Infinity]"), ("q", "NaN")])
+def test_non_finite_json_literal_rejected(tmp_path, field, literal):
+    doc = {"n": 1, "drive": "[[0, 2], [2, 0]]", "walk": "[[0]]", "park_time": "[1]", "q": "1"}
+    doc[field] = literal
+    path = tmp_path / "inst.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
+    with pytest.raises(InstanceFormatError):
+        load_instance(path)
+
+
 def test_round_trip_identity(tmp_path):
     inst = gen_geo_instance(6, seed=5, p=2.5, q=3, f=1.1)
     path = tmp_path / "roundtrip.json"

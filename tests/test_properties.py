@@ -1,0 +1,78 @@
+"""Randomized agreement between the shared subset-partition table, the exact
+solver and the brute-force oracles, on small instances with count, weight and
+volume capacities and a restricted set of parking spots."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from brutes import brute_optimum, brute_partition_cost
+from parkroute.exact import solve_exact
+from parkroute.instance import gen_geo_instance, validate_instance
+from parkroute.servicesets import PartitionTable, enumerate_catalog
+
+# fixed example sequence, so a Tier-1 run is reproducible; no example database
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def instances(draw, min_n=1, max_n=6):
+    """Geometric instance with integer package weights and volumes (so set
+    totals hit the capacities exactly), optional weight and volume limits that
+    every single package fits, and 1-3 parking spots (all spots when n <= 4)."""
+    n = draw(st.sampled_from(range(max_n, min_n - 1, -1)))  # larger n first
+    inst = gen_geo_instance(
+        n, draw(st.integers(0, 10_000)), p=draw(st.sampled_from([0.0, 1.0, 5.0])), q=draw(st.integers(1, 3))
+    )
+    spots = draw(st.lists(st.integers(1, n), min_size=1, max_size=min(n, 3), unique=True))
+    return replace(
+        inst,
+        weights=np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float),
+        volumes=np.array(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)), dtype=float),
+        capacity_weight=draw(st.none() | st.integers(4, 8)),
+        capacity_volume=draw(st.none() | st.integers(4, 8)),
+        parking_locations=tuple(spots) if n > 4 else (),
+    )
+
+
+@SETTINGS
+@given(instances())
+def test_partition_table_matches_brute_force(inst):
+    cat = enumerate_catalog(inst)
+    costs = np.array([[cat.walk_cost(i, j) for i in inst.spots] for j in range(len(cat.sets))])
+    part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
+    for mask in range(1 << inst.n):
+        members = [c for c in inst.customers if mask >> (c - 1) & 1]
+        for col, spot in enumerate(inst.spots):
+            want = brute_partition_cost(inst, spot, members)
+            assert part.value[mask, col] == pytest.approx(want, abs=1e-9)
+            split = part.split(mask, col)
+            assert sorted(c for j in split for c in cat.sets[j].members) == members
+            assert sum(costs[j, col] for j in split) == pytest.approx(want, abs=1e-9)
+
+
+@SETTINGS
+@given(instances())
+def test_exact_dp_matches_brute_force_on_metric_drive(inst):
+    assert validate_instance(inst).drive_triangle_violations == 0
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+@SETTINGS
+@given(instances(min_n=2), st.integers(0, 10_000))
+def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
+    # random skew, plus one depot leg longer than its detour through another
+    # customer, so the triangle inequality fails and the DP does not run
+    drive = inst.drive * np.random.default_rng(skew_seed).uniform(1.0, 1.6, size=inst.drive.shape)
+    np.fill_diagonal(drive, 0.0)
+    drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
+    inst = replace(inst, drive=drive)
+    assert validate_instance(inst).drive_triangle_violations > 0
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)

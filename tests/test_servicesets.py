@@ -157,11 +157,11 @@ def test_catalog_walk_costs_memoized_and_consistent():
     assert sorted(cat.walk_order(1, j)) == [2, 4]
 
 
-def test_precompute_matches_lazy_and_is_thread_safe():
+def test_precompute_matches_lazy():
     inst = gen_geo_instance(6, seed=12, q=2)
     lazy = enumerate_catalog(inst)
     eager = enumerate_catalog(inst)
-    eager.precompute_walk_costs(threads=2)
+    eager.precompute_walk_costs()
     assert len(eager._walk) == eager.pair_count()
     for i in inst.spots:
         for j in range(len(lazy.sets)):

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ParkrouteError
 from .instance import Instance
 from .model import Solution, assemble_solution
-from .servicesets import ServiceSetCatalog, enumerate_catalog
+from .servicesets import enumerate_catalog
 from .tsp import solve_tsp
 
 DESK_EXACT_N = 10
@@ -52,7 +52,6 @@ def _solve_variant(variant: Instance, budget, exact_n_max: int):
 
 def no_parking_benchmark(
     inst: Instance,
-    cat: ServiceSetCatalog | None = None,
     budget=None,
     exact_n_max: int = DESK_EXACT_N,
 ) -> BenchmarkResult:
@@ -76,7 +75,6 @@ def no_parking_benchmark(
 
 def relaxed_ms(
     inst: Instance,
-    cat: ServiceSetCatalog | None = None,
     alpha: float = 0.6,
     budget=None,
     exact_n_max: int = DESK_EXACT_N,
@@ -110,11 +108,7 @@ def relaxed_ms(
     )
 
 
-def modified_tsp(
-    inst: Instance,
-    cat: ServiceSetCatalog | None = None,
-    budget=None,
-) -> BenchmarkResult:
+def modified_tsp(inst: Instance) -> BenchmarkResult:
     """Fix the service order by a driving-time TSP, then choose parking events
     and contiguous service sets along that order by dynamic programming.
 
@@ -238,7 +232,6 @@ def modified_tsp(
 def run_benchmarks(
     inst: Instance,
     models,
-    cat: ServiceSetCatalog | None = None,
     budget=None,
     exact_n_max: int = DESK_EXACT_N,
 ) -> list[BenchmarkResult]:
@@ -246,12 +239,12 @@ def run_benchmarks(
     results = []
     for spec_name in models:
         if spec_name == "npt":
-            results.append(no_parking_benchmark(inst, cat, budget, exact_n_max))
+            results.append(no_parking_benchmark(inst, budget, exact_n_max))
         elif spec_name == "mtsp":
-            results.append(modified_tsp(inst, cat, budget))
+            results.append(modified_tsp(inst))
         elif spec_name.startswith("ms:"):
             alpha = float(spec_name.split(":", 1)[1])
-            results.append(relaxed_ms(inst, cat, alpha, budget, exact_n_max))
+            results.append(relaxed_ms(inst, alpha, budget, exact_n_max))
         else:
             raise ValueError(f"unknown benchmark model {spec_name!r}")
     return results

@@ -4,7 +4,7 @@ Metric driving matrices (the usual case) are solved by a bitmask dynamic
 program over (unserved customers, last parking spot) whose transitions pick
 the next spot and the customer bundle walked from it; under the triangle
 inequality revisits and pass-through stops never improve, so the state space
-is exact.  Non-metric inputs or more than 13 customers fall back to a
+is exact.  Non-metric inputs or more than 16 customers fall back to a
 depth-first branch-and-bound over parking sequences whose lower bound
 combines the unavoidable drive legs with a per-customer share of the cheapest
 admissible walk-plus-park increment, which stays admissible on any input.
@@ -16,12 +16,13 @@ and shared by both paths (and by the heuristic's set assignment).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ResourceLimitError
+from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError
 from .instance import Instance
 from .model import Solution, assemble_solution, structural_violations
 from .servicesets import PartitionTable, ServiceSetCatalog
@@ -30,7 +31,18 @@ from .tsp import nearest_neighbor_cycle
 _EPS = 1e-9
 
 MAX_EXACT_CUSTOMERS = 18
-DP_MAX_CUSTOMERS = 13
+DP_MAX_CUSTOMERS = 16
+_CHUNK = 1024  # submasks per DP gather; bounds the step's temporaries
+
+
+def _submasks(mask: int) -> np.ndarray:
+    """The nonempty submasks of ``mask`` as an int64 array, in no set order."""
+    subs = np.zeros(1, dtype=np.int64)
+    while mask:
+        low = mask & -mask
+        subs = np.concatenate((subs, subs | low))
+        mask ^= low
+    return subs[1:]
 
 
 class _ReconstructionTie(Exception):
@@ -42,7 +54,6 @@ class _ReconstructionTie(Exception):
 class SearchBudget:
     max_nodes: int = 10_000_000
     max_seconds: float = 300.0
-    require_proof: bool = True
 
     def __post_init__(self):
         if self.max_nodes <= 0 or self.max_seconds <= 0:
@@ -160,7 +171,16 @@ class _Searcher:
         # bit b of a bundle mask is customer b + 1
         self.part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
         self.col = {i: si for si, i in enumerate(self.spots)}
-        self.ssa = dict(zip(self.spots, self.part.value.T))  # per-spot views for the hot loops
+        # bundle[A, s]: walk cost of bundle A from spot column s, inf where A
+        # cannot be served from there; under require_self_singleton the
+        # spot's own customer belongs to A and is served alone at no walk cost
+        self.bundle = self.part.value
+        if options.require_self_singleton:
+            masks = np.arange(self.full + 1)
+            self.bundle = np.full_like(self.part.value, np.inf)
+            for si, i in enumerate(self.spots):
+                own = masks[(masks & 1 << (i - 1)) != 0]
+                self.bundle[own, si] = self.part.value[own ^ 1 << (i - 1), si]
         self.dsum = None  # built on demand by the branch-and-bound path
 
     def build_bound_tables(self):
@@ -204,136 +224,84 @@ class _Searcher:
 
         Returns (value-without-load, stops, bundles, states)."""
         S = self.spots
-        m = len(S)
-        n = self.n
-        full = self.full
         D = self.inst.drive
-        size = full + 1
-        force = self.options.require_self_singleton
-        jbits = [1 << (j - 1) for j in S]
-        ssa = [self.ssa[j] for j in S]
-        park = [float(self.P[j]) for j in S]
-        d_home = np.array([D[j, 0] for j in S])
-        d_spot = D[np.ix_(S, S)]
+        size = self.full + 1
+        self.park = np.array([float(self.P[j]) for j in S])
+        self.d_spot = D[np.ix_(S, S)]
         d_depot = np.array([D[0, j] for j in S])
 
-        B = np.empty((size, m))
-        Qp = np.empty((size, m))  # park + bundle + completion, before arrival leg
-        B[0] = d_home
-        inf = float("inf")
+        self.B = B = np.empty((size, len(S)))
+        B[0] = [D[j, 0] for j in S]
         for mask in range(1, size):
-            row = Qp[mask]
-            for sj in range(m):
-                jb = jbits[sj]
-                if force and not (mask & jb):
-                    row[sj] = inf
-                    continue
-                t = ssa[sj]
-                Bcol = B[:, sj]
-                best = inf
-                A = mask
-                if force:
-                    rest = mask ^ jb
-                    A = rest
-                    w = t[0]
-                    v = w + Bcol[rest]  # bundle == {j}
-                    if v < best:
-                        best = v
-                    while A:
-                        w = t[A]
-                        if w < inf:
-                            v = w + Bcol[mask ^ (A | jb)]
-                            if v < best:
-                                best = v
-                        A = (A - 1) & rest
-                else:
-                    while A:
-                        w = t[A]
-                        if w < inf:
-                            v = w + Bcol[mask ^ A]
-                            if v < best:
-                                best = v
-                        A = (A - 1) & mask
-                row[sj] = best + park[sj]
-            B[mask] = (d_spot + row[None, :]).min(axis=1)
-        opt = float((d_depot + Qp[full]).min())
+            # park + bundle + completion, before the arrival leg
+            qp = np.min([v.min(axis=0) for _, v in self._step(mask)], axis=0) + self.park
+            B[mask] = (self.d_spot + qp[None, :]).min(axis=1)
+        opt = float((d_depot + qp).min())  # qp of the full mask, the last one
 
-        stops, bundles = self._dp_reconstruct(B, Qp, d_depot, d_spot, jbits, ssa, park)
-        return opt, tuple(stops), tuple(bundles), size * m
+        stops, bundles = self._dp_reconstruct(d_depot, opt)
+        return opt, tuple(stops), tuple(bundles), size * len(S)
 
-    def _dp_transitions(self, mask: int, arrival: np.ndarray, B, jbits, ssa, park):
-        force = self.options.require_self_singleton
-        inf = float("inf")
-        for sj in range(len(self.spots)):
-            jb = jbits[sj]
-            base = arrival[sj] + park[sj]
-            t = ssa[sj]
-            Bcol = B[:, sj]
-            if force:
-                if not (mask & jb):
-                    continue
-                rest = mask ^ jb
-                yield sj, jb, base + t[0] + Bcol[rest]
-                A = rest
-                while A:
-                    w = t[A]
-                    if w < inf:
-                        yield sj, A | jb, base + w + Bcol[mask ^ (A | jb)]
-                    A = (A - 1) & rest
-            else:
-                A = mask
-                while A:
-                    w = t[A]
-                    if w < inf:
-                        yield sj, A, base + w + Bcol[mask ^ A]
-                    A = (A - 1) & mask
+    def _step(self, mask: int, base=None):
+        """Yield the nonempty submasks A of ``mask`` in chunks of at most
+        _CHUNK, each with the cost, per (A, spot), of walking bundle A from the
+        spot and completing ``mask ^ A`` from there:
+        ``(base + bundle[A]) + B[mask ^ A]``."""
+        subs = _submasks(mask)
+        for lo in range(0, len(subs), _CHUNK):
+            A = subs[lo:lo + _CHUNK]
+            v = self.bundle[A]
+            if base is not None:
+                v += base
+            v += self.B[mask ^ A]
+            yield A, v
 
-    def _dp_reconstruct(self, B, Qp, d_depot, d_spot, jbits, ssa, park):
+    def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> list[tuple[int, int]]:
+        """The (spot column, bundle) pairs that, arriving with the per-spot
+        drive times ``arrival``, complete ``mask`` within _EPS of ``target``."""
+        pairs = []
+        for A, v in self._step(mask, arrival + self.park):
+            rows, cols = np.nonzero(v <= target + _EPS)
+            pairs += [(int(sj), int(A[a])) for a, sj in zip(rows, cols)]
+        return pairs
+
+    def _dp_reconstruct(self, d_depot: np.ndarray, target: float):
         """Greedy front construction of the canonical optimal solution:
         value first, then fewest stops, then the lexicographically smallest
         stop sequence (bundles canonicalized by smallest bit mask)."""
         S = self.spots
-        cnt_memo: dict[tuple[int, int], int] = {}
+        B = self.B
 
+        @functools.cache
         def cnt(mask: int, si: int) -> int:
+            """Fewest stops of an optimal completion of ``mask`` from spot column si."""
             if mask == 0:
                 return 0
-            key = (mask, si)
-            hit = cnt_memo.get(key)
-            if hit is not None:
-                return hit
-            target = B[mask, si]
-            best = len(S) + self.n
-            if len(cnt_memo) < 200_000:
-                for sj, A, v in self._dp_transitions(mask, d_spot[si], B, jbits, ssa, park):
-                    if v <= target + _EPS:
-                        c = 1 + cnt(mask ^ A, sj)
-                        if c < best:
-                            best = c
-            cnt_memo[key] = best
-            return best
+            return min(
+                (1 + cnt(mask ^ A, sj) for sj, A in self._dp_transitions(mask, self.d_spot[si], B[mask, si])),
+                default=len(S) + self.n,
+            )
 
         stops: list[int] = []
         bundles: list[int] = []
         mask = self.full
         arrival = d_depot
-        target = float((d_depot + Qp[self.full]).min())
         visited = 0
         while mask:
-            choices = []
-            for sj, A, v in self._dp_transitions(mask, arrival, B, jbits, ssa, park):
-                if v <= target + _EPS and not (visited >> sj & 1):
-                    choices.append((1 + cnt(mask ^ A, sj), S[sj], A, sj, v))
+            choices = [
+                (1 + cnt(mask ^ A, sj), S[sj], A, sj)
+                for sj, A in self._dp_transitions(mask, arrival, target)
+                if not visited >> sj & 1
+            ]
             if not choices:
                 # every optimal continuation would revisit a spot: a tie-only
                 # corner case; the caller falls back to the sequence search
                 raise _ReconstructionTie
-            _, j, A, sj, _ = min(choices)
+            _, j, A, sj = min(choices)
             stops.append(j)
             bundles.append(A)
             visited |= 1 << sj
             mask ^= A
-            arrival = d_spot[sj]
+            arrival = self.d_spot[sj]
             if mask:
                 target = float(B[mask, sj])
         return stops, bundles
@@ -351,9 +319,7 @@ class _Searcher:
         for bi, i in enumerate(self.spots):
             if visited >> bi & 1:
                 continue
-            ibit = 1 << (i - 1)
-            force_self = self.options.require_self_singleton
-            if force_self and not (U & ibit):
+            if self.options.require_self_singleton and not (U >> (i - 1) & 1):
                 continue  # parked customer already served elsewhere
             arrive = g + D[loc, i] + self.P[i]
             vis2 = visited | (1 << bi)
@@ -365,13 +331,10 @@ class _Searcher:
                         tail_leg = D[i, k]
                     if D[k, 0] < tail_home:
                         tail_home = D[k, 0]
-            ssa_i = self.ssa[i]
+            walks = self.bundle[:, bi]
             A = U
             while A:
-                if force_self and not (A & ibit):
-                    A = (A - 1) & U
-                    continue
-                walk = ssa_i[A ^ ibit] if force_self else ssa_i[A]
+                walk = walks[A]
                 if walk < np.inf:
                     cg = arrive + walk
                     rem = U & ~A
@@ -470,8 +433,8 @@ def solve_exact(
         from .heuristic import heuristic_solve
 
         candidates.append(heuristic_solve(inst, cat))
-    except Exception:
-        pass
+    except ParkrouteError:
+        pass  # no heuristic warm start; the search runs without it
     for sol in candidates:
         if _respects_structure(sol, options, searcher.allow_empty):
             ctl.offer(sol.total, (sol.num_stops, sol.stops), ("warm", sol))

@@ -239,18 +239,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
     (real road data violates both).  A package that exceeds the weight or
     volume capacity on its own makes the instance unservable and raises.
     """
-    if inst.capacity_weight is not None and inst.weights is not None:
-        over = [i for i in inst.customers if inst.weights[i] > inst.capacity_weight + TOL]
+    for kind, cap in (("weight", inst.capacity_weight), ("volume", inst.capacity_volume)):
+        over = [i for i in inst.customers if kind in inst.over_capacity((i,))]
         if over:
-            raise InfeasibleInstanceError(
-                f"packages {over} exceed the weight capacity {inst.capacity_weight} on their own"
-            )
-    if inst.capacity_volume is not None and inst.volumes is not None:
-        over = [i for i in inst.customers if inst.volumes[i] > inst.capacity_volume + TOL]
-        if over:
-            raise InfeasibleInstanceError(
-                f"packages {over} exceed the volume capacity {inst.capacity_volume} on their own"
-            )
+            raise InfeasibleInstanceError(f"packages {over} exceed the {kind} capacity {cap} on their own")
     if not inst.spots:
         raise InfeasibleInstanceError("no parking locations: customers cannot be served")
 

@@ -95,6 +95,7 @@ def structural_violations(inst: Instance, stops, served) -> list[str]:
     if len(served) != len(stops):
         violations.append(f"served lists ({len(served)}) do not match stops ({len(stops)})")
 
+    customers = inst.customers
     seen: dict[int, int] = {}
     for stop_sets in served:
         for order in stop_sets:
@@ -103,19 +104,21 @@ def structural_violations(inst: Instance, stops, served) -> list[str]:
                 continue
             if len(set(order)) != len(order):
                 violations.append(f"repeated customer inside set {tuple(order)}")
+            for c in order:
+                seen[c] = seen.get(c, 0) + 1
+            if any(c not in customers for c in order):
+                continue  # no load to check; the unknown id is reported below
             for kind in inst.over_capacity(order):
                 limit = f" {inst.capacity_count}" if kind == "package" else ""
                 violations.append(f"set {tuple(order)} exceeds {kind} capacity{limit}")
-            for c in order:
-                seen[c] = seen.get(c, 0) + 1
-    for c in inst.customers:
+    for c in customers:
         k = seen.get(c, 0)
         if k == 0:
             violations.append(f"customer {c} not served")
         elif k > 1:
             violations.append(f"customer {c} served {k} times")
     for c in seen:
-        if c not in range(1, inst.n + 1):
+        if c not in customers:
             violations.append(f"unknown customer id {c}")
     return violations
 

@@ -1,11 +1,16 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from brutes import brute_optimum
+import parkroute.heuristic
+from brutes import brute_optimum, milp_optimum
 from parkroute.errors import InfeasibleInstanceError
 from parkroute.exact import SearchBudget, SearchOptions, check_feasible, solve_exact
+from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
-from parkroute.model import Breakdown, Solution, assemble_solution
+from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model
 from parkroute.servicesets import enumerate_catalog, reduce_catalog
 
 
@@ -46,6 +51,55 @@ def test_true_optima_on_2x2_grid_sweep():
         res = solve_exact(inst, enumerate_catalog(inst))
         assert res.value == pytest.approx(want, abs=1e-9)
         assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+def test_dp_proves_the_4x4_grid_threshold():
+    # n = 16, the paper's grid: the completion DP proves the park-everywhere
+    # tour optimal at the capacity-2 threshold and finds a cheaper tour just
+    # above it, which HiGHS confirms
+    start = time.monotonic()
+    at = GridParams(sqrt_n=4, walk_rate=1.6, park_time=2.2, capacity=2)
+    inst = gen_grid_instance(at)
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(tsp_park_all_value(at), abs=1e-6)
+
+    above = GridParams(sqrt_n=4, walk_rate=1.6, park_time=2.3, capacity=2)
+    inst = gen_grid_instance(above)
+    cat = enumerate_catalog(inst)
+    res = solve_exact(inst, cat)
+    assert res.status == "optimal"
+    assert res.value < construct_q2_value(above) - 1e-9
+    assert res.value < tsp_park_all_value(above) - 1e-9
+    assert time.monotonic() - start < 60.0
+    strengthened = ModelOptions(
+        vi_claim4=True, vi_corollary1=True, vi_claim5=True, vi_corollary3=True, var_reduction=True,
+    )
+    assert res.value == pytest.approx(milp_optimum(build_model(inst, cat, strengthened)), abs=1e-6)
+
+
+def test_warm_start_failure_is_not_swallowed(monkeypatch):
+    # skewed drive: the budgeted search runs and asks the heuristic for a
+    # warm start; a package error only drops the warm start, any other
+    # error is a fault and propagates
+    inst = gen_geo_instance(5, seed=4, p=2.0, q=2)
+    drive = inst.drive.copy()
+    drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
+    inst = replace(inst, drive=drive)
+    cat = enumerate_catalog(inst)
+
+    def fail(exc):
+        def heuristic_solve(*args, **kwargs):
+            raise exc
+        return heuristic_solve
+
+    monkeypatch.setattr(parkroute.heuristic, "heuristic_solve", fail(InfeasibleInstanceError("no warm start")))
+    res = solve_exact(inst, cat)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+    monkeypatch.setattr(parkroute.heuristic, "heuristic_solve", fail(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        solve_exact(inst, cat)
 
 
 def test_explicit_pass_through_allowance_matches_default_on_metric_input():

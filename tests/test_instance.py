@@ -122,6 +122,17 @@ def test_single_package_over_capacity_is_hard_error():
         validate_instance(inst)
 
 
+def test_validator_and_catalog_share_the_capacity_tolerance():
+    # 5e-7 over the capacity: past the catalog's 1e-9 tolerance, so the
+    # validator must reject the package too, with its own message
+    inst = Instance(
+        drive=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], walk=[[0.0, 1.0], [1.0, 0.0]], park_time=[1.0, 1.0],
+        capacity_weight=3.0, weights=[1.0, 3.0000005],
+    )
+    with pytest.raises(InfeasibleInstanceError, match=r"packages \[2\] exceed the weight capacity 3.0 on their own"):
+        validate_instance(inst)
+
+
 def test_geo_generator_deterministic():
     a = gen_geo_instance(5, seed=7)
     b = gen_geo_instance(5, seed=7)

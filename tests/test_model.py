@@ -195,6 +195,19 @@ def test_capacity_violation_diagnostic():
     assert any("exceeds package capacity" in v for v in err.value.violations)
 
 
+def test_unknown_customer_id_diagnostic_with_weights():
+    # the id check comes before the weight sum, which would index past the
+    # weight vector
+    inst = gen_geo_instance(3, seed=1, q=2)
+    inst = Instance(
+        drive=inst.drive, walk=inst.walk, park_time=inst.park_time, capacity_count=2,
+        capacity_weight=5.0, weights=[1.0, 1.0, 1.0],
+    )
+    with pytest.raises(InfeasibleSolutionError) as err:
+        assemble_solution(inst, [1], [((1, 99),)])
+    assert "unknown customer id 99" in err.value.violations
+
+
 def test_breakdown_identity():
     inst = gen_geo_instance(6, seed=5, p=2.0, q=2, f=1.3)
     sol = assemble_solution(inst, list(inst.customers), [((c,),) for c in inst.customers])

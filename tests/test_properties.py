@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brutes import brute_optimum, brute_partition_cost
-from parkroute.exact import solve_exact
+from parkroute.exact import SearchOptions, solve_exact
 from parkroute.instance import gen_geo_instance, validate_instance
 from parkroute.servicesets import PartitionTable, enumerate_catalog
 
@@ -55,12 +55,16 @@ def test_partition_table_matches_brute_force(inst):
 
 
 @SETTINGS
-@given(instances())
-def test_exact_dp_matches_brute_force_on_metric_drive(inst):
+@given(instances(), st.booleans())
+def test_exact_dp_matches_brute_force_on_metric_drive(inst, self_singleton):
     assert validate_instance(inst).drive_triangle_violations == 0
-    res = solve_exact(inst, enumerate_catalog(inst))
+    options = SearchOptions(require_self_singleton=self_singleton)
+    res = solve_exact(inst, enumerate_catalog(inst), options=options)
     assert res.status == "optimal"
     assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+    if self_singleton:  # every stop serves its own customer alone
+        for stop, stop_sets in zip(res.solution.stops, res.solution.served):
+            assert (stop,) in stop_sets
 
 
 @SETTINGS

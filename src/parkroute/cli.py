@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import benchmarks as bm
 from .errors import InfeasibleInstanceError, ParkrouteError
-from .exact import SearchBudget, solve_exact
+from .exact import DP_MAX_CUSTOMERS, SearchBudget, solve_exact
 from .gridlab import grid_sweep
 from .heuristic import heuristic_solve_full
 from .instance import (
@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--drive-rate", type=float, default=1.0)
     gr.add_argument("--walk-rate", type=float, default=1.0)
     gr.add_argument("--load", type=float, default=0.0)
-    gr.add_argument("--oracle-n-max", type=int, default=4)
+    gr.add_argument("--oracle-n-max", type=int, default=DP_MAX_CUSTOMERS)
     gr.add_argument("--budget-seconds", type=float, default=None)
     gr.add_argument("-o", "--output", default=None)
     gr.set_defaults(func=_cmd_grid)

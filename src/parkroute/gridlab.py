@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import UnsupportedError
+from .exact import DP_MAX_CUSTOMERS, SearchBudget, solve_exact
 from .instance import GridParams, Instance, gen_grid_instance, grid_id
 from .model import Solution, assemble_solution
 from .servicesets import enumerate_catalog
@@ -183,15 +184,13 @@ def _witness(gp: GridParams, q: int, budget, oracle_n_max: int) -> tuple[Solutio
 
 
 def _oracle(gp: GridParams, q: int, budget) -> tuple[Solution | None, str]:
-    from .exact import SearchBudget, solve_exact
-
     inst = gen_grid_instance(replace(gp, capacity=q))
     cat = enumerate_catalog(inst)
     res = solve_exact(inst, cat, budget=budget or SearchBudget())
     return res.solution, ("ok" if res.status == "optimal" else "partial")
 
 
-def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = 4) -> list[ThresholdReport]:
+def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = DP_MAX_CUSTOMERS) -> list[ThresholdReport]:
     """Certify the threshold in both directions on each grid.
 
     Below the threshold the oracle optimum must equal the park-everywhere TSP
@@ -233,7 +232,7 @@ def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = 4) -> list[
     return reports
 
 
-def grid_sweep(gp_base: GridParams, q: int, p_values, budget=None, oracle_n_max: int = 4):
+def grid_sweep(gp_base: GridParams, q: int, p_values, budget=None, oracle_n_max: int = DP_MAX_CUSTOMERS):
     """Rows for the threshold-regime CSV: one report per search-time value."""
     gps = [replace(gp_base, park_time=float(p), capacity=q) for p in p_values]
     return verify_claims(gps, q, budget=budget, oracle_n_max=oracle_n_max)

@@ -1,9 +1,12 @@
 """Two-echelon location-routing heuristic.
 
 Stage 1 (PA-R) opens parking spots and assigns every customer to one, trading
-the per-spot search time against one-way walking distances; the vehicle is
-then routed over the opened spots.  Stage 2 (SSA) optimally partitions each
-spot's customers into walking sets with the shared subset-partition table.
+the per-spot search time against one-way walking distances.  Up to
+``PAR_EXACT_SPOTS`` = 13 spots it is exact: one numpy table prices every
+opening at once.  With more spots an add/drop/swap local search from the
+all-open set decides, flagged non-exact.  The vehicle is then routed over
+the opened spots.  Stage 2 (SSA) optimally partitions each spot's customers
+into walking sets with the shared subset-partition table.
 The stages are independent subproblems, so the pipeline is fast and its
 output is always feasible.
 """
@@ -23,7 +26,7 @@ from .tsp import solve_tsp
 
 _EPS = 1e-9
 
-PAR_MAX_NODES = 300_000  # PA-R branch-and-bound nodes before local search takes over
+PAR_EXACT_SPOTS = 13  # PA-R enumerates every opening up to this many spots
 
 
 @dataclass
@@ -34,35 +37,60 @@ class ParkingAssignment:
     opened: tuple[int, ...]
     assign: dict[int, int]
     objective: float
-    proof: bool = True
+    proof: bool
 
 
-def _assignment_cost(W: np.ndarray, park: np.ndarray, spots, open_mask: np.ndarray) -> float:
+def _assignment_cost(W: np.ndarray, park: np.ndarray, open_mask: np.ndarray) -> float:
     if not open_mask.any():
         return float("inf")
     walk = W[open_mask].min(axis=0).sum()
     return float(park[open_mask].sum() + walk)
 
 
+def _best_opening(W: np.ndarray, park: np.ndarray) -> np.ndarray:
+    """The cheapest opening over all 2^m spot subsets, as a boolean mask.
+
+    Row ``mask`` of the table holds every customer's cheapest walk to the
+    spots in ``mask``; it is built by doubling on each spot's bit.  Among the
+    openings within _EPS of the minimum, the fewest opened spots win, then the
+    lexicographically smallest spot tuple.
+    """
+    m, n = W.shape
+    walk = np.full((1, n), np.inf)
+    cost = np.zeros(1)
+    for t in range(m):
+        walk = np.concatenate((walk, np.minimum(walk, W[t])))
+        cost = np.concatenate((cost, cost + park[t]))
+    cost += walk.sum(axis=1)
+    ties = np.flatnonzero(cost <= cost.min() + _EPS)
+    bits = [[t for t in range(m) if k >> t & 1] for k in ties.tolist()]
+    best = min(bits, key=lambda b: (len(b), b))
+    mask = np.zeros(m, dtype=bool)
+    mask[best] = True
+    return mask
+
+
 def solve_par(inst: Instance) -> ParkingAssignment:
-    """Exact opening/assignment via branch-and-bound over the spot subsets.
+    """Open parking spots and assign every customer to one.
 
     Given the opened set, each customer independently takes its cheapest
-    opened spot, so the search is over openings only.  Ties prefer fewer
-    opened spots, then the lexicographically smallest spot set.  Falls back to
-    add/drop/swap local search (``proof=False``) when the node cap is hit.
+    opened spot, so the search is over openings only.  Up to
+    ``PAR_EXACT_SPOTS`` spots every opening is enumerated at once
+    (``proof=True``); ties prefer fewer opened spots, then the
+    lexicographically smallest spot set.  Above that limit an add/drop/swap
+    local search from the all-open set decides (``proof=False``); it tries
+    swaps only up to 60 spots.
     """
     spots = inst.spots
     if not spots:
         raise InfeasibleInstanceError("no parking locations")
     m = len(spots)
-    n = inst.n
     customers = list(inst.customers)
     W = inst.walk[np.ix_(spots, customers)]
     park = inst.park_time[list(spots)]
 
     def local_search(mask: np.ndarray) -> np.ndarray:
-        best = _assignment_cost(W, park, spots, mask)
+        best = _assignment_cost(W, park, mask)
         improved = True
         do_swaps = m <= 60
         while improved:
@@ -70,7 +98,7 @@ def solve_par(inst: Instance) -> ParkingAssignment:
             for t in range(m):
                 cand = mask.copy()
                 cand[t] = not cand[t]
-                c = _assignment_cost(W, park, spots, cand)
+                c = _assignment_cost(W, park, cand)
                 if c < best - _EPS:
                     mask, best = cand, c
                     improved = True
@@ -83,7 +111,7 @@ def solve_par(inst: Instance) -> ParkingAssignment:
                             continue
                         cand = mask.copy()
                         cand[t], cand[u] = False, True
-                        c = _assignment_cost(W, park, spots, cand)
+                        c = _assignment_cost(W, park, cand)
                         if c < best - _EPS:
                             mask, best = cand, c
                             improved = True
@@ -92,91 +120,9 @@ def solve_par(inst: Instance) -> ParkingAssignment:
                         break
         return mask
 
-    start = local_search(np.ones(m, dtype=bool))
-    best_cost = _assignment_cost(W, park, spots, start)
-    best_mask = start
-    best_key = (int(start.sum()), tuple(np.flatnonzero(start)))
-
-    nodes = 0
-    # exhaustive proof is a desk-scale promise; very large spot sets go
-    # straight to local search
-    exhausted = m <= 60
-    allowed = np.ones(m, dtype=bool)  # open or undecided
-    opened = np.zeros(m, dtype=bool)
-    # Two complementary valid bounds, combined by max:
-    #  - share: undecided spots may serve customers at walking cost plus a
-    #    1/n share of their opening cost (strong when few spots open);
-    #  - savings: start from the open-only cost and credit every undecided
-    #    spot its net benefit, sum of walking discounts minus its opening
-    #    cost, floored at zero (strong when many spots must open).
-    w_shared = W + (park / n)[:, None]
-
-    def node_state():
-        """(lower bound, per-undecided-spot net savings or None)."""
-        base = float(park[opened].sum())
-        und = allowed & ~opened
-        best = np.full(n, np.inf)
-        if opened.any():
-            best = W[opened].min(axis=0)
-        share = base
-        if und.any():
-            share += float(np.minimum(best, w_shared[und].min(axis=0)).sum())
-        else:
-            share += float(best.sum())
-        if not opened.any() or not und.any():
-            return share, None
-        discounts = np.clip(best[None, :] - W[und], 0.0, None).sum(axis=1)
-        nets = np.clip(discounts - park[und], 0.0, None)
-        open_cost = base + float(best.sum()) - float(nets.sum())
-        return max(share, open_cost), nets
-
-    def offer(cost: float, mask: np.ndarray):
-        nonlocal best_cost, best_mask, best_key
-        key = (int(mask.sum()), tuple(np.flatnonzero(mask)))
-        if cost < best_cost - _EPS or (cost <= best_cost + _EPS and key < best_key):
-            best_cost = min(best_cost, cost)
-            best_mask = mask.copy()
-            best_key = key
-
-    def rec():
-        nonlocal nodes, exhausted
-        nodes += 1
-        if nodes > PAR_MAX_NODES:
-            exhausted = False
-            return
-        if not allowed.any():
-            return
-        lb, nets = node_state()
-        if lb > best_cost + _EPS:
-            return
-        und_idx = np.flatnonzero(allowed & ~opened)
-        if und_idx.size == 0:
-            offer(_assignment_cost(W, park, spots, opened), opened)
-            return
-        # decide the most consequential spot next: the one whose opening
-        # would save the most; both children then diverge quickly
-        if nets is not None:
-            t = int(und_idx[int(np.argmax(nets))])
-        else:
-            t = int(und_idx[int(np.argmin(w_shared[und_idx].sum(axis=1)))])
-        for choice in (True, False):
-            if choice:
-                opened[t] = True
-                rec()
-                opened[t] = False
-            else:
-                allowed[t] = False
-                if allowed.any():
-                    rec()
-                allowed[t] = True
-            if not exhausted:
-                return
-
-    if m <= 60:
-        rec()
-    if not exhausted:
-        best_mask = local_search(best_mask)
-        best_cost = _assignment_cost(W, park, spots, best_mask)
+    proof = m <= PAR_EXACT_SPOTS
+    best_mask = _best_opening(W, park) if proof else local_search(np.ones(m, dtype=bool))
+    best_cost = _assignment_cost(W, park, best_mask)
 
     opened_ids = tuple(spots[t] for t in np.flatnonzero(best_mask))
     sub = W[best_mask]
@@ -184,9 +130,7 @@ def solve_par(inst: Instance) -> ParkingAssignment:
     for ci, c in enumerate(customers):
         col = sub[:, ci]
         assign[c] = opened_ids[int(np.flatnonzero(col <= col.min() + _EPS)[0])]
-    return ParkingAssignment(
-        opened=opened_ids, assign=assign, objective=best_cost, proof=exhausted
-    )
+    return ParkingAssignment(opened=opened_ids, assign=assign, objective=best_cost, proof=proof)
 
 
 def route_parking(inst: Instance, opened) -> tuple[list[int], float, bool]:

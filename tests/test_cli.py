@@ -87,6 +87,21 @@ def test_grid_sweep_csv_marks_uncertified_rows(tmp_path):
         assert float(row["oracle_value"]) < float(row["tsp_value"])
 
 
+def test_grid_oracle_defaults_to_the_dp_limit(tmp_path):
+    # without --oracle-n-max the 4x4 grid (n = 16) is in the oracle's reach,
+    # so the row below the capacity-2 threshold is proven by one DP solve
+    out_csv = tmp_path / "grid.csv"
+    code = main([
+        "grid", "--q", "2", "--sqrt-n", "4", "--walk-rate", "1.6",
+        "--sweep", "p=2.0:0.1:2.0", "-o", str(out_csv),
+    ])
+    assert code == 0
+    rows = _read_csv(out_csv)
+    assert [(r["regime"], r["certified"], r["oracle_value"]) for r in rows] == [
+        ("tsp_optimal", "true", "52.000000")
+    ]
+
+
 def test_export_lp_round_trips(tmp_path):
     inst_path = tmp_path / "inst.json"
     main(["gen", "--geo", "-n", "3", "--seed", "2", "-q", "2", "-o", str(inst_path)])

@@ -134,6 +134,37 @@ def test_self_singleton_structure_holds_when_requested():
         assert (stop,) in [tuple(sorted(o)) for o in stop_sets]
 
 
+def test_self_singleton_option_binds_on_a_non_metric_walk():
+    # walking ring 1-2-3-4-5-1 with 0.5 per edge and 20 for every chord, so
+    # W[1,3] > W[1,2] + W[2,3]; customer 6 is near spot 4 only and 7 near
+    # spot 1 only, so the vehicle parks at both.  The ring walked as one loop
+    # (2.5) beats any split of it, but that loop serves one of the two stop
+    # customers from the other stop.  The driving matrix is metric, so the DP
+    # decides both solves.
+    W = np.full((7, 7), 20.0)
+    np.fill_diagonal(W, 0.0)
+    for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (4, 6), (1, 7)]:
+        W[a - 1, b - 1] = W[b - 1, a - 1] = 0.5
+    xy = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [3, 0], [2, 0], [3, 1], [0, 1]], dtype=float)
+    drive = np.abs(xy[:, None] - xy[None]).sum(axis=-1)
+    inst = Instance(drive=drive, walk=W, park_time=[3.0] * 7, capacity_count=4)
+    cat = enumerate_catalog(inst)
+
+    free = solve_exact(inst, cat)
+    assert free.status == "optimal"
+    assert any(
+        stop not in [c for order in stop_sets for c in order]
+        for stop, stop_sets in zip(free.solution.stops, free.solution.served)
+    )
+
+    res = solve_exact(inst, cat, options=SearchOptions(require_self_singleton=True))
+    assert res.status == "optimal"
+    for stop, stop_sets in zip(res.solution.stops, res.solution.served):
+        assert (stop,) in [tuple(sorted(o)) for o in stop_sets]
+    # no unrestricted optimum serves every stop's own customer alone there
+    assert res.value > free.value + 1e-9
+
+
 def test_every_stop_serves_and_stops_bounded_by_sets():
     inst = gen_geo_instance(7, seed=13, p=5.0, q=3)
     res = solve_exact(inst, enumerate_catalog(inst))

@@ -1,17 +1,20 @@
 """Randomized agreement between the shared subset-partition table, the exact
-solver and the brute-force oracles, on small instances with count, weight and
-volume capacities and a restricted set of parking spots."""
+solver, the parking assignment and the brute-force oracles, on small instances
+with count, weight and volume capacities and a restricted set of parking
+spots."""
 
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import brute_optimum, brute_partition_cost
+from brutes import brute_optimum, brute_par, brute_partition_cost
 from parkroute.exact import SearchOptions, solve_exact
-from parkroute.instance import gen_geo_instance, validate_instance
+from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, solve_par
+from parkroute.instance import GridParams, gen_geo_instance, gen_grid_instance, validate_instance
 from parkroute.servicesets import PartitionTable, enumerate_catalog
 
 # fixed example sequence, so a Tier-1 run is reproducible; no example database
@@ -80,3 +83,63 @@ def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
     res = solve_exact(inst, enumerate_catalog(inst))
     assert res.status == "optimal"
     assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+def _check_parking_assignment(inst):
+    """``solve_par`` is proven, matches the opening brute force, sends every
+    customer to an opened spot at minimal walk, and among the openings that
+    tie the optimum picks the fewest spots, then the smallest spot tuple."""
+    pa = solve_par(inst)
+    assert pa.proof
+    best = brute_par(inst)
+    assert pa.objective == pytest.approx(best, abs=1e-9)
+    W = inst.walk
+    for c in inst.customers:
+        assert pa.assign[c] in pa.opened
+        assert W[pa.assign[c], c] == pytest.approx(min(W[s, c] for s in pa.opened), abs=1e-9)
+
+    def cost(opened):
+        return sum(inst.park_time[s] for s in opened) + sum(min(W[s, c] for s in opened) for c in inst.customers)
+
+    openings = [o for k in range(1, len(inst.spots) + 1) for o in combinations(inst.spots, k)]
+    assert pa.opened == next(o for o in openings if cost(o) <= best + 1e-9)
+
+
+@SETTINGS
+@given(instances())
+def test_parking_assignment_enumeration_matches_brute_force(inst):
+    _check_parking_assignment(inst)
+
+
+@pytest.mark.parametrize("spots", [4, 8, 12])
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
+def test_parking_assignment_enumeration_breaks_grid_ties(spots, p):
+    # on a complete grid many openings cost the same; 4 spots is the 2x2 grid
+    sqrt_n = 2 if spots == 4 else 4
+    inst = gen_grid_instance(GridParams(sqrt_n=sqrt_n, park_time=p, capacity=2))
+    _check_parking_assignment(replace(inst, parking_locations=tuple(range(1, spots + 1))))
+
+
+@SETTINGS
+@given(st.integers(0, 10_000), st.sampled_from([0.5, 2.0, 5.0, 12.0]))
+def test_parking_assignment_local_search_above_the_enumeration_limit(seed, p):
+    inst = gen_geo_instance(PAR_EXACT_SPOTS + 1, seed, p=p, q=3)
+    pa = solve_par(inst)
+    assert not pa.proof
+    W = inst.walk[np.ix_(inst.spots, inst.customers)]
+    park = inst.park_time[list(inst.spots)]
+    mask = np.isin(inst.spots, pa.opened)
+    assert pa.objective == _assignment_cost(W, park, mask)
+    # no single add, drop or swap lowers the objective
+    neighbours = []
+    for t in range(len(mask)):
+        flip = mask.copy()
+        flip[t] = not flip[t]
+        neighbours.append(flip)
+    for t in np.flatnonzero(mask):
+        for u in np.flatnonzero(~mask):
+            swap = mask.copy()
+            swap[t], swap[u] = False, True
+            neighbours.append(swap)
+    for cand in neighbours:
+        assert _assignment_cost(W, park, cand) >= pa.objective - 1e-9

@@ -115,21 +115,25 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     A stop's block may hold several consecutive sets; its parking spot is the
     cheapest customer location inside the block.  Walking follows the fixed
     order within each set.
+
+    The DP is the route-first/cluster-second split of Beasley (1983) and
+    Prins (2004).  Block starts a run in increasing order, so the best prefix
+    ending at a - 1 is final when a is reached.  One order-respecting split
+    from a to n, vectorised over the spots at or after a, then prices the
+    block a..b for every end b at once: O(n^2 q) cells with one vectorised
+    step each.  The split is re-run only for the chosen blocks when decoding.
     """
     n = inst.n
-    nodes = list(range(n + 1))
-    cost_tsp, order_idx, tsp_exact = solve_tsp(inst.drive[np.ix_(nodes, nodes)])
-    order = [nodes[v] for v in order_idx]  # customer ids, fixed service order
-
+    _, order, tsp_exact = solve_tsp(inst.drive)  # customer ids, fixed service order
     D = inst.drive
     W = inst.walk
-    P = inst.park_time
     q = inst.capacity_count if inst.capacity_count is not None else n
-    spots = set(inst.spots)
+    pos = {c: t for t, c in enumerate(order, 1)}
+    sp = np.array(sorted(inst.spots, key=pos.get))  # spots in service order
+    spos = np.array([pos[i] for i in sp])
 
     # prefix sums along the order for chain walks and capacity checks; seg_ok
     # stays separate from Instance.over_capacity because it is O(1) per segment
-    # in the innermost loop
     chain = np.zeros(n + 1)
     for t in range(2, n + 1):
         chain[t] = chain[t - 1] + W[order[t - 2], order[t - 1]]
@@ -143,80 +147,78 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
             vsum[t] = vsum[t - 1] + inst.volumes[order[t - 1]]
 
     def seg_ok(s: int, t: int) -> bool:
-        if t - s + 1 > q:
-            return False
         if inst.capacity_weight is not None and wsum[t] - wsum[s - 1] > inst.capacity_weight + 1e-9:
             return False
         if inst.capacity_volume is not None and vsum[t] - vsum[s - 1] > inst.capacity_volume + 1e-9:
             return False
         return True
 
-    def wseg(i: int, s: int, t: int) -> float:
-        return W[i, order[s - 1]] + (chain[t] - chain[s]) + W[order[t - 1], i]
+    # segs[t]: (s, walk of positions s..t from every spot) for each set that
+    # may end at t, s increasing; longer than q never fits
+    out = W[np.ix_(sp, order)].T  # out[s - 1, k]: spot k to the s-th customer
+    back = W[np.ix_(order, sp)]  # back[t - 1, k]: the t-th customer to spot k
+    segs = [
+        [(s, out[s - 1] + (chain[t] - chain[s]) + back[t - 1])
+         for s in range(max(1, t - q + 1), t + 1) if seg_ok(s, t)]
+        for t in range(n + 1)
+    ]
 
-    def block_cost(a: int, b: int, i: int):
-        """Optimal split of positions a..b into order-respecting sets walked
-        from spot i; returns (cost, segment cut list)."""
-        g = np.full(b - a + 2, np.inf)
-        cut = [0] * (b - a + 2)
+    def split(a: int, cols: slice):
+        """Optimal split of positions a..t into order-respecting sets walked
+        from each spot in cols, for every t >= a; row t - a + 1 holds t."""
+        g = np.full((n - a + 2, len(sp[cols])), np.inf)
+        cut = np.zeros(g.shape, dtype=int)
         g[0] = 0.0
-        for t in range(a, b + 1):
-            for s in range(a, t + 1):
-                if not seg_ok(s, t):
-                    continue
-                v = g[s - a] + wseg(i, s, t)
-                if v < g[t - a + 1] - 1e-12:
-                    g[t - a + 1] = v
-                    cut[t - a + 1] = s
-        return g[b - a + 1], cut
+        for t in range(a, n + 1):
+            row, crow = g[t - a + 1], cut[t - a + 1]
+            for s, w in segs[t]:
+                if s >= a:
+                    v = g[s - a] + w[cols]
+                    better = v < row - 1e-12
+                    np.copyto(row, v, where=better)
+                    np.copyto(crow, s, where=better)
+        return g, cut
 
-    INF = float("inf")
-    F = np.full((n + 1, n + 1), INF)  # F[t][i]: served first t, last spot i
-    F[0][0] = 0.0
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    for b in range(1, n + 1):
-        for a in range(1, b + 1):
-            block = order[a - 1 : b]
-            bspots = [c for c in block if c in spots]
-            if not bspots:
-                continue
-            g_prev = F[a - 1]
-            for i in bspots:
-                bc, _ = block_cost(a, b, i)
-                arrive = min(
-                    (g_prev[j] + D[j, i], j)
-                    for j in range(n + 1)
-                    if np.isfinite(g_prev[j])
-                )
-                total = arrive[0] + P[i] + bc
-                if total < F[b][i] - 1e-12:
-                    F[b][i] = total
-                    parent[(b, i)] = (a, arrive[1])
-    finish = min((F[n][i] + D[i, 0], i) for i in range(1, n + 1) if np.isfinite(F[n][i]))
-    objective = finish[0] + n * inst.load_per_package
+    F = np.full((n + 1, n + 1), np.inf)  # F[t, i]: served first t, last spot i
+    F[0, 0] = 0.0
+    start = np.zeros((n + 1, n + 1), dtype=int)  # block start of the best F[t, i]
+    prev = np.zeros((n + 1, n + 1), dtype=int)  # and the spot before it
+    for a in range(1, n + 1):
+        k0 = int(np.searchsorted(spos, a))
+        if k0 == len(sp):
+            break  # no spot at or after a
+        if not np.isfinite(F[a - 1]).any():
+            continue  # no feasible prefix ends at a - 1
+        cols, ids = slice(k0, None), sp[k0:]
+        arrive = F[a - 1][:, None] + D[:, ids]
+        j = arrive.argmin(axis=0)  # first index on ties
+        total = (arrive[j, np.arange(len(ids))] + inst.park_time[ids]) + split(a, cols)[0][1:]
+        cur = F[a:, ids]
+        better = (np.arange(a, n + 1)[:, None] >= spos[cols]) & (total < cur - 1e-12)
+        F[a:, ids] = np.where(better, total, cur)
+        start[a:, ids] = np.where(better, a, start[a:, ids])
+        prev[a:, ids] = np.where(better, j, prev[a:, ids])
+    finish = F[n, 1:] + D[1:, 0]
+    i = int(finish.argmin()) + 1
+    objective = finish[i - 1] + n * inst.load_per_package
 
-    # reconstruct blocks back to front
-    blocks = []
-    b, i = n, finish[1]
+    # decode blocks back to front
+    stops, served = [], []
+    b = n
     while b > 0:
-        a, j = parent[(b, i)]
-        blocks.append((a, b, i))
-        b, i = a - 1, j
-    blocks.reverse()
-
-    stops = []
-    served = []
-    for a, b, i in blocks:
-        stops.append(i)
-        _, cut = block_cost(a, b, i)
-        segs = []
+        a, k = int(start[b, i]), int(np.searchsorted(spos, pos[i]))
+        cut = split(a, slice(k, k + 1))[1][:, 0]
+        sets = []
         t = b
         while t >= a:
-            s = cut[t - a + 1]
-            segs.append(tuple(order[s - 1 : t]))
+            s = int(cut[t - a + 1])
+            sets.append(tuple(order[s - 1 : t]))
             t = s - 1
-        segs.reverse()
-        served.append(tuple(segs))
+        stops.append(i)
+        served.append(tuple(reversed(sets)))
+        b, i = a - 1, int(prev[b, i])
+    stops.reverse()
+    served.reverse()
     solution = assemble_solution(inst, stops, served)
     return BenchmarkResult(
         name="modified-tsp",

@@ -62,11 +62,13 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Structural restrictions that provably preserve the optimal value.
+    """Structural restrictions that provably preserve the optimal value, the
+    first one only when the walk matrix satisfies the triangle inequality.
 
     require_self_singleton: when parking at a customer location, that customer
     is served alone from there (matches the ``vi.claim4``/``vi.corollary1``
-    model rows).
+    model rows); on a non-metric walk the optimum may serve it from another
+    stop instead, and the restriction can raise the optimal value.
     require_served_stop: every stop serves at least one set (``vi.claim5``);
     ``None`` enables pass-through stops only when the drive matrix violates
     the triangle inequality, the one case where they can pay off.

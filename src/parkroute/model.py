@@ -172,7 +172,10 @@ def assemble_solution(inst: Instance, stops, served) -> Solution:
 class ModelOptions:
     """Optional strengthening rows and the variable reduction.
 
-    All of them preserve the optimal value; they only tighten the formulation.
+    All of them preserve the optimal value and only tighten the formulation,
+    except that ``vi_claim4`` and ``vi_corollary1`` need a walk matrix that
+    satisfies the triangle inequality; on a non-metric walk they can cut off
+    the optimum.
     """
 
     vi_claim4: bool = False

@@ -1,10 +1,14 @@
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from brutes import brute_mtsp
 from parkroute.benchmarks import modified_tsp, no_parking_benchmark, relaxed_ms, run_benchmarks
 from parkroute.exact import solve_exact
-from parkroute.instance import Instance, gen_geo_instance
+from parkroute.cli import main
+from parkroute.instance import Instance, gen_geo_instance, save_instance
 from parkroute.model import evaluate_solution
 from parkroute.servicesets import enumerate_catalog
 from parkroute.tsp import solve_tsp
@@ -73,6 +77,29 @@ def test_modified_tsp_two_customers_picks_cheapest_clustering():
     two_stops = D(0, 1) + D(1, 2) + D(2, 0) + 8.0
     want = min(one_stop_singles, one_stop_pair_at_1, one_stop_pair_at_2, two_stops)
     assert res.completion == pytest.approx(want, abs=1e-9)
+
+
+def test_modified_tsp_order_starting_at_a_non_spot(tmp_path):
+    # the service order starts at customer 5, which is not a spot, so no
+    # block ends at position 1 and the block starting at 2 has no arrival
+    inst = replace(gen_geo_instance(8, 1, p=2.0, q=3), parking_locations=(2, 4, 6, 8))
+    _, order, _ = solve_tsp(inst.drive)
+    assert order[0] == 5
+    res = modified_tsp(inst)
+    assert res.completion == pytest.approx(brute_mtsp(inst, order), abs=1e-9)
+    assert res.model_objective == pytest.approx(res.completion, abs=1e-9)
+    assert set(res.solution.stops) <= {2, 4, 6, 8}
+    save_instance(inst, tmp_path / "inst.json")
+    assert main(["benchmark", "--models", "mtsp", str(tmp_path / "inst.json"), "-o", str(tmp_path / "b.csv")]) == 0
+
+
+def test_modified_tsp_n100_is_fast():
+    inst = gen_geo_instance(100, 1, p=5, q=3)
+    start = time.perf_counter()
+    res = modified_tsp(inst)
+    assert time.perf_counter() - start < 10.0
+    # completion of the earlier per-(start, end, spot) DP on this instance
+    assert res.completion == pytest.approx(335.1091004269853, abs=1e-9)
 
 
 def test_modified_tsp_dominates_oracle():

@@ -1,7 +1,7 @@
 """Randomized agreement between the shared subset-partition table, the exact
-solver, the parking assignment and the brute-force oracles, on small instances
-with count, weight and volume capacities and a restricted set of parking
-spots."""
+solver, the parking assignment, modified TSP and the brute-force oracles, on
+small instances with count, weight and volume capacities and a restricted set
+of parking spots."""
 
 from dataclasses import replace
 from itertools import combinations
@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import brute_optimum, brute_par, brute_partition_cost
+from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost
+from parkroute.benchmarks import modified_tsp
 from parkroute.exact import SearchOptions, solve_exact
 from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, solve_par
 from parkroute.instance import GridParams, gen_geo_instance, gen_grid_instance, validate_instance
 from parkroute.servicesets import PartitionTable, enumerate_catalog
+from parkroute.tsp import solve_tsp
 
 # fixed example sequence, so a Tier-1 run is reproducible; no example database
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -143,3 +145,11 @@ def test_parking_assignment_local_search_above_the_enumeration_limit(seed, p):
             neighbours.append(swap)
     for cand in neighbours:
         assert _assignment_cost(W, park, cand) >= pa.objective - 1e-9
+
+
+@SETTINGS
+@given(instances())
+def test_modified_tsp_matches_order_respecting_enumeration(inst):
+    res = modified_tsp(inst)
+    assert res.completion == pytest.approx(brute_mtsp(inst, solve_tsp(inst.drive)[1]), abs=1e-9)
+    assert res.model_objective == pytest.approx(res.completion, abs=1e-9)

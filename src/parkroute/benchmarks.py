@@ -123,6 +123,7 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     block a..b for every end b at once: O(n^2 q) cells with one vectorised
     step each.  The split is re-run only for the chosen blocks when decoding.
     """
+    inst.check_single_packages()  # seg_ok below assumes every package fits alone
     n = inst.n
     _, order, tsp_exact = solve_tsp(inst.drive)  # customer ids, fixed service order
     D = inst.drive

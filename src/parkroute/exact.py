@@ -8,6 +8,9 @@ is exact.  Non-metric inputs or more than 16 customers fall back to a
 depth-first branch-and-bound over parking sequences whose lower bound
 combines the unavoidable drive legs with a per-customer share of the cheapest
 admissible walk-plus-park increment, which stays admissible on any input.
+Its warm starts, the nearest-neighbour tour and the heuristic, enter the
+search as priced (stops, bundles) paths, so they meet the search options
+through the same bundle table and leaf check as every search leaf.
 
 Each bundle's optimal split into catalog sets is read from one dense
 ``servicesets.PartitionTable`` over all customers and spots, built up front
@@ -63,12 +66,14 @@ class SearchBudget:
 @dataclass(frozen=True)
 class SearchOptions:
     """Structural restrictions that provably preserve the optimal value, the
-    first one only when the walk matrix satisfies the triangle inequality.
+    first one only under the conditions given below.
 
     require_self_singleton: when parking at a customer location, that customer
     is served alone from there (matches the ``vi.claim4``/``vi.corollary1``
-    model rows); on a non-metric walk the optimum may serve it from another
-    stop instead, and the restriction can raise the optimal value.
+    model rows), so no stop is a pass-through stop.  The restriction can
+    raise the optimal value on a non-metric walk, where the optimum may serve
+    the customer from another stop, and on a non-metric drive matrix, where
+    a pass-through stop can pay off.
     require_served_stop: every stop serves at least one set (``vi.claim5``);
     ``None`` enables pass-through stops only when the drive matrix violates
     the triangle inequality, the one case where they can pay off.
@@ -103,7 +108,7 @@ class _Control:
         self.abandoned_lb = float("inf")
         self.best_value = float("inf")
         self.best_key: tuple | None = None
-        self.best_state: tuple | None = None  # (stops, bundles) or ("warm", solution)
+        self.best_state: tuple | None = None  # (stops, bundles)
 
     def tick(self) -> bool:
         self.nodes += 1
@@ -120,18 +125,9 @@ class _Control:
     def offer(self, value: float, key: tuple, state) -> None:
         if value < self.best_value - _EPS:
             self.best_value, self.best_key, self.best_state = value, key, state
-        elif value <= self.best_value + _EPS and (
-            self.best_state is None or self.best_key is None or key < self.best_key
-        ):
+        elif value <= self.best_value + _EPS and key < self.best_key:
             self.best_value = min(self.best_value, value)
             self.best_key, self.best_state = key, state
-
-    def set_value_bound(self, value: float) -> None:
-        """Prune with a known feasible value without adopting its solution."""
-        if value < self.best_value - _EPS:
-            self.best_value = value
-            self.best_key = None
-            self.best_state = None
 
 
 class _Searcher:
@@ -169,6 +165,9 @@ class _Searcher:
             self.allow_empty = not self.metric_drive
         else:
             self.allow_empty = not options.require_served_stop
+        # every spot is a customer location, and under require_self_singleton
+        # each stop serves its own customer: no stop passes through
+        self.allow_empty = self.allow_empty and not options.require_self_singleton
 
         # bit b of a bundle mask is customer b + 1
         self.part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
@@ -183,26 +182,21 @@ class _Searcher:
             for si, i in enumerate(self.spots):
                 own = masks[(masks & 1 << (i - 1)) != 0]
                 self.bundle[own, si] = self.part.value[own ^ 1 << (i - 1), si]
-        self.dsum = None  # built on demand by the branch-and-bound path
 
     def build_bound_tables(self):
-        if self.dsum is not None:
-            return
-        n = self.n
-        delta = np.full(n + 1, np.inf)
-        for i in self.spots:
-            p_share = self.P[i] / n
-            for c in self.inst.customers:
-                for j in self.cat.sets_containing(c):
-                    if self.cat.admissible(i, j):
-                        s = self.cat.sets[j]
-                        val = self.cat.walk_cost(i, j) / s.size + p_share
-                        if val < delta[c]:
-                            delta[c] = val
-        dsum = np.zeros(self.full + 1)
-        for mask in range(1, self.full + 1):
-            b0 = (mask & -mask).bit_length() - 1
-            dsum[mask] = dsum[mask & (mask - 1)] + delta[b0 + 1]
+        """dsum[mask]: the summed per-customer share of the cheapest
+        walk-plus-park increment over the customers of ``mask``; a customer's
+        share is the least, over its sets and the spots, of the set's walk
+        cost divided by its size plus the spot's park time divided by n."""
+        sizes = np.array([s.size for s in self.cat.sets])
+        share = (self.part.costs / sizes[:, None] + self.P[list(self.spots)] / self.n).min(axis=1)
+        holds = (self.part.masks[:, None] >> np.arange(self.n) & 1) == 1
+        delta = np.where(holds, share[:, None], np.inf).min(axis=0)  # per bit
+        # dsum[mask] = dsum[mask minus its lowest bit] + delta[lowest bit]:
+        # double over the bits from the highest down, interleaving each new bit
+        dsum = np.zeros(1)
+        for b in range(self.n - 1, -1, -1):
+            dsum = np.stack((dsum, dsum + delta[b]), axis=1).ravel()
         self.dsum = dsum
 
     # -- search -------------------------------------------------------------
@@ -215,6 +209,22 @@ class _Searcher:
             if len(stops) > n_sets:
                 return
         ctl.offer(g_close, (len(stops), tuple(stops)), (tuple(stops), tuple(bundles)))
+
+    def offer_path(self, ctl: _Control, stops, bundles) -> None:
+        """Price a complete (stops, bundles) path the way ``expand`` prices a
+        leaf, loading included, and offer it as an incumbent; bit b of a
+        bundle is customer b + 1.  A path the bundle table cannot serve, or
+        with an empty stop when pass-through stops are off, is dropped."""
+        g = self.inst.n * self.inst.load_per_package
+        loc = 0
+        for i, A in zip(stops, bundles):
+            if not (A or self.allow_empty):
+                return
+            g = g + self.D[loc, i] + self.P[i] + self.bundle[A, self.col[i]]
+            loc = i
+        g += self.D[loc, 0]
+        if g < np.inf:
+            self._consider(ctl, g, stops, bundles)
 
     # -- dynamic program (metric driving times) ------------------------------
 
@@ -384,18 +394,6 @@ class _Searcher:
         return assemble_solution(self.inst, stops, served)
 
 
-def _respects_structure(sol: Solution, options: SearchOptions, allow_empty: bool) -> bool:
-    if options.require_self_singleton:
-        for s, stop_sets in zip(sol.stops, sol.served):
-            if (s,) not in [tuple(sorted(o)) for o in stop_sets]:
-                return False
-    if not allow_empty and any(len(stop_sets) == 0 for stop_sets in sol.served):
-        return False
-    if options.enforce_stops_leq_sets and sol.num_stops > sol.num_sets:
-        return False
-    return True
-
-
 def solve_exact(
     inst: Instance,
     cat: ServiceSetCatalog,
@@ -407,7 +405,9 @@ def solve_exact(
     Returns the solution, a status, and a lower bound valid in every status.
     Deterministic: cost ties resolve the same way on every run.  The
     branch-and-bound starts from the better of the nearest-neighbour
-    park-everywhere tour and the two-echelon heuristic.
+    park-everywhere tour and the two-echelon heuristic.  Each is priced as a
+    search path: a stop's customers cost their cheapest admissible split from
+    that stop, and a path the options forbid is dropped.
     """
     budget = budget or SearchBudget()
     options = options or SearchOptions()
@@ -427,21 +427,18 @@ def solve_exact(
     searcher.build_bound_tables()
     ctl = _Control(budget)
 
-    candidates: list[Solution] = []
     if inst.spots == tuple(inst.customers):
         order = nearest_neighbor_cycle(inst.drive)
-        candidates.append(assemble_solution(inst, order, [((c,),) for c in order]))
+        searcher.offer_path(ctl, order, [1 << (c - 1) for c in order])
     try:
         from .heuristic import heuristic_solve
 
-        candidates.append(heuristic_solve(inst, cat))
+        warm = heuristic_solve(inst, cat)
     except ParkrouteError:
         pass  # no heuristic warm start; the search runs without it
-    for sol in candidates:
-        if _respects_structure(sol, options, searcher.allow_empty):
-            ctl.offer(sol.total, (sol.num_stops, sol.stops), ("warm", sol))
-        else:
-            ctl.set_value_bound(sol.total)
+    else:
+        bundles = [sum(1 << (c - 1) for o in stop_sets for c in o) for stop_sets in warm.served]
+        searcher.offer_path(ctl, warm.stops, bundles)
 
     # search in completion-time space: the constant loading term is folded in
     # up front so incumbent totals and bounds are directly comparable
@@ -453,10 +450,7 @@ def solve_exact(
             solution=None, status="timeout",
             bound=min(ctl.abandoned_lb, root_lb), value=None, nodes=ctl.nodes,
         )
-    if isinstance(ctl.best_state[0], str):  # warm solution survived
-        sol = ctl.best_state[1]
-    else:
-        sol = searcher.materialize(*ctl.best_state)
+    sol = searcher.materialize(*ctl.best_state)
     if ctl.stopped:
         return ExactResult(
             solution=sol, status="feasible",

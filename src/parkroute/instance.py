@@ -134,6 +134,13 @@ class Instance:
                 over.append("volume")
         return over
 
+    def check_single_packages(self) -> None:
+        """Raise ``InfeasibleInstanceError`` naming the first customer whose
+        package alone exceeds a capacity: no walking set can serve it."""
+        for c in self.customers:
+            for kind in self.over_capacity((c,)):
+                raise InfeasibleInstanceError(f"package for customer {c} exceeds the {kind} capacity alone")
+
     @property
     def n(self) -> int:
         return self.drive.shape[0] - 1
@@ -436,21 +443,14 @@ def grid_coord(gp: GridParams, cid: int) -> tuple[int, int]:
     return a + 1, b + 1
 
 
-def gen_grid_instance(
-    gp: GridParams,
-    depot_at_origin: bool = True,
-    depot_xy: tuple[float, float] | None = None,
-) -> Instance:
+def gen_grid_instance(gp: GridParams) -> Instance:
     """Complete-grid instance: customers at integer block coordinates (a, b)
     with 1 <= a, b <= sqrt_n, the depot at the origin, and rectilinear travel
     times (blocks * block_len * rate) for both driving and walking."""
-    if not depot_at_origin and depot_xy is None:
-        raise UnsupportedError("provide depot_xy when the depot is not at the origin")
-    dep = (0.0, 0.0) if depot_at_origin else (float(depot_xy[0]), float(depot_xy[1]))
     m = gp.sqrt_n
     n = gp.n
     pts = np.empty((n + 1, 2))
-    pts[0] = dep
+    pts[0] = (0.0, 0.0)
     for cid in range(1, n + 1):
         pts[cid] = grid_coord(gp, cid)
     rect = np.abs(pts[:, None, :] - pts[None, :, :]).sum(axis=2)

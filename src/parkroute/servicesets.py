@@ -40,16 +40,6 @@ class ServiceSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class ReductionReport:
-    removed_pairs: int
-    total_pairs: int
-
-    @property
-    def percent(self) -> float:
-        return 100.0 * self.removed_pairs / self.total_pairs if self.total_pairs else 0.0
-
-
 @dataclass
 class ServiceSetCatalog:
     """Enumerated sets in lexicographic (size, members) order plus pair
@@ -60,7 +50,6 @@ class ServiceSetCatalog:
     inst: Instance
     sets: tuple[ServiceSet, ...]
     reduced: bool = False
-    reduction: ReductionReport | None = None
     _index: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
     _member_sets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
     _walk: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = field(default_factory=dict, repr=False)
@@ -127,53 +116,46 @@ class ServiceSetCatalog:
         return hit
 
 
-def enumerate_catalog(
-    inst: Instance,
-    customers=None,
-    max_pairs: int = DEFAULT_PAIR_CAP,
-) -> ServiceSetCatalog:
+def enumerate_catalog(inst: Instance) -> ServiceSetCatalog:
     """All customer subsets satisfying every active capacity, smallest first.
 
-    ``customers`` restricts enumeration to a sub-universe (used by the per-spot
-    set assignment).  Raises when the (parking, set) pair count would exceed
-    ``max_pairs``; at that point use the heuristic pipeline instead.
+    Raises when the (parking, set) pair count would exceed
+    ``DEFAULT_PAIR_CAP``; at that point use the heuristic pipeline instead.
     """
-    pool = sorted(customers) if customers is not None else list(inst.customers)
-    if not pool:
+    n = inst.n
+    if not n:
         raise InfeasibleInstanceError("no customers to enumerate")
     q = inst.capacity_count
     if q is None and inst.capacity_weight is None and inst.capacity_volume is None:
         raise UnsupportedError("need a package-count, weight, or volume capacity to bound the catalog")
-    qmax = min(q if q is not None else len(pool), len(pool))
+    qmax = min(q if q is not None else n, n)
 
     weights = inst.weights
     volumes = inst.volumes
 
-    for c in pool:
-        for kind in inst.over_capacity((c,)):
-            raise InfeasibleInstanceError(f"package for customer {c} exceeds the {kind} capacity alone")
+    inst.check_single_packages()
 
     # size bound for the pair cap uses the count-only closed form first
     if inst.capacity_weight is None and inst.capacity_volume is None:
-        projected = len(inst.spots) * count_sets(len(pool), qmax)
-        if projected > max_pairs:
+        projected = len(inst.spots) * count_sets(n, qmax)
+        if projected > DEFAULT_PAIR_CAP:
             raise ResourceLimitError(
-                f"catalog would hold {projected} (parking, set) pairs; cap is {max_pairs}. "
+                f"catalog would hold {projected} (parking, set) pairs; cap is {DEFAULT_PAIR_CAP}. "
                 "Use the heuristic solver for instances of this size."
             )
 
     sets: list[ServiceSet] = []
     for size in range(1, qmax + 1):
-        for members in combinations(pool, size):
+        for members in combinations(inst.customers, size):
             if inst.over_capacity(members):
                 continue
             tw = float(sum(weights[c] for c in members)) if weights is not None else 0.0
             tv = float(sum(volumes[c] for c in members)) if volumes is not None else 0.0
             sets.append(ServiceSet(members, tw, tv))
     cat = ServiceSetCatalog(inst=inst, sets=tuple(sets))
-    if cat.pair_count() > max_pairs:
+    if cat.pair_count() > DEFAULT_PAIR_CAP:
         raise ResourceLimitError(
-            f"catalog holds {cat.pair_count()} (parking, set) pairs; cap is {max_pairs}. "
+            f"catalog holds {cat.pair_count()} (parking, set) pairs; cap is {DEFAULT_PAIR_CAP}. "
             "Use the heuristic solver for instances of this size."
         )
     return cat
@@ -183,10 +165,7 @@ def reduce_catalog(cat: ServiceSetCatalog) -> ServiceSetCatalog:
     """Ban every (parking i, set) pair where i is a member of a set of size
     >= 2: serving the parked customer alone first is never worse, so the pairs
     can be dropped without losing any optimal value."""
-    reduced = ServiceSetCatalog(inst=cat.inst, sets=cat.sets, reduced=True)
-    removed = reduced.removed_pair_count()
-    reduced.reduction = ReductionReport(removed_pairs=removed, total_pairs=cat.pair_count())
-    return reduced
+    return ServiceSetCatalog(inst=cat.inst, sets=cat.sets, reduced=True)
 
 
 # ---------------------------------------------------------------------------

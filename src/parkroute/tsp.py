@@ -38,11 +38,10 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
         raise ResourceLimitError(f"Held-Karp limited to {HELD_KARP_MAX_NODES} nodes, got {m}")
     if m == 1:
         return 0.0, []
-    others = list(range(1, m))
-    k = len(others)
+    k = m - 1
     full = (1 << k) - 1
 
-    # tail[mask][u]: cheapest path from others[u] through mask then back to 0
+    # tail[mask][u]: cheapest path from node u + 1 through mask then back to 0
     tail = [None] * (full + 1)
     tail[0] = dist[1:, 0].astype(float)
     for mask in range(1, full + 1):
@@ -55,31 +54,18 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
             np.minimum(best, cand, out=best)
         tail[mask] = best
 
-    # lexicographically smallest optimal order via greedy front construction
+    # lexicographically smallest optimal order via greedy front construction:
+    # the first v whose step is within 1e-12 of the cheapest step
     order: list[int] = []
     mask = full
     cur = 0
-    target = min(dist[0, 1 + v] + tail[full ^ (1 << v)][v] for v in range(k))
-    for _ in range(k):
-        for v in range(k):
-            if not (mask >> v & 1):
-                continue
-            step = dist[cur, 1 + v] + tail[mask ^ (1 << v)][v]
-            if step <= target + 1e-12:
-                order.append(1 + v)
-                mask ^= 1 << v
-                cur = 1 + v
-                target = tail[mask][v]
-                break
-        else:  # numeric drift fallback: take the cheapest remaining step
-            v = min(
-                (v for v in range(k) if mask >> v & 1),
-                key=lambda v: (dist[cur, 1 + v] + tail[mask ^ (1 << v)][v], v),
-            )
-            order.append(1 + v)
-            mask ^= 1 << v
-            cur = 1 + v
-            target = tail[mask][v]
+    while mask:
+        steps = {v: dist[cur, 1 + v] + tail[mask ^ (1 << v)][v] for v in range(k) if mask >> v & 1}
+        cheapest = min(steps.values())
+        v = next(v for v, step in steps.items() if step <= cheapest + 1e-12)
+        order.append(1 + v)
+        mask ^= 1 << v
+        cur = 1 + v
     return tour_cost(dist, order), order
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from brutes import brute_mtsp
+from parkroute.errors import InfeasibleInstanceError
 from parkroute.benchmarks import modified_tsp, no_parking_benchmark, relaxed_ms, run_benchmarks
 from parkroute.exact import solve_exact
 from parkroute.cli import main
@@ -167,3 +168,14 @@ def test_unknown_model_name_rejected():
     inst = gen_geo_instance(3, seed=1)
     with pytest.raises(ValueError):
         run_benchmarks(inst, ["npt", "bogus"])
+
+
+def test_modified_tsp_names_a_package_over_capacity():
+    # load_instance refuses such a package; an instance built in code reaches
+    # modified TSP with it and gets the catalog's message
+    inst = replace(gen_geo_instance(4, 1), weights=np.array([1.0, 5.0, 1.0, 1.0]), capacity_weight=3.0)
+    msg = "package for customer 2 exceeds the weight capacity alone"
+    with pytest.raises(InfeasibleInstanceError, match=msg):
+        enumerate_catalog(inst)
+    with pytest.raises(InfeasibleInstanceError, match=msg):
+        modified_tsp(inst)

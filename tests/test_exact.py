@@ -7,11 +7,11 @@ import pytest
 import parkroute.heuristic
 from brutes import brute_optimum, milp_optimum
 from parkroute.errors import InfeasibleInstanceError
-from parkroute.exact import SearchBudget, SearchOptions, check_feasible, solve_exact
+from parkroute.exact import SearchBudget, SearchOptions, _Control, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model
-from parkroute.servicesets import enumerate_catalog, reduce_catalog
+from parkroute.servicesets import ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog
 
 
 def test_single_customer_closed_form():
@@ -218,7 +218,7 @@ def test_restricted_parking_and_empty_coverage():
     res = solve_exact(inst, cat)  # spot 1 can serve both customers on foot
     assert res.status == "optimal"
     # a catalog that covers only part of the customers cannot serve everyone
-    partial = enumerate_catalog(inst, customers=[1])
+    partial = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1,)),))
     with pytest.raises(InfeasibleInstanceError):
         solve_exact(inst, partial)
 
@@ -244,3 +244,64 @@ def test_check_feasible_flags_missing_coverage():
     empty = Solution(stops=(), served=(), breakdown=Breakdown(0, 0, 0, 0), total=0.0)
     violations = check_feasible(inst, cat, empty)
     assert any("not served" in v for v in violations)
+
+
+def test_self_singleton_rules_out_pass_through_stops():
+    # skewed drive, free parking and pass-through stops allowed: a budgeted
+    # search used to keep an incumbent that passes through spot 1 without
+    # serving anyone and walks customer 1 from stop 2, breaking the option
+    base = gen_geo_instance(4, 9, p=0.0, q=3)
+    drive = base.drive * np.random.default_rng(289).uniform(1.0, 3.0, size=base.drive.shape)
+    np.fill_diagonal(drive, 0.0)
+    inst = replace(base, drive=drive)
+    cat = enumerate_catalog(inst)
+    options = SearchOptions(require_self_singleton=True, require_served_stop=False)
+    for budget in (SearchBudget(max_nodes=5), None):
+        res = solve_exact(inst, cat, budget=budget, options=options)
+        for stop, stop_sets in zip(res.solution.stops, res.solution.served):
+            assert (stop,) in stop_sets
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("n, seed", [(1, 0), (4, 1), (7, 2), (9, 3)])
+def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
+    # reference: each customer's least walk share plus park share over its
+    # admissible (spot, set) pairs, summed over a mask lowest bit last
+    inst = gen_geo_instance(n, seed, p=1.3, q=3)
+    if seed == 3:
+        inst = replace(inst, parking_locations=(1, 4, 7, 8))
+    cat = enumerate_catalog(inst)
+    if reduced:
+        cat = reduce_catalog(cat)
+    searcher = _Searcher(inst, cat, SearchOptions())
+    searcher.build_bound_tables()
+    delta = np.full(n + 1, np.inf)
+    for i in inst.spots:
+        for c in inst.customers:
+            for j in cat.sets_containing(c):
+                if cat.admissible(i, j):
+                    delta[c] = min(delta[c], cat.walk_cost(i, j) / cat.sets[j].size + inst.park_time[i] / n)
+    dsum = np.zeros(1 << n)
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length()
+        dsum[mask] = dsum[mask & (mask - 1)] + delta[low]
+    assert np.array_equal(searcher.dsum, dsum)
+
+
+def test_warm_paths_meet_the_options_through_the_bundle_table():
+    # bit b of a bundle is customer b + 1
+    inst = gen_geo_instance(3, seed=1, p=2.0, q=3)
+    cat = enumerate_catalog(inst)
+    own = _Searcher(inst, cat, SearchOptions(require_self_singleton=True))
+    served = _Searcher(inst, cat, SearchOptions(require_served_stop=True))
+    ctl = _Control(SearchBudget())
+    own.offer_path(ctl, [1, 2], [0b110, 0b001])  # spots 1 and 2 serve each other's customers
+    served.offer_path(ctl, [1, 2], [0b000, 0b111])  # a pass-through stop
+    assert ctl.best_state is None
+    own.offer_path(ctl, [3, 1], [0b100, 0b011])
+    assert ctl.best_state == ((3, 1), (0b100, 0b011))
+    sol = own.materialize(*ctl.best_state)
+    assert sol.served == (((3,),), ((1,), (2,)))  # customer 1 alone at its own spot
+    assert ctl.best_value == pytest.approx(sol.total, abs=1e-9)

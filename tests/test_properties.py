@@ -1,8 +1,10 @@
 """Randomized agreement between the shared subset-partition table, the exact
 solver, the parking assignment, modified TSP and the brute-force oracles, on
 small instances with count, weight and volume capacities and a restricted set
-of parking spots."""
+of parking spots; plus the evaluator identities and the JSON and LP round
+trips on the same instances."""
 
+import json
 from dataclasses import replace
 from itertools import combinations
 
@@ -13,9 +15,26 @@ from hypothesis import strategies as st
 
 from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost
 from parkroute.benchmarks import modified_tsp
-from parkroute.exact import SearchOptions, solve_exact
-from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, solve_par
-from parkroute.instance import GridParams, gen_geo_instance, gen_grid_instance, validate_instance
+from parkroute.errors import ParkrouteError
+from parkroute.exact import SearchBudget, SearchOptions, check_feasible, solve_exact
+from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, heuristic_solve, solve_par
+from parkroute.instance import (
+    GridParams,
+    gen_geo_instance,
+    gen_grid_instance,
+    instance_from_dict,
+    instance_to_dict,
+    validate_instance,
+)
+from parkroute.model import (
+    ModelOptions,
+    assemble_solution,
+    build_model,
+    evaluate_solution,
+    export_lp,
+    parse_lp,
+    solution_from_dict,
+)
 from parkroute.servicesets import PartitionTable, enumerate_catalog
 from parkroute.tsp import solve_tsp
 
@@ -72,19 +91,62 @@ def test_exact_dp_matches_brute_force_on_metric_drive(inst, self_singleton):
             assert (stop,) in stop_sets
 
 
-@SETTINGS
-@given(instances(min_n=2), st.integers(0, 10_000))
-def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
-    # random skew, plus one depot leg longer than its detour through another
-    # customer, so the triangle inequality fails and the DP does not run
+def _skewed(inst, skew_seed):
+    """Random skew, plus one depot leg longer than its detour through another
+    customer, so the triangle inequality fails and the DP does not run."""
     drive = inst.drive * np.random.default_rng(skew_seed).uniform(1.0, 1.6, size=inst.drive.shape)
     np.fill_diagonal(drive, 0.0)
     drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
     inst = replace(inst, drive=drive)
     assert validate_instance(inst).drive_triangle_violations > 0
+    return inst
+
+
+@SETTINGS
+@given(instances(min_n=2), st.integers(0, 10_000))
+def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
+    inst = _skewed(inst, skew_seed)
     res = solve_exact(inst, enumerate_catalog(inst))
     assert res.status == "optimal"
     assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+@SETTINGS
+@given(
+    instances(min_n=2), st.integers(0, 10_000), st.integers(1, 60),
+    st.booleans(), st.sampled_from([None, True, False]), st.booleans(),
+)
+def test_budgeted_search_keeps_its_warm_start_and_the_options(
+    inst, skew_seed, max_nodes, self_singleton, served_stop, stops_leq_sets
+):
+    inst = _skewed(inst, skew_seed)
+    cat = enumerate_catalog(inst)
+    options = SearchOptions(self_singleton, served_stop, stops_leq_sets)
+    res = solve_exact(inst, cat, budget=SearchBudget(max_nodes=max_nodes), options=options)
+    try:
+        heuristic_solve(inst, cat)
+    except ParkrouteError:
+        pass
+    else:  # the warm start is the incumbent from the first node on
+        assert res.status in ("optimal", "feasible")
+    if res.status == "optimal":
+        assert res.bound == pytest.approx(res.value, abs=1e-9)
+    else:
+        assert res.nodes == max_nodes
+    best = brute_optimum(inst)
+    assert res.bound <= best + 1e-9
+    if res.solution is None:
+        return
+    sol = res.solution
+    assert best <= res.value + 1e-9
+    assert check_feasible(inst, cat, sol) == []
+    if self_singleton:
+        for stop, stop_sets in zip(sol.stops, sol.served):
+            assert (stop,) in stop_sets
+    if served_stop:
+        assert all(sol.served)
+    if stops_leq_sets:
+        assert sol.num_stops <= sol.num_sets
 
 
 def _check_parking_assignment(inst):
@@ -153,3 +215,44 @@ def test_modified_tsp_matches_order_respecting_enumeration(inst):
     res = modified_tsp(inst)
     assert res.completion == pytest.approx(brute_mtsp(inst, solve_tsp(inst.drive)[1]), abs=1e-9)
     assert res.model_objective == pytest.approx(res.completion, abs=1e-9)
+
+
+@SETTINGS
+@given(instances())
+def test_instance_and_solution_json_round_trips(inst):
+    back = instance_from_dict(json.loads(json.dumps(instance_to_dict(inst))))
+    assert instance_to_dict(back) == instance_to_dict(inst)
+    for name in ("drive", "walk", "park_time", "weights", "volumes", "coords"):
+        assert np.array_equal(getattr(back, name), getattr(inst, name))
+    for name in ("n", "spots", "capacity_count", "capacity_weight", "capacity_volume", "load_per_package", "meta"):
+        assert getattr(back, name) == getattr(inst, name)
+    sol = solve_exact(inst, enumerate_catalog(inst)).solution
+    assert solution_from_dict(json.loads(json.dumps(sol.to_dict()))) == sol
+
+
+@SETTINGS
+@given(instances(max_n=4), st.booleans())
+def test_lp_text_round_trips(inst, reduced):
+    options = ModelOptions(
+        vi_claim4=True, vi_corollary1=True, vi_claim5=True, vi_corollary3=True, var_reduction=reduced
+    )
+    model = build_model(inst, enumerate_catalog(inst), options)
+    text = export_lp(model)
+    back = parse_lp(text)
+    assert export_lp(back) == text
+    assert back.objective == model.objective
+    assert [(r.name, r.terms, r.sense, r.rhs) for r in back.constraints] == [
+        (r.name, r.terms, r.sense, r.rhs) for r in model.constraints
+    ]
+    assert sorted(back.variables, key=str) == sorted(model.variables, key=str)
+
+
+@SETTINGS
+@given(instances())
+def test_evaluator_identities(inst):
+    cat = enumerate_catalog(inst)
+    for sol in (solve_exact(inst, cat).solution, heuristic_solve(inst, cat), modified_tsp(inst).solution):
+        bd = sol.breakdown
+        assert sol.total == bd.park_min + bd.drive_min + bd.walk_min + bd.load_min == bd.total
+        assert evaluate_solution(inst, sol) == bd
+        assert assemble_solution(inst, sol.stops, sol.served) == sol

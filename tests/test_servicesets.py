@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from brutes import brute_walk
+from parkroute import servicesets
 from parkroute.errors import ResourceLimitError, UnsupportedError
 from parkroute.instance import Instance, gen_geo_instance
 from parkroute.servicesets import (
@@ -36,7 +37,6 @@ def test_enumerated_counts_agree_with_closed_forms():
     red = reduce_catalog(cat)
     assert red.removed_pair_count() == removed_pair_count(9, 3)
     assert red.admissible_pair_count() == reduced_pair_count(9, 3)
-    assert red.reduction.removed_pairs == removed_pair_count(9, 3)
 
 
 def test_weight_capacity_filters_sets():
@@ -133,10 +133,11 @@ def test_walk_set_size_cap():
         walk_time(inst, 1, tuple(range(1, 14)))
 
 
-def test_pair_cap_resource_error():
+def test_pair_cap_resource_error(monkeypatch):
     inst = gen_geo_instance(12, seed=4, q=4)
+    monkeypatch.setattr(servicesets, "DEFAULT_PAIR_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        enumerate_catalog(inst, max_pairs=100)
+        enumerate_catalog(inst)
 
 
 def test_removed_pairs_closed_form_small():

@@ -123,7 +123,6 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     block a..b for every end b at once: O(n^2 q) cells with one vectorised
     step each.  The split is re-run only for the chosen blocks when decoding.
     """
-    inst.check_single_packages()  # seg_ok below assumes every package fits alone
     n = inst.n
     _, order, tsp_exact = solve_tsp(inst.drive)  # customer ids, fixed service order
     D = inst.drive
@@ -133,26 +132,10 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     sp = np.array(sorted(inst.spots, key=pos.get))  # spots in service order
     spos = np.array([pos[i] for i in sp])
 
-    # prefix sums along the order for chain walks and capacity checks; seg_ok
-    # stays separate from Instance.over_capacity because it is O(1) per segment
+    # prefix sums along the order for chain walks
     chain = np.zeros(n + 1)
     for t in range(2, n + 1):
         chain[t] = chain[t - 1] + W[order[t - 2], order[t - 1]]
-    wsum = np.zeros(n + 1)
-    vsum = np.zeros(n + 1)
-    if inst.weights is not None:
-        for t in range(1, n + 1):
-            wsum[t] = wsum[t - 1] + inst.weights[order[t - 1]]
-    if inst.volumes is not None:
-        for t in range(1, n + 1):
-            vsum[t] = vsum[t - 1] + inst.volumes[order[t - 1]]
-
-    def seg_ok(s: int, t: int) -> bool:
-        if inst.capacity_weight is not None and wsum[t] - wsum[s - 1] > inst.capacity_weight + 1e-9:
-            return False
-        if inst.capacity_volume is not None and vsum[t] - vsum[s - 1] > inst.capacity_volume + 1e-9:
-            return False
-        return True
 
     # segs[t]: (s, walk of positions s..t from every spot) for each set that
     # may end at t, s increasing; longer than q never fits
@@ -160,7 +143,7 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     back = W[np.ix_(order, sp)]  # back[t - 1, k]: the t-th customer to spot k
     segs = [
         [(s, out[s - 1] + (chain[t] - chain[s]) + back[t - 1])
-         for s in range(max(1, t - q + 1), t + 1) if seg_ok(s, t)]
+         for s in range(max(1, t - q + 1), t + 1) if not inst.over_capacity(order[s - 1:t])]
         for t in range(n + 1)
     ]
 

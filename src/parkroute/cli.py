@@ -145,7 +145,7 @@ def _bench_one(path: str, models: list[str], budget: SearchBudget,
     optimum = ""
     if with_optimum:
         res = solve_exact(inst, enumerate_catalog(inst), budget=budget)
-        if res.value is not None:
+        if res.status == "optimal":
             optimum = _fmt6(res.value)
     rows = []
     for result in bm.run_benchmarks(inst, models, budget=budget, exact_n_max=exact_n_max):

@@ -4,10 +4,12 @@ Metric driving matrices (the usual case) are solved by a bitmask dynamic
 program over (unserved customers, last parking spot) whose transitions pick
 the next spot and the customer bundle walked from it; under the triangle
 inequality revisits and pass-through stops never improve, so the state space
-is exact.  Non-metric inputs or more than 16 customers fall back to a
-depth-first branch-and-bound over parking sequences whose lower bound
-combines the unavoidable drive legs with a per-customer share of the cheapest
-admissible walk-plus-park increment, which stays admissible on any input.
+is exact.  Non-metric inputs fall back to a depth-first branch-and-bound
+over parking sequences whose lower bound combines the unavoidable drive legs
+with a per-customer share of the cheapest admissible walk-plus-park
+increment, which stays admissible on any input.  Either path accepts at
+most ``DP_MAX_CUSTOMERS`` = 16 customers: the DP's submask work grows as 3^n,
+and the branch-and-bound proves nothing that large within its default budget.
 Its warm starts, the nearest-neighbour tour and the heuristic, enter the
 search as priced (stops, bundles) paths, so they meet the search options
 through the same bundle table and leaf check as every search leaf.
@@ -33,7 +35,6 @@ from .tsp import nearest_neighbor_cycle
 
 _EPS = 1e-9
 
-MAX_EXACT_CUSTOMERS = 18
 DP_MAX_CUSTOMERS = 16
 _CHUNK = 1024  # submasks per DP gather; bounds the step's temporaries
 
@@ -133,10 +134,8 @@ class _Control:
 class _Searcher:
     def __init__(self, inst: Instance, cat: ServiceSetCatalog, options: SearchOptions):
         n = inst.n
-        if n > MAX_EXACT_CUSTOMERS:
-            raise ResourceLimitError(
-                f"exact search supports up to {MAX_EXACT_CUSTOMERS} customers, got {n}"
-            )
+        if n > DP_MAX_CUSTOMERS:
+            raise ResourceLimitError(f"exact search supports up to {DP_MAX_CUSTOMERS} customers, got {n}")
         self.inst = inst
         self.cat = cat
         self.options = options
@@ -146,8 +145,6 @@ class _Searcher:
         self.D = inst.drive
         self.P = inst.park_time
 
-        if not self.spots:
-            raise InfeasibleInstanceError("no parking locations: empty catalog coverage")
         # walk cost of every catalog set from every spot, inf where inadmissible
         costs = np.array([
             [cat.walk_cost(i, j) if cat.admissible(i, j) else np.inf for i in self.spots]
@@ -414,7 +411,7 @@ def solve_exact(
     searcher = _Searcher(inst, cat, options)
 
     load = inst.n * inst.load_per_package
-    if searcher.metric_drive and inst.n <= DP_MAX_CUSTOMERS and not searcher.allow_empty:
+    if searcher.metric_drive and not searcher.allow_empty:
         try:
             value, stops, bundles, states = searcher.solve_dp()
             sol = searcher.materialize(stops, bundles)

@@ -82,8 +82,6 @@ def solve_par(inst: Instance) -> ParkingAssignment:
     swaps only up to 60 spots.
     """
     spots = inst.spots
-    if not spots:
-        raise InfeasibleInstanceError("no parking locations")
     m = len(spots)
     customers = list(inst.customers)
     W = inst.walk[np.ix_(spots, customers)]

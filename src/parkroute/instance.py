@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -19,6 +20,32 @@ import numpy as np
 from .errors import InfeasibleInstanceError, InstanceFormatError, UnsupportedError
 
 TOL = 1e-6
+
+
+def _float_array(name: str, value) -> np.ndarray:
+    """``value`` as a finite float array; numpy would quietly parse numeric
+    strings and booleans, so anything but integer or float entries is refused."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise InstanceFormatError(f"{name} is not a rectangular array: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise InstanceFormatError(f"{name} must hold numbers only, got {arr.dtype} entries")
+    if not np.isfinite(arr).all():
+        raise InstanceFormatError(f"non-finite value in {name}")
+    return np.asarray(arr, dtype=float)
+
+
+def _number(name: str, value, integral: bool = False) -> float | int:
+    """``value`` as a finite float, or as an int when ``integral``; a fraction
+    is refused there rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InstanceFormatError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InstanceFormatError(f"non-finite {name}: {value}")
+    if integral and value != int(value):
+        raise InstanceFormatError(f"{name} must be an integer, got {value!r}")
+    return int(value) if integral else float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,13 +71,13 @@ class Instance:
     meta: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        drive = np.asarray(self.drive, dtype=float)
+        drive = _float_array("drive", self.drive)
         if drive.ndim != 2 or drive.shape[0] != drive.shape[1]:
             raise InstanceFormatError(f"drive matrix must be square, got shape {drive.shape}")
         n = drive.shape[0] - 1
         if n < 1:
             raise InstanceFormatError("instance needs at least one customer")
-        walk = np.asarray(self.walk, dtype=float)
+        walk = _float_array("walk", self.walk)
         if walk.shape == (n, n):
             padded = np.zeros((n + 1, n + 1))
             padded[1:, 1:] = walk
@@ -59,30 +86,25 @@ class Instance:
             raise InstanceFormatError(
                 f"walk matrix must be {n}x{n} or {n + 1}x{n + 1}, got {walk.shape}"
             )
-        park = np.asarray(self.park_time, dtype=float).ravel()
-        if park.shape == (n,):
-            park = np.concatenate([[0.0], park])
-        if park.shape != (n + 1,):
-            raise InstanceFormatError(f"park_time must have {n} entries, got {park.shape[0]}")
-        for name, arr in (("drive", drive), ("walk", walk), ("park_time", park)):
-            if not np.isfinite(arr).all():
-                raise InstanceFormatError(f"non-finite value in {name}")
-        for name in ("load_per_package", "capacity_weight", "capacity_volume"):
+        park = self._pad_vector(self.park_time, n, "park_time")
+        if park is None:
+            raise InstanceFormatError("park_time is required")
+        for name in ("load_per_package", "capacity_count", "capacity_weight", "capacity_volume"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise InstanceFormatError(f"non-finite {name}: {value}")
+            if value is not None:
+                object.__setattr__(self, name, _number(name, value, integral=name == "capacity_count"))
         for name, mat in (("drive", drive), ("walk", walk)):
             if np.any(mat < 0):
                 raise InstanceFormatError(f"negative time in {name} matrix")
             if np.any(np.abs(np.diag(mat)) > 1e-9):
                 raise InstanceFormatError(f"{name} matrix diagonal must be zero")
-        if np.any(park < 0):
-            raise InstanceFormatError("negative parking search time")
 
         weights = self._pad_vector(self.weights, n, "weights")
         volumes = self._pad_vector(self.volumes, n, "volumes")
 
-        spots = tuple(sorted(self.parking_locations)) if self.parking_locations else tuple(range(1, n + 1))
+        spots = tuple(sorted(
+            _number("parking location", s, integral=True) for s in self.parking_locations or range(1, n + 1)
+        ))
         if any(s < 1 or s > n for s in spots):
             raise InstanceFormatError("parking locations must be customer ids (depot is implicit)")
         if len(set(spots)) != len(spots):
@@ -90,7 +112,7 @@ class Instance:
 
         coords = self.coords
         if coords is not None:
-            coords = np.asarray(coords, dtype=float)
+            coords = _float_array("coords", coords)
             if coords.shape != (n + 1, 2):
                 raise InstanceFormatError(f"coords must be {(n + 1, 2)}, got {coords.shape}")
 
@@ -101,22 +123,28 @@ class Instance:
         object.__setattr__(self, "volumes", volumes)
         object.__setattr__(self, "parking_locations", spots)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "load_per_package", float(self.load_per_package))
         if self.capacity_count is not None and self.capacity_count < 1:
             raise InstanceFormatError("capacity_count must be >= 1 or omitted")
+        # the CDPP is defined only when every package fits some walking set
+        over: dict[str, list[int]] = {}
+        if self.capacity_weight is not None or self.capacity_volume is not None:
+            for c in self.customers:
+                for kind in self.over_capacity((c,)):
+                    over.setdefault(kind, []).append(c)
+        for kind, cs in over.items():
+            cap = getattr(self, f"capacity_{kind}")
+            raise InfeasibleInstanceError(f"packages {cs} exceed the {kind} capacity {cap} on their own")
 
     @staticmethod
     def _pad_vector(vec, n: int, name: str) -> np.ndarray | None:
         if vec is None:
             return None
-        arr = np.asarray(vec, dtype=float).ravel()
+        arr = _float_array(name, vec).ravel()
         if arr.shape == (n,):
             arr = np.concatenate([[0.0], arr])
         if arr.shape != (n + 1,):
             raise InstanceFormatError(f"{name} must have {n} entries, got {arr.shape[0]}")
-        if not np.isfinite(arr).all():
-            raise InstanceFormatError(f"non-finite value in {name}")
-        if np.any(arr[1:] < 0):
+        if np.any(arr < 0):
             raise InstanceFormatError(f"negative value in {name}")
         return arr
 
@@ -133,13 +161,6 @@ class Instance:
             if sum(self.volumes[c] for c in members) > self.capacity_volume + 1e-9:
                 over.append("volume")
         return over
-
-    def check_single_packages(self) -> None:
-        """Raise ``InfeasibleInstanceError`` naming the first customer whose
-        package alone exceeds a capacity: no walking set can serve it."""
-        for c in self.customers:
-            for kind in self.over_capacity((c,)):
-                raise InfeasibleInstanceError(f"package for customer {c} exceeds the {kind} capacity alone")
 
     @property
     def n(self) -> int:
@@ -240,19 +261,12 @@ def _triangle_stats(mat: np.ndarray) -> tuple[int, float]:
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Check metric properties and capacity feasibility.
+    """Report the metric properties of an instance.
 
     Triangle-inequality violations and asymmetries are reported, not rejected
-    (real road data violates both).  A package that exceeds the weight or
-    volume capacity on its own makes the instance unservable and raises.
+    (real road data violates both); everything that makes an instance
+    malformed or unservable is refused by the ``Instance`` constructor.
     """
-    for kind, cap in (("weight", inst.capacity_weight), ("volume", inst.capacity_volume)):
-        over = [i for i in inst.customers if kind in inst.over_capacity((i,))]
-        if over:
-            raise InfeasibleInstanceError(f"packages {over} exceed the {kind} capacity {cap} on their own")
-    if not inst.spots:
-        raise InfeasibleInstanceError("no parking locations: customers cannot be served")
-
     report = ValidationReport()
     report.drive_triangle_violations, report.drive_triangle_worst_excess = _triangle_stats(inst.drive)
     report.walk_triangle_violations, report.walk_triangle_worst_excess = _triangle_stats(
@@ -310,37 +324,44 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(doc: dict) -> Instance:
+    """Build an instance from its JSON document; every number must be a JSON
+    number, and the ``Instance`` constructor checks the rest."""
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("instance document must be a JSON object")
     try:
-        n = int(doc["n"])
-        drive = np.asarray(doc["drive"], dtype=float)
-        walk_rows = doc["walk"]
+        n = _number("n", doc["n"], integral=True)
+        drive = _float_array("drive", doc["drive"])
+        walk = _float_array("walk", doc["walk"])
         park = doc["park_time"]
-        q = None if doc.get("q") is None else int(doc["q"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise InstanceFormatError(f"missing or malformed required field: {exc}") from exc
+    except KeyError as exc:
+        raise InstanceFormatError(f"missing required field: {exc}") from exc
     if drive.shape != (n + 1, n + 1):
         raise InstanceFormatError(f"drive matrix must be {(n + 1, n + 1)}, got {drive.shape}")
-    if len(walk_rows) != n or any(len(r) != n for r in walk_rows):
+    if walk.shape != (n, n):
         raise InstanceFormatError("walk matrix dimension mismatch")
-    inst = Instance(
+    parking, meta = doc.get("parking", []), doc.get("meta", {})
+    if not isinstance(parking, list):
+        raise InstanceFormatError(f"parking must be a list of customer ids, got {parking!r}")
+    if not isinstance(meta, dict):
+        raise InstanceFormatError(f"meta must be a JSON object, got {meta!r}")
+    return Instance(
         drive=drive,
-        walk=np.asarray(walk_rows, dtype=float),
-        park_time=np.asarray(park, dtype=float),
-        load_per_package=float(doc.get("f", 0.0)),
-        capacity_count=q,
+        walk=walk,
+        park_time=park,
+        load_per_package=doc.get("f", 0.0),
+        capacity_count=doc.get("q"),
         capacity_weight=doc.get("cap_weight"),
         weights=doc.get("weights"),
         capacity_volume=doc.get("cap_volume"),
         volumes=doc.get("volumes"),
-        parking_locations=tuple(doc.get("parking", ())),
+        parking_locations=tuple(parking),
         coords=doc.get("coords"),
-        meta=dict(doc.get("meta", {})),
+        meta=dict(meta),
     )
-    return inst
 
 
 def load_instance(source: str | Path, format: str = "json") -> Instance:
-    """Load and validate an instance.
+    """Load an instance; the ``Instance`` constructor validates it.
 
     ``format="json"`` accepts a path to a JSON document (or a raw JSON string).
     ``format="published-dataset"`` reads a local directory with ``drive.csv``
@@ -349,25 +370,21 @@ def load_instance(source: str | Path, format: str = "json") -> Instance:
     the downloaded archive uses.  Both modes are network-free.
     """
     if format == "published-dataset":
-        inst = _load_dataset_dir(Path(source))
-    elif format == "json":
-        text: str
-        if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
-            path = Path(source)
-            if not path.exists():
-                raise InstanceFormatError(f"instance file not found: {path}")
-            text = path.read_text()
-        else:
-            text = str(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InstanceFormatError(f"invalid JSON: {exc}") from exc
-        inst = instance_from_dict(doc)
-    else:
+        return _load_dataset_dir(Path(source))
+    if format != "json":
         raise InstanceFormatError(f"unknown instance format: {format!r}")
-    validate_instance(inst)
-    return inst
+    if isinstance(source, Path) or not str(source).lstrip().startswith("{"):
+        path = Path(source)
+        if not path.exists():
+            raise InstanceFormatError(f"instance file not found: {path}")
+        text = path.read_text()
+    else:
+        text = str(source)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceFormatError(f"invalid JSON: {exc}") from exc
+    return instance_from_dict(doc)
 
 
 def _load_dataset_dir(root: Path) -> Instance:
@@ -377,17 +394,17 @@ def _load_dataset_dir(root: Path) -> Instance:
         drive = np.loadtxt(root / "drive.csv", delimiter=",", ndmin=2)
         walk = np.loadtxt(root / "walk.csv", delimiter=",", ndmin=2)
         meta = json.loads((root / "meta.json").read_text())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # unreadable, or not CSV or JSON
         raise InstanceFormatError(f"unreadable dataset directory {root}: {exc}") from exc
-    n = drive.shape[0] - 1
+    if not isinstance(meta, dict):
+        raise InstanceFormatError(f"{root / 'meta.json'} must hold a JSON object")
     p = meta.get("p", 0.0)
-    park = [float(p)] * n if np.isscalar(p) or isinstance(p, (int, float)) else list(p)
     return Instance(
         drive=drive,
         walk=walk,
-        park_time=np.asarray(park, dtype=float),
-        load_per_package=float(meta.get("f", 0.0)),
-        capacity_count=None if meta.get("q") is None else int(meta["q"]),
+        park_time=[p] * (drive.shape[0] - 1) if np.isscalar(p) else p,
+        load_per_package=meta.get("f", 0.0),
+        capacity_count=meta.get("q"),
         meta={"source": str(root)},
     )
 

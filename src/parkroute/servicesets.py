@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedError
+from .errors import ResourceLimitError, UnsupportedError
 from .instance import Instance
 from .tsp import held_karp_cycle
 
@@ -32,8 +32,6 @@ class ServiceSet:
     """A nonempty, sorted, duplicate-free customer group within capacity."""
 
     members: tuple[int, ...]
-    total_weight: float = 0.0
-    total_volume: float = 0.0
 
     @property
     def size(self) -> int:
@@ -123,17 +121,10 @@ def enumerate_catalog(inst: Instance) -> ServiceSetCatalog:
     ``DEFAULT_PAIR_CAP``; at that point use the heuristic pipeline instead.
     """
     n = inst.n
-    if not n:
-        raise InfeasibleInstanceError("no customers to enumerate")
     q = inst.capacity_count
     if q is None and inst.capacity_weight is None and inst.capacity_volume is None:
         raise UnsupportedError("need a package-count, weight, or volume capacity to bound the catalog")
     qmax = min(q if q is not None else n, n)
-
-    weights = inst.weights
-    volumes = inst.volumes
-
-    inst.check_single_packages()
 
     # size bound for the pair cap uses the count-only closed form first
     if inst.capacity_weight is None and inst.capacity_volume is None:
@@ -147,11 +138,8 @@ def enumerate_catalog(inst: Instance) -> ServiceSetCatalog:
     sets: list[ServiceSet] = []
     for size in range(1, qmax + 1):
         for members in combinations(inst.customers, size):
-            if inst.over_capacity(members):
-                continue
-            tw = float(sum(weights[c] for c in members)) if weights is not None else 0.0
-            tv = float(sum(volumes[c] for c in members)) if volumes is not None else 0.0
-            sets.append(ServiceSet(members, tw, tv))
+            if not inst.over_capacity(members):
+                sets.append(ServiceSet(members))
     cat = ServiceSetCatalog(inst=inst, sets=tuple(sets))
     if cat.pair_count() > DEFAULT_PAIR_CAP:
         raise ResourceLimitError(

@@ -171,11 +171,8 @@ def test_unknown_model_name_rejected():
 
 
 def test_modified_tsp_names_a_package_over_capacity():
-    # load_instance refuses such a package; an instance built in code reaches
-    # modified TSP with it and gets the catalog's message
-    inst = replace(gen_geo_instance(4, 1), weights=np.array([1.0, 5.0, 1.0, 1.0]), capacity_weight=3.0)
-    msg = "package for customer 2 exceeds the weight capacity alone"
+    # the constructor refuses such a package, so neither modified TSP nor the
+    # catalog can be handed an instance that holds one
+    msg = r"packages \[2\] exceed the weight capacity 3.0 on their own"
     with pytest.raises(InfeasibleInstanceError, match=msg):
-        enumerate_catalog(inst)
-    with pytest.raises(InfeasibleInstanceError, match=msg):
-        modified_tsp(inst)
+        replace(gen_geo_instance(4, 1), weights=np.array([1.0, 5.0, 1.0, 1.0]), capacity_weight=3.0)

@@ -1,10 +1,14 @@
 import csv
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
+import parkroute.cli
 from parkroute.cli import main
-from parkroute.instance import load_instance
+from parkroute.exact import SearchBudget
+from parkroute.instance import gen_geo_instance, load_instance, save_instance
 from parkroute.model import parse_lp
 
 
@@ -52,6 +56,44 @@ def test_benchmark_csv_dominates_optimum(tmp_path):
         assert float(row["completion"]) >= float(row["optimum"]) - 1e-6
         parts = sum(float(row[k]) for k in ("park_min", "drive_min", "walk_min", "load_min"))
         assert abs(parts - float(row["completion"])) < 1e-5
+
+
+def test_benchmark_leaves_an_unproven_optimum_empty(tmp_path, monkeypatch):
+    # a skewed drive matrix sends the optimum through branch-and-bound; a
+    # small node budget stops it with its warm start, which proves nothing
+    base = gen_geo_instance(9, 3, p=5.0, q=3)
+    skew = np.random.default_rng(7).uniform(1.0, 1.6, size=base.drive.shape)
+    inst_path = tmp_path / "inst.json"
+    save_instance(replace(base, drive=base.drive * skew), inst_path)
+    monkeypatch.setattr(parkroute.cli, "SearchBudget", lambda max_seconds: SearchBudget(200, max_seconds))
+    out_csv = tmp_path / "bench.csv"
+    assert main(["benchmark", "--models", "mtsp", "--with-optimum", str(inst_path), "-o", str(out_csv)]) == 0
+    assert [r["optimum"] for r in _read_csv(out_csv)] == [""]
+
+
+def test_benchmark_jobs_write_the_same_csv(tmp_path):
+    paths = []
+    for seed in (1, 2):
+        paths.append(str(tmp_path / f"inst{seed}.json"))
+        main(["gen", "--geo", "-n", "5", "--seed", str(seed), "-o", paths[-1]])
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert main(["benchmark", "--models", "npt,mtsp", "--jobs", jobs, *paths, "-o", str(out)]) == 0
+    assert (tmp_path / "jobs1.csv").read_text() == (tmp_path / "jobs2.csv").read_text()
+
+
+_GOOD = {"n": 2, "drive": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "walk": [[0, 1], [1, 0]], "park_time": [1, 1], "q": 2}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("cap_weight", "3"), ("f", "x"), ("weights", ["a", 1]), ("parking", [1.5, 2]),
+    ("parking", ["1", 2]), ("meta", [1, 2]), ("q", 2.7), ("n", 2.5), ("parking", 2),
+], ids=str)
+def test_malformed_instance_field_is_an_error(tmp_path, capsys, field, value):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(_GOOD, **{field: value})))
+    assert main(["solve", str(path), "-o", str(tmp_path / "sol.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_grid_sweep_csv_regime_flip(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 import parkroute.heuristic
 from brutes import brute_optimum, milp_optimum
-from parkroute.errors import InfeasibleInstanceError
+from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
 from parkroute.exact import SearchBudget, SearchOptions, _Control, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
@@ -39,6 +39,24 @@ def test_matches_structural_enumeration(seed):
     res = solve_exact(inst, enumerate_catalog(inst))
     assert res.status == "optimal"
     assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_n7_optimum_matches_highs(seed):
+    # brute force is out of reach at n = 7; HiGHS with a zero gap is not
+    inst = gen_geo_instance(7, seed, p=5.0, q=3)
+    cat = enumerate_catalog(inst)
+    res = solve_exact(inst, cat)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(milp_optimum(build_model(inst, cat)), abs=1e-6)
+
+
+def test_more_than_16_customers_are_refused_at_once():
+    inst = gen_geo_instance(17, seed=1)
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="up to 16 customers"):
+        solve_exact(inst, enumerate_catalog(inst))
+    assert time.monotonic() - start < 1.0
 
 
 def test_true_optima_on_2x2_grid_sweep():

@@ -114,23 +114,21 @@ def test_metric_instance_validates_clean():
 
 
 def test_single_package_over_capacity_is_hard_error():
-    inst = Instance(
-        drive=[[0, 1], [1, 0]], walk=[[0.0]], park_time=[1.0],
-        capacity_weight=10.0, weights=[12.0],
-    )
     with pytest.raises(InfeasibleInstanceError):
-        validate_instance(inst)
+        Instance(
+            drive=[[0, 1], [1, 0]], walk=[[0.0]], park_time=[1.0],
+            capacity_weight=10.0, weights=[12.0],
+        )
 
 
 def test_validator_and_catalog_share_the_capacity_tolerance():
     # 5e-7 over the capacity: past the catalog's 1e-9 tolerance, so the
-    # validator must reject the package too, with its own message
-    inst = Instance(
-        drive=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], walk=[[0.0, 1.0], [1.0, 0.0]], park_time=[1.0, 1.0],
-        capacity_weight=3.0, weights=[1.0, 3.0000005],
-    )
+    # constructor must reject the package too
     with pytest.raises(InfeasibleInstanceError, match=r"packages \[2\] exceed the weight capacity 3.0 on their own"):
-        validate_instance(inst)
+        Instance(
+            drive=[[0, 1, 1], [1, 0, 1], [1, 1, 0]], walk=[[0.0, 1.0], [1.0, 0.0]], park_time=[1.0, 1.0],
+            capacity_weight=3.0, weights=[1.0, 3.0000005],
+        )
 
 
 def test_geo_generator_deterministic():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost
+from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost, milp_optimum
 from parkroute.benchmarks import modified_tsp
 from parkroute.errors import ParkrouteError
 from parkroute.exact import SearchBudget, SearchOptions, check_feasible, solve_exact
@@ -89,6 +89,15 @@ def test_exact_dp_matches_brute_force_on_metric_drive(inst, self_singleton):
     if self_singleton:  # every stop serves its own customer alone
         for stop, stop_sets in zip(res.solution.stops, res.solution.served):
             assert (stop,) in stop_sets
+
+
+@settings(SETTINGS, max_examples=20)
+@given(instances(max_n=5))
+def test_exact_optimum_matches_highs(inst):
+    cat = enumerate_catalog(inst)
+    res = solve_exact(inst, cat)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(milp_optimum(build_model(inst, cat)), abs=1e-6)
 
 
 def _skewed(inst, skew_seed):

@@ -8,11 +8,12 @@ completion-time objective, so each one is an upper bound on the optimum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParkrouteError
+from .errors import ParkrouteError, UnsupportedError
 from .instance import Instance
 from .model import Solution, assemble_solution
 from .servicesets import enumerate_catalog
@@ -221,16 +222,36 @@ def run_benchmarks(
     budget=None,
     exact_n_max: int = DESK_EXACT_N,
 ) -> list[BenchmarkResult]:
-    """Run benchmarks named 'npt', 'mtsp', or 'ms:<alpha>'."""
+    """Run benchmarks named 'npt', 'mtsp', or 'ms:<alpha>'; every name is
+    checked by ``parse_models`` before the first model runs."""
     results = []
-    for spec_name in models:
-        if spec_name == "npt":
+    for name, alpha in parse_models(models):
+        if name == "npt":
             results.append(no_parking_benchmark(inst, budget, exact_n_max))
-        elif spec_name == "mtsp":
+        elif name == "mtsp":
             results.append(modified_tsp(inst))
-        elif spec_name.startswith("ms:"):
-            alpha = float(spec_name.split(":", 1)[1])
-            results.append(relaxed_ms(inst, alpha, budget, exact_n_max))
         else:
-            raise ValueError(f"unknown benchmark model {spec_name!r}")
+            results.append(relaxed_ms(inst, alpha, budget, exact_n_max))
     return results
+
+
+def parse_models(models) -> list[tuple[str, float | None]]:
+    """(name, alpha) per benchmark model name: 'npt' and 'mtsp' take no
+    alpha, 'ms:<alpha>' needs a number in [0, 1].  Raises UnsupportedError on
+    any other name."""
+    parsed: list[tuple[str, float | None]] = []
+    for spec in models:
+        if spec in ("npt", "mtsp"):
+            parsed.append((spec, None))
+            continue
+        kind, _, text = spec.partition(":")
+        try:
+            alpha = float(text)
+        except ValueError:
+            alpha = math.nan
+        if kind != "ms" or not 0.0 <= alpha <= 1.0:
+            raise UnsupportedError(
+                f"unknown benchmark model {spec!r}; use npt, mtsp or ms:<alpha> with alpha in [0, 1]"
+            )
+        parsed.append(("ms", alpha))
+    return parsed

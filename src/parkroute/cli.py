@@ -167,6 +167,7 @@ def _bench_one(path: str, models: list[str], budget: SearchBudget,
 
 def _cmd_benchmark(args) -> int:
     models = [m.strip() for m in args.models.split(",") if m.strip()]
+    bm.parse_models(models)  # a bad name fails before any model is solved
     budget = _budget(args)
     rows: list[dict] = []
     if args.jobs > 1 and len(args.instances) > 1:
@@ -245,12 +246,13 @@ def _cmd_export_lp(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    rows = []
-    for path in args.solutions:
+def _report_row(path: str) -> dict:
+    """The report row of one solution file; raises ParkrouteError when the
+    file is not JSON or lacks a field the row reads."""
+    try:
         doc = json.loads(Path(path).read_text())
         bd = doc["breakdown"]
-        rows.append({
+        return {
             "file": path,
             "total": _fmt6(doc["total"]),
             "park_min": _fmt6(bd["park_min"]),
@@ -258,7 +260,17 @@ def _cmd_report(args) -> int:
             "walk_min": _fmt6(bd["walk_min"]),
             "load_min": _fmt6(bd["load_min"]),
             "stops": len(doc["stops"]),
-        })
+        }
+    except json.JSONDecodeError as exc:
+        raise ParkrouteError(f"{path} is not JSON: {exc}") from exc
+    except KeyError as exc:
+        raise ParkrouteError(f"{path} is not a solution file: it has no {exc} field") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParkrouteError(f"{path} is not a solution file: {exc}") from exc
+
+
+def _cmd_report(args) -> int:
+    rows = [_report_row(path) for path in args.solutions]
     _emit_csv(rows, args.output, ["file", "total", "park_min", "drive_min", "walk_min", "load_min", "stops"])
     return 0
 

@@ -4,10 +4,13 @@ Metric driving matrices (the usual case) are solved by a bitmask dynamic
 program over (unserved customers, last parking spot) whose transitions pick
 the next spot and the customer bundle walked from it; under the triangle
 inequality revisits and pass-through stops never improve, so the state space
-is exact.  Non-metric inputs fall back to a depth-first branch-and-bound
-over parking sequences whose lower bound combines the unavoidable drive legs
-with a per-customer share of the cheapest admissible walk-plus-park
-increment, which stays admissible on any input.  Either path accepts at
+is exact.  A mask's completion reads only masks with fewer customers, so the
+table is filled one popcount layer at a time, each layer in numpy blocks of
+at most ``CHUNK`` (mask, bundle) pairs.  Non-metric inputs fall back to a
+depth-first branch-and-bound over parking sequences whose lower bound
+combines the unavoidable drive legs with a per-customer share of the
+cheapest admissible walk-plus-park increment, which stays admissible on any
+input.  Either path accepts at
 most ``DP_MAX_CUSTOMERS`` = 16 customers: the DP's submask work grows as 3^n,
 and the branch-and-bound proves nothing that large within its default budget.
 Its warm starts, the nearest-neighbour tour and the heuristic, enter the
@@ -21,22 +24,30 @@ and shared by both paths (and by the heuristic's set assignment).
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError
 from .instance import Instance
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import PartitionTable, ServiceSetCatalog
+from .servicesets import CHUNK, PartitionTable, ServiceSetCatalog
 from .tsp import nearest_neighbor_cycle
 
 _EPS = 1e-9
 
 DP_MAX_CUSTOMERS = 16
-_CHUNK = 1024  # submasks per DP gather; bounds the step's temporaries
+
+
+def _mask_blocks(n: int, bits: int, step: int):
+    """Yield the masks with ``bits`` of n bits set, ``step`` at a time, each
+    block with a (masks, bits) array of the masks' set-bit values."""
+    positions = chain.from_iterable(combinations(range(n), bits))
+    while len(values := np.fromiter(islice(positions, step * bits), np.int64).reshape(-1, bits)):
+        np.left_shift(1, values, out=values)
+        yield values.sum(axis=1), values
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -146,10 +157,7 @@ class _Searcher:
         self.P = inst.park_time
 
         # walk cost of every catalog set from every spot, inf where inadmissible
-        costs = np.array([
-            [cat.walk_cost(i, j) if cat.admissible(i, j) else np.inf for i in self.spots]
-            for j in range(len(cat.sets))
-        ])
+        costs = cat.walk_cost_table()
         covered = {c for j, s in enumerate(cat.sets) if np.isfinite(costs[j]).any() for c in s.members}
         missing = [c for c in inst.customers if c not in covered]
         if missing:
@@ -241,27 +249,44 @@ class _Searcher:
 
         self.B = B = np.empty((size, len(S)))
         B[0] = [D[j, 0] for j in S]
-        for mask in range(1, size):
-            # park + bundle + completion, before the arrival leg
-            qp = np.min([v.min(axis=0) for _, v in self._step(mask)], axis=0) + self.park
-            B[mask] = (self.d_spot + qp[None, :]).min(axis=1)
-        opt = float((d_depot + qp).min())  # qp of the full mask, the last one
+        # np.minimum.reduceat takes the minimum over the rows of each block
+        # about three times faster than min(axis=...) on these narrow arrays
+        for bits in range(1, self.n + 1):
+            subs = (1 << bits) - 1
+            # row i picks the bits of i + 1: a mask's submask i + 1 is its row
+            # of set-bit values times this pattern
+            pattern = (np.arange(1, subs + 1) >> np.arange(bits)[:, None]) & 1 if subs <= CHUNK else None
+            # blocks of masks whose (mask, bundle) pairs, and whose arrival
+            # table of masks x spots x spots, stay within CHUNK x spots floats
+            step = max(1, CHUNK // max(subs, len(S)))
+            for M, values in _mask_blocks(self.n, bits, step):
+                # qp[m, k]: park at spot k, walk a bundle, complete the rest
+                if pattern is not None:
+                    A = values @ pattern
+                    v = np.take(self.bundle, A.ravel(), axis=0)
+                    v += np.take(B, (M[:, None] ^ A).ravel(), axis=0)
+                    qp = np.minimum.reduceat(v, np.arange(0, len(v), subs))
+                else:  # one mask, its bundles CHUNK at a time
+                    qp = np.min([np.minimum.reduceat(v, [0]) for _, v in self._step(int(M[0]))], axis=0)
+                qp += self.park
+                B[M] = (self.d_spot + qp[:, None, :]).min(axis=2)
+        opt = float((d_depot + qp).min())  # qp of the full mask, the last layer
 
         stops, bundles = self._dp_reconstruct(d_depot, opt)
         return opt, tuple(stops), tuple(bundles), size * len(S)
 
     def _step(self, mask: int, base=None):
         """Yield the nonempty submasks A of ``mask`` in chunks of at most
-        _CHUNK, each with the cost, per (A, spot), of walking bundle A from the
+        CHUNK, each with the cost, per (A, spot), of walking bundle A from the
         spot and completing ``mask ^ A`` from there:
         ``(base + bundle[A]) + B[mask ^ A]``."""
         subs = _submasks(mask)
-        for lo in range(0, len(subs), _CHUNK):
-            A = subs[lo:lo + _CHUNK]
-            v = self.bundle[A]
+        for lo in range(0, len(subs), CHUNK):
+            A = subs[lo:lo + CHUNK]
+            v = np.take(self.bundle, A, axis=0)
             if base is not None:
                 v += base
-            v += self.B[mask ^ A]
+            v += np.take(self.B, mask ^ A, axis=0)
             yield A, v
 
     def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> list[tuple[int, int]]:
@@ -279,17 +304,7 @@ class _Searcher:
         stop sequence (bundles canonicalized by smallest bit mask)."""
         S = self.spots
         B = self.B
-
-        @functools.cache
-        def cnt(mask: int, si: int) -> int:
-            """Fewest stops of an optimal completion of ``mask`` from spot column si."""
-            if mask == 0:
-                return 0
-            return min(
-                (1 + cnt(mask ^ A, sj) for sj, A in self._dp_transitions(mask, self.d_spot[si], B[mask, si])),
-                default=len(S) + self.n,
-            )
-
+        memo: dict[tuple[int, int], int] = {}
         stops: list[int] = []
         bundles: list[int] = []
         mask = self.full
@@ -297,7 +312,7 @@ class _Searcher:
         visited = 0
         while mask:
             choices = [
-                (1 + cnt(mask ^ A, sj), S[sj], A, sj)
+                (1 + self._fewest_stops(mask ^ A, sj, memo), S[sj], A, sj)
                 for sj, A in self._dp_transitions(mask, arrival, target)
                 if not visited >> sj & 1
             ]
@@ -314,6 +329,21 @@ class _Searcher:
             if mask:
                 target = float(B[mask, sj])
         return stops, bundles
+
+    def _fewest_stops(self, mask: int, si: int, memo: dict) -> int:
+        """Fewest stops of an optimal completion of ``mask`` from spot column
+        si, memoized in ``memo``.  A method rather than a cached closure: a
+        closure that calls itself is a reference cycle, which would keep the
+        searcher's tables alive after the solve until the collector runs."""
+        if mask == 0:
+            return 0
+        if (mask, si) not in memo:
+            memo[mask, si] = min(
+                (1 + self._fewest_stops(mask ^ A, sj, memo)
+                 for sj, A in self._dp_transitions(mask, self.d_spot[si], self.B[mask, si])),
+                default=len(self.spots) + self.n,
+            )
+        return memo[mask, si]
 
     # -- branch and bound (any input) ----------------------------------------
 

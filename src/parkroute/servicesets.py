@@ -3,10 +3,13 @@ parked-customer variable reduction, and the subset-partition table.
 
 A service set is a group of customers served in one walking loop from a parked
 vehicle.  The catalog enumerates every set that fits the carrier capacity
-(count, weight, volume); walking costs are computed lazily and memoized.
-``PartitionTable`` splits every subset of a customer group into candidate
-walking sets at least cost, per parking spot; the exact solver and the
-heuristic's set assignment both read their splits from it.
+(count, weight, volume).  ``walk_cost_table`` prices every set from every spot
+at once: sets of up to three customers in one numpy pass, larger ones through
+``walk_tour``.  The per-pair walking tours, service order included, are
+computed lazily and memoized.  ``PartitionTable`` splits every subset of a
+customer group into candidate walking sets at least cost, per parking spot;
+the exact solver and the heuristic's set assignment both read their splits
+from it.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .tsp import held_karp_cycle
 
 MAX_WALK_SET = 12
 DEFAULT_PAIR_CAP = 20_000_000
+CHUNK = 1024  # (mask, submask) pairs per vectorised step of a subset DP; bounds its temporaries
 
 
 @dataclass(frozen=True, order=True)
@@ -112,6 +116,42 @@ class ServiceSetCatalog:
             hit = walk_tour(self.inst, parking, self.sets[j].members)
             self._walk[key] = hit
         return hit
+
+    def walk_cost_table(self) -> np.ndarray:
+        """``table[j, s]``: the walk cost of set j from spot ``inst.spots[s]``,
+        inf where the pair is inadmissible.  Bit for bit what ``walk_cost``
+        returns: sets of up to three customers take ``walk_tour``'s sums, left
+        to right, and its tie rules in one numpy pass; larger sets go through
+        the memo."""
+        W = self.inst.walk
+        p = np.array(self.inst.spots)
+        sizes = np.array([s.size for s in self.sets])
+        table = np.empty((len(self.sets), len(p)))
+        for size in sorted(set(sizes.tolist())):
+            rows = np.flatnonzero(sizes == size)
+            members = np.array([self.sets[j].members for j in rows])
+            if size == 1:
+                c = members[:, :1]
+                table[rows] = np.where(c == p, 0.0, W[p, c] + W[c, p])
+            elif size == 2:
+                a, b = members[:, :1], members[:, 1:]
+                c1 = W[p, a] + W[a, b] + W[b, p]
+                c2 = W[p, b] + W[b, a] + W[a, p]
+                table[rows] = np.where(c1 <= c2 + 1e-12, c1, c2)
+            elif size == 3:
+                best = None
+                for x, y, z in permutations(members.T[:, :, None]):
+                    cost = W[p, x] + W[x, y] + W[y, z] + W[z, p]
+                    best = cost if best is None else np.where(cost < best - 1e-12, cost, best)
+                table[rows] = best
+            else:
+                table[rows] = [
+                    [self.walk_cost(i, j) if self.admissible(i, j) else np.inf for i in self.inst.spots]
+                    for j in rows
+                ]
+            if self.reduced and size >= 2:
+                table[rows] = np.where((members[:, :, None] == p).any(axis=1), np.inf, table[rows])
+        return table
 
 
 def enumerate_catalog(inst: Instance) -> ServiceSetCatalog:
@@ -213,8 +253,10 @@ class PartitionTable:
     tuples in catalog order and ``costs[c, s]`` is the walk cost of candidate c
     from spot column s (inf where the pair is inadmissible).  ``value[mask, s]``
     is the least total cost, inf when no split exists.  Each mask's split takes
-    the candidate holding its lowest bit, so the table is built over masks in
-    increasing order with one vectorised minimum per mask.
+    a candidate holding its lowest bit, so a mask reads only masks whose lowest
+    bit is higher.  The table is therefore filled one lowest-bit group at a
+    time, from the highest bit down; within a group, blocks of masks are priced
+    against the group's candidates in one numpy pass each.
     """
 
     def __init__(self, customers, candidates, costs: np.ndarray):
@@ -225,16 +267,31 @@ class PartitionTable:
         self.costs = np.asarray(costs, dtype=float)
         self._low = self.masks & -self.masks
         k = len(pos)
-        groups = []
-        for b in range(k):
-            sel = self._low == 1 << b
-            groups.append((self.masks[sel], self.costs[sel]))
         value = np.full((1 << k, self.costs.shape[1]), np.inf)
         value[0] = 0.0
-        for mask in range(1, 1 << k):
-            gm, gc = groups[(mask & -mask).bit_length() - 1]
-            fit = (gm & ~mask) == 0
-            value[mask] = np.min(gc[fit] + value[mask ^ gm[fit]], axis=0, initial=np.inf)
+        # one-customer masks take their singleton candidates; the group passes
+        # below start at two customers
+        single = self.masks == self._low
+        np.minimum.at(value, self.masks[single], self.costs[single] + value[0])
+        # candidates grouped by lowest bit; group b spans bounds[b]:bounds[b + 1]
+        by_low = np.argsort(self._low, kind="stable")
+        cm, cc = self.masks[by_low], self.costs[by_low]
+        bounds = np.searchsorted(self._low[by_low], 1 << np.arange(k + 1))
+        for b in range(k - 2, -1, -1):
+            # the group's candidates after an empty one at infinite cost, which
+            # fits every mask: it leaves each minimum as it is and opens each
+            # mask's run of (mask, candidate) pairs
+            gm = np.concatenate(([0], cm[bounds[b]:bounds[b + 1]]))
+            gc = np.concatenate((np.full((1, value.shape[1]), np.inf), cc[bounds[b]:bounds[b + 1]]))
+            # masks with lowest bit b and another bit set, a block at a time:
+            # at most CHUNK (mask, candidate) pairs per block
+            step = max(1, CHUNK // len(gm)) * (2 << b)
+            for start in range(3 << b, 1 << k, step):
+                M = np.arange(start, min(start + step, 1 << k), 2 << b)
+                rows, cols = np.nonzero((gm & ~M[:, None]) == 0)
+                vals = np.take(gc, cols, axis=0)
+                vals += np.take(value, M[rows] ^ gm[cols], axis=0)
+                value[M] = np.minimum.reduceat(vals, np.flatnonzero(cols == 0))
         self.value = value
 
     def split(self, mask: int, col: int) -> list[int]:

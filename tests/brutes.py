@@ -199,3 +199,52 @@ def milp_optimum(model):
     )
     assert res.status == 0, res.message
     return res.fun
+
+
+# ---------------------------------------------------------------------------
+# per-mask references for the layered numpy fills; each uses the same
+# operands in the same order, so the tables must agree bit for bit
+
+
+def loop_walk_costs(cat):
+    """Walk cost of every catalog set (rows) from every spot (columns), one
+    ``walk_cost`` call per admissible pair, inf elsewhere."""
+    return np.array([
+        [cat.walk_cost(i, j) if cat.admissible(i, j) else np.inf for i in cat.inst.spots]
+        for j in range(len(cat.sets))
+    ])
+
+
+def loop_partition_values(customers, candidates, costs):
+    """``PartitionTable.value`` one mask at a time, in increasing order: each
+    mask takes the least cost over the fitting candidates that hold its
+    lowest bit."""
+    pos = {c: b for b, c in enumerate(customers)}
+    masks = np.array([sum(1 << pos[c] for c in members) for members in candidates], dtype=np.int64)
+    costs = np.asarray(costs, dtype=float)
+    low = masks & -masks
+    value = np.full((1 << len(pos), costs.shape[1]), np.inf)
+    value[0] = 0.0
+    for mask in range(1, 1 << len(pos)):
+        fit = (low == mask & -mask) & ((masks & ~mask) == 0)
+        value[mask] = np.min(costs[fit] + value[mask ^ masks[fit]], axis=0, initial=np.inf)
+    return value
+
+
+def loop_completion_table(bundle, drive, park_time, spots):
+    """The exact DP's completion table ``B[mask, j]`` one mask at a time, in
+    increasing order: park, walk a bundle and complete the rest, then take
+    the cheapest arrival leg from each spot."""
+    S = list(spots)
+    d_spot = drive[np.ix_(S, S)]
+    park = np.array([float(park_time[j]) for j in S])
+    B = np.empty((bundle.shape[0], len(S)))
+    B[0] = [drive[j, 0] for j in S]
+    for mask in range(1, bundle.shape[0]):
+        subs, a = [], mask
+        while a:
+            subs.append(a)
+            a = (a - 1) & mask
+        qp = (bundle[subs] + B[[mask ^ a for a in subs]]).min(axis=0) + park
+        B[mask] = (d_spot + qp[None, :]).min(axis=1)
+    return B

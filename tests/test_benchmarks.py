@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import parkroute.benchmarks
 from brutes import brute_mtsp
-from parkroute.errors import InfeasibleInstanceError
+from parkroute.errors import InfeasibleInstanceError, UnsupportedError
 from parkroute.benchmarks import modified_tsp, no_parking_benchmark, relaxed_ms, run_benchmarks
 from parkroute.exact import solve_exact
 from parkroute.cli import main
@@ -166,8 +167,16 @@ def test_all_benchmarks_dominate_oracle(seed):
 
 def test_unknown_model_name_rejected():
     inst = gen_geo_instance(3, seed=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedError, match="unknown benchmark model 'bogus'"):
         run_benchmarks(inst, ["npt", "bogus"])
+
+
+@pytest.mark.parametrize("bad", ["bogus", "ms:", "ms:x", "ms:1.5", "ms:nan", "npt:0.6"])
+def test_model_names_are_checked_before_any_model_runs(bad, monkeypatch):
+    monkeypatch.setattr(parkroute.benchmarks, "no_parking_benchmark", None)
+    inst = gen_geo_instance(3, seed=1)
+    with pytest.raises(UnsupportedError, match="unknown benchmark model"):
+        run_benchmarks(inst, ["npt", bad])
 
 
 def test_modified_tsp_names_a_package_over_capacity():

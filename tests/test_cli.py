@@ -168,6 +168,32 @@ def test_report_aggregates_solutions(tmp_path):
     assert rows[0]["file"] == str(s1)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"total": 1}', "has no 'breakdown' field"),
+    ('{"total": 1, "breakdown": {"park_min": 1}, "stops": []}', "has no 'drive_min' field"),
+    ('{"total": "x", "breakdown": {}, "stops": []}', "is not a solution file"),
+    ("[1, 2]", "is not a solution file"),
+    ("total = 1", "is not JSON"),
+])
+def test_report_refuses_a_file_that_is_not_a_solution(tmp_path, capsys, text, message):
+    path = tmp_path / "sol.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_benchmark_checks_every_model_name_before_solving(tmp_path, capsys, monkeypatch):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--geo", "-n", "4", "--seed", "1", "-o", str(inst_path)])
+    monkeypatch.setattr(parkroute.cli, "load_instance", None)  # nothing may be loaded or solved
+    capsys.readouterr()
+    for models in ("npt,bogus", "npt,ms:2", "mtsp,ms:abc"):
+        assert main(["benchmark", "--models", models, str(inst_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: unknown benchmark model")
+
+
 def test_outputs_are_byte_identical_across_runs(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     a.mkdir(); b.mkdir()

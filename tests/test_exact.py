@@ -1,12 +1,15 @@
+import gc
 import time
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import parkroute.heuristic
-from brutes import brute_optimum, milp_optimum
+from brutes import brute_optimum, loop_completion_table, loop_partition_values, loop_walk_costs, milp_optimum
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
+from parkroute import exact
 from parkroute.exact import SearchBudget, SearchOptions, _Control, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
@@ -323,3 +326,71 @@ def test_warm_paths_meet_the_options_through_the_bundle_table():
     sol = own.materialize(*ctl.best_state)
     assert sol.served == (((3,),), ((1,), (2,)))  # customer 1 alone at its own spot
     assert ctl.best_value == pytest.approx(sol.total, abs=1e-9)
+
+
+def _identity_case(name):
+    if name == "grid-4x4-first-9":  # rectilinear times, full of ties
+        grid = gen_grid_instance(GridParams(sqrt_n=4, walk_rate=1.6, park_time=2.3, capacity=3))
+        return Instance(drive=grid.drive[:10, :10], walk=grid.walk[:10, :10], park_time=grid.park_time[1:10],
+                        capacity_count=3)
+    return {
+        "geo-n6": lambda: gen_geo_instance(6, 1, p=5.0, q=3),
+        "geo-n12": lambda: gen_geo_instance(12, 2, p=5.0, q=3),
+        "parking-subset": lambda: replace(gen_geo_instance(8, 3, p=2.0, q=3), parking_locations=(2, 5, 7)),
+        "weight-volume": lambda: replace(
+            gen_geo_instance(7, 5, p=3.0, q=4),
+            weights=np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]), capacity_weight=5.0,
+            volumes=np.array([2.0, 1.0, 1.0, 2.0, 2.0, 1.0, 1.0]), capacity_volume=4.0,
+        ),
+        "grid-2x2": lambda: gen_grid_instance(GridParams(sqrt_n=2, walk_rate=1.6, park_time=2.2, capacity=2)),
+    }[name]()
+
+
+@pytest.mark.parametrize("case, reduced, self_singleton", [
+    (case, reduced, self_singleton)
+    for case in ["geo-n6", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"]
+    for reduced in (False, True)
+    for self_singleton in (False, True)
+] + [("geo-n12", False, False)])
+def test_layered_tables_equal_the_per_mask_loops(case, reduced, self_singleton):
+    # the walk costs, the partition table and the completion table, bit for
+    # bit; geo-n12 reaches the layers whose bundles go CHUNK at a time
+    inst = _identity_case(case)
+    cat = enumerate_catalog(inst)
+    if reduced:
+        cat = reduce_catalog(cat)
+    searcher = _Searcher(inst, cat, SearchOptions(require_self_singleton=self_singleton))
+    searcher.solve_dp()
+    costs = loop_walk_costs(cat)
+    assert np.array_equal(searcher.part.costs, costs)
+    assert np.array_equal(searcher.part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
+    assert np.array_equal(searcher.B, loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots))
+
+
+@pytest.mark.parametrize("skew", [False, True])
+def test_solve_exact_frees_its_searcher(monkeypatch, skew):
+    # with the collector off, the searcher and its tables must go as soon as
+    # the solve returns: nothing it built may hold a reference cycle
+    inst = gen_geo_instance(6, seed=4, p=2.0, q=2)
+    if skew:  # a triangle violation: branch-and-bound with a warm start
+        drive = inst.drive.copy()
+        drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
+        inst = replace(inst, drive=drive)
+    searchers = []
+
+    class Tracked(_Searcher):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searchers.append(weakref.ref(self))
+
+    monkeypatch.setattr(exact, "_Searcher", Tracked)
+    cat = enumerate_catalog(inst)
+    gc.collect()
+    gc.disable()
+    try:
+        res = solve_exact(inst, cat)
+        alive = [ref() is not None for ref in searchers]
+    finally:
+        gc.enable()
+    assert res.status == "optimal"
+    assert alive == [False]

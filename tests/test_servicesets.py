@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from brutes import brute_walk
+from brutes import brute_walk, loop_partition_values, loop_walk_costs
 from parkroute import servicesets
 from parkroute.errors import ResourceLimitError, UnsupportedError
-from parkroute.instance import Instance, gen_geo_instance
+from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.servicesets import (
+    PartitionTable,
     count_sets,
     dump_catalog_csv,
     enumerate_catalog,
@@ -184,3 +185,35 @@ def test_every_customer_has_its_singleton():
     cat = enumerate_catalog(inst)
     for c in inst.customers:
         assert cat.index_of((c,)) in cat.sets_containing(c)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_partition_table_equals_the_per_mask_loop_at_small_k(k):
+    # a customer without a singleton and two only served together leave masks
+    # that no candidate split covers (inf rows); integer costs make ties
+    customers = tuple(range(11, 11 + k))
+    candidates = [m for m in [(11,), (13,), (11, 12), (13, 14), (11, 12, 13), (12, 13, 14)] if set(m) <= set(customers)]
+    rng = np.random.default_rng(k)
+    costs = rng.integers(0, 4, size=(len(candidates), 2)).astype(float)
+    costs[rng.random(costs.shape) < 0.2] = np.inf
+    part = PartitionTable(customers, candidates, costs)
+    want = loop_partition_values(customers, candidates, costs)
+    assert np.array_equal(part.value, want)
+    if k == 4:
+        assert np.isinf(part.value[0b0010]).all()  # customer 12 alone
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+def test_walk_costs_and_partition_table_on_the_4x4_grid(reduced):
+    # n = 16, walk rate 1.6: rectilinear walks tie everywhere
+    inst = gen_grid_instance(GridParams(sqrt_n=4, walk_rate=1.6, park_time=2.3, capacity=3))
+    cat = enumerate_catalog(inst)
+    if reduced:
+        cat = reduce_catalog(cat)
+    costs = cat.walk_cost_table()
+    assert np.array_equal(costs, loop_walk_costs(cat))
+    candidates = [s.members for s in cat.sets]
+    assert np.array_equal(
+        PartitionTable(inst.customers, candidates, costs).value,
+        loop_partition_values(inst.customers, candidates, costs),
+    )

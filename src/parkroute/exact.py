@@ -26,28 +26,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError
 from .instance import Instance
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import CHUNK, PartitionTable, ServiceSetCatalog
-from .tsp import nearest_neighbor_cycle
+from .servicesets import PartitionTable, ServiceSetCatalog
+from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
 
 _EPS = 1e-9
 
 DP_MAX_CUSTOMERS = 16
-
-
-def _mask_blocks(n: int, bits: int, step: int):
-    """Yield the masks with ``bits`` of n bits set, ``step`` at a time, each
-    block with a (masks, bits) array of the masks' set-bit values."""
-    positions = chain.from_iterable(combinations(range(n), bits))
-    while len(values := np.fromiter(islice(positions, step * bits), np.int64).reshape(-1, bits)):
-        np.left_shift(1, values, out=values)
-        yield values.sum(axis=1), values
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -259,10 +249,10 @@ class _Searcher:
             # blocks of masks whose (mask, bundle) pairs, and whose arrival
             # table of masks x spots x spots, stay within CHUNK x spots floats
             step = max(1, CHUNK // max(subs, len(S)))
-            for M, values in _mask_blocks(self.n, bits, step):
+            for M, pos in mask_blocks(self.n, bits, step):
                 # qp[m, k]: park at spot k, walk a bundle, complete the rest
                 if pattern is not None:
-                    A = values @ pattern
+                    A = np.left_shift(1, pos) @ pattern
                     v = np.take(self.bundle, A.ravel(), axis=0)
                     v += np.take(B, (M[:, None] ^ A).ravel(), axis=0)
                     qp = np.minimum.reduceat(v, np.arange(0, len(v), subs))

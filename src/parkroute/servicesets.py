@@ -24,11 +24,10 @@ import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedError
 from .instance import Instance
-from .tsp import held_karp_cycle
+from .tsp import CHUNK, held_karp_cycle
 
 MAX_WALK_SET = 12
 DEFAULT_PAIR_CAP = 20_000_000
-CHUNK = 1024  # (mask, submask) pairs per vectorised step of a subset DP; bounds its temporaries
 
 
 @dataclass(frozen=True, order=True)

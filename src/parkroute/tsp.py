@@ -3,9 +3,20 @@
 All routines work on a dense cost matrix indexed 0..m-1 where node 0 is the
 fixed start/end of the cycle.  Ties are broken toward the lexicographically
 smallest node order so downstream output is reproducible.
+
+No routine loops over masks or moves in Python.  Held-Karp fills a dense
+table one popcount layer at a time, in blocks from ``mask_blocks``, the
+block generator the exact DP shares.  2-opt and Or-opt price a block of
+moves at once, at most ``CHUNK`` of them, and apply the first improving
+move in the order a scalar double loop over the moves meets it.  Each
+priced entry adds the operands that loop adds, in the same order, and a
+minimum is exact, so tours and costs are bit-identical to the loops
+(``tests/brutes.py`` keeps them as references).
 """
 
 from __future__ import annotations
+
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -14,6 +25,15 @@ from .errors import ResourceLimitError
 _EPS = 1e-9
 
 HELD_KARP_MAX_NODES = 14
+CHUNK = 1024  # pairs (mask and submask or bit, or tour move) priced per vectorised step; bounds its temporaries
+
+
+def mask_blocks(n: int, bits: int, step: int):
+    """Yield the masks with ``bits`` of n bits set, ``step`` at a time, each
+    block with a (masks, bits) array of the masks' set-bit positions."""
+    positions = chain.from_iterable(combinations(range(n), bits))
+    while len(pos := np.fromiter(islice(positions, step * bits), np.int64).reshape(-1, bits)):
+        yield np.left_shift(1, pos).sum(axis=1), pos
 
 
 def tour_cost(dist: np.ndarray, order: list[int]) -> float:
@@ -30,29 +50,36 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     """Exact minimum cycle through all nodes starting and ending at node 0.
 
     Returns (cost, order) with order excluding node 0.  Supports asymmetric
-    matrices.  Exponential state space; refuses more than
-    HELD_KARP_MAX_NODES nodes.
+    matrices.  The table ``tail[mask, u]`` over the k = m - 1 other nodes is
+    filled one popcount layer at a time, since a mask reads only masks with
+    one bit fewer, in blocks of at most ``CHUNK`` (mask, bit) pairs.  The
+    full mask's row is never read, so its layer is skipped.  Among optimal
+    orders the lexicographically smallest is decoded.  Exponential state
+    space; refuses more than HELD_KARP_MAX_NODES nodes.
     """
     m = dist.shape[0]
     if m > HELD_KARP_MAX_NODES:
         raise ResourceLimitError(f"Held-Karp limited to {HELD_KARP_MAX_NODES} nodes, got {m}")
     if m == 1:
         return 0.0, []
+    if m == 2:
+        return tour_cost(dist, [1]), [1]
     k = m - 1
     full = (1 << k) - 1
+    # leg[v, u] = dist[u + 1, v + 1], the step from node u + 1 to node v + 1
+    leg = dist[1:, 1:].T.astype(float)
 
-    # tail[mask][u]: cheapest path from node u + 1 through mask then back to 0
-    tail = [None] * (full + 1)
-    tail[0] = dist[1:, 0].astype(float)
-    for mask in range(1, full + 1):
-        best = np.full(k, np.inf)
-        rem = mask
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
-            cand = dist[1:, 1 + v] + tail[mask ^ (1 << v)][v]
-            np.minimum(best, cand, out=best)
-        tail[mask] = best
+    # tail[mask, u]: cheapest path from node u + 1 through mask then back to 0
+    tail = np.empty((full + 1, k))
+    tail[0] = dist[1:, 0]
+    tail[np.left_shift(1, np.arange(k))] = leg + tail[0][:, None]
+    for bits in range(2, k):
+        for M, pos in mask_blocks(k, bits, CHUNK // bits):
+            # cand[a, b, u]: leave node u + 1 for the b-th bit v of mask a,
+            # then finish mask a without v
+            cand = leg[pos]
+            cand += tail[M[:, None] ^ np.left_shift(1, pos), pos][:, :, None]
+            tail[M] = cand.min(axis=1)
 
     # lexicographically smallest optimal order via greedy front construction:
     # the first v whose step is within 1e-12 of the cheapest step
@@ -60,7 +87,7 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     mask = full
     cur = 0
     while mask:
-        steps = {v: dist[cur, 1 + v] + tail[mask ^ (1 << v)][v] for v in range(k) if mask >> v & 1}
+        steps = {v: dist[cur, 1 + v] + tail[mask ^ (1 << v), v] for v in range(k) if mask >> v & 1}
         cheapest = min(steps.values())
         v = next(v for v, step in steps.items() if step <= cheapest + 1e-12)
         order.append(1 + v)
@@ -70,69 +97,98 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
 
 
 def nearest_neighbor_cycle(dist: np.ndarray) -> list[int]:
-    m = dist.shape[0]
-    unvisited = set(range(1, m))
+    """Greedy tour from node 0: always the cheapest unvisited node next, the
+    lowest id on ties."""
+    left = list(range(1, dist.shape[0]))
     order = []
     cur = 0
-    while unvisited:
-        nxt = min(unvisited, key=lambda v: (dist[cur, v], v))
-        order.append(nxt)
-        unvisited.remove(nxt)
-        cur = nxt
+    while left:
+        cur = left.pop(int(dist[cur].take(left).argmin()))  # first index on ties
+        order.append(cur)
     return order
 
 
 def two_opt(dist: np.ndarray, order: list[int]) -> list[int]:
-    """First-improvement 2-opt on the closed tour; deterministic sweeps."""
-    symmetric = bool(np.allclose(dist, dist.T))
-    tour = [0] + list(order) + [0]
+    """First-improvement 2-opt on the closed tour; deterministic sweeps.
+
+    The move (i, j) replaces edges (i, i + 1) and (j, j + 1) by reversing
+    positions i + 1..j.  Moves are priced a block of first edges at a time,
+    about ``CHUNK`` moves per block, and the first improving move in (i, j)
+    order is applied; the scan resumes at (i, j + 1) on the changed tour.
+    """
+    symmetric = np.array_equal(dist, dist.T)
+    tour = np.array([0, *order, 0])
+    n = len(tour)
+    cols = np.arange(n - 1)
+    step = max(1, CHUNK // n)
     improved = True
     while improved:
         improved = False
-        for i in range(len(tour) - 3):
-            for j in range(i + 2, len(tour) - 1):
-                a, b = tour[i], tour[i + 1]
-                c, d = tour[j], tour[j + 1]
-                delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
-                if not symmetric:
-                    # reversal also flips interior arcs on asymmetric matrices
-                    seg_fwd = sum(dist[tour[t], tour[t + 1]] for t in range(i + 1, j))
-                    seg_rev = sum(dist[tour[t + 1], tour[t]] for t in range(i + 1, j))
-                    delta += seg_rev - seg_fwd
-                if delta < -_EPS:
-                    tour[i + 1 : j + 1] = reversed(tour[i + 1 : j + 1])
-                    improved = True
-    return tour[1:-1]
+        i = j = 0  # the first move not yet priced is (i, max(j, i + 2))
+        while i < n - 3:
+            rows = np.arange(i, min(i + step, n - 3))
+            edge = dist[tour[:-1], tour[1:]]
+            a, b, c, d = tour[rows, None], tour[rows + 1, None], tour[:-1], tour[1:]
+            delta = dist[a, c] + dist[b, d] - edge[rows, None] - edge
+            if not symmetric:
+                # reversal also flips interior arcs on asymmetric matrices:
+                # running sums of arcs i + 1..j - 1, each from zeros, which
+                # add exactly, so they match a left-to-right sum per move
+                inner = cols[None, :-1] > rows[:, None]
+                fwd = np.add.accumulate(np.where(inner, edge[:-1], 0), axis=1)
+                rev = np.add.accumulate(np.where(inner, dist[tour[1:-1], tour[:-2]], 0), axis=1)
+                delta[:, 1:] += rev - fwd
+            ok = (delta < -_EPS) & (cols >= rows[:, None] + 2)
+            ok[0, :j] = False
+            hit = np.flatnonzero(ok)
+            if not len(hit):
+                i, j = int(rows[-1]) + 1, 0
+                continue
+            i, j = divmod(int(hit[0]), n - 1)
+            i += int(rows[0])
+            tour[i + 1:j + 1] = tour[j:i:-1].copy()
+            improved = True
+            j += 1
+    return tour[1:-1].tolist()
 
 
 def or_opt(dist: np.ndarray, order: list[int]) -> list[int]:
-    """Relocate segments of length 1..3 while improving; deterministic."""
-    tour = [0] + list(order) + [0]
+    """Relocate segments of length 1..3 while improving; deterministic.
+
+    The segment at positions i..i + len - 1 may move between positions k
+    and k + 1 of the rest of the tour.  For each length, segments are priced
+    against every insertion point a block at a time, about ``CHUNK`` moves
+    per block; the first improving move in (length, i, k) order is applied
+    and the scan restarts.
+    """
+    tour = np.array([0, *order, 0])
+    n = len(tour)
+    step = max(1, CHUNK // n)
     improved = True
     while improved:
         improved = False
         for seg_len in (1, 2, 3):
-            for i in range(1, len(tour) - seg_len):
-                seg = tour[i : i + seg_len]
-                if 0 in seg:
-                    continue
-                rest = tour[:i] + tour[i + seg_len :]
-                removed = (
-                    dist[tour[i - 1], seg[0]]
-                    + dist[seg[-1], tour[i + seg_len]]
-                    - dist[tour[i - 1], tour[i + seg_len]]
-                )
-                for k in range(len(rest) - 1):
-                    added = dist[rest[k], seg[0]] + dist[seg[-1], rest[k + 1]] - dist[rest[k], rest[k + 1]]
-                    if added - removed < -_EPS:
-                        tour = rest[: k + 1] + seg + rest[k + 1 :]
-                        improved = True
-                        break
-                if improved:
+            ks = np.arange(n - seg_len)
+            for lo in range(1, n - seg_len, step):
+                rows = np.arange(lo, min(lo + step, n - seg_len))[:, None]
+                first, last = tour[rows], tour[rows + seg_len - 1]
+                before, after = tour[rows - 1], tour[rows + seg_len]
+                removed = dist[before, first] + dist[last, after] - dist[before, after]
+                # the rest of the tour without each segment: position k before
+                # the segment's start, k + seg_len from it on
+                rest = tour[ks + seg_len * (ks >= rows)]
+                r0, r1 = rest[:, :-1], rest[:, 1:]
+                added = dist[r0, first] + dist[last, r1] - dist[r0, r1]
+                hit = np.flatnonzero(added - removed < -_EPS)
+                if len(hit):
+                    r, k = divmod(int(hit[0]), n - seg_len - 1)
+                    i = lo + r
+                    tour = np.concatenate((rest[r, :k + 1], tour[i:i + seg_len], rest[r, k + 1:]))
+                    improved = True
                     break
             if improved:
                 break
-    return tour[1:-1]
+    return tour[1:-1].tolist()
 
 
 def solve_tsp(dist: np.ndarray) -> tuple[float, list[int], bool]:

@@ -248,3 +248,104 @@ def loop_completion_table(bundle, drive, park_time, spots):
         qp = (bundle[subs] + B[[mask ^ a for a in subs]]).min(axis=0) + park
         B[mask] = (d_spot + qp[None, :]).min(axis=1)
     return B
+
+
+# ---------------------------------------------------------------------------
+# per-mask and per-move references for the vectorised tour layer; each uses
+# the same operands in the same order, so tours and costs must agree bit for
+# bit
+
+
+def loop_held_karp_cycle(dist):
+    """``tsp.held_karp_cycle`` one mask and one (mask, bit) pair at a time."""
+    from parkroute.tsp import tour_cost
+
+    m = dist.shape[0]
+    if m == 1:
+        return 0.0, []
+    k = m - 1
+    full = (1 << k) - 1
+    tail = [None] * (full + 1)
+    tail[0] = dist[1:, 0].astype(float)
+    for mask in range(1, full + 1):
+        best = np.full(k, np.inf)
+        rem = mask
+        while rem:
+            v = (rem & -rem).bit_length() - 1
+            rem &= rem - 1
+            cand = dist[1:, 1 + v] + tail[mask ^ (1 << v)][v]
+            np.minimum(best, cand, out=best)
+        tail[mask] = best
+    order = []
+    mask = full
+    cur = 0
+    while mask:
+        steps = {v: dist[cur, 1 + v] + tail[mask ^ (1 << v)][v] for v in range(k) if mask >> v & 1}
+        cheapest = min(steps.values())
+        v = next(v for v, step in steps.items() if step <= cheapest + 1e-12)
+        order.append(1 + v)
+        mask ^= 1 << v
+        cur = 1 + v
+    return tour_cost(dist, order), order
+
+
+def loop_two_opt(dist, order):
+    """``tsp.two_opt`` one (i, j) move at a time."""
+    symmetric = bool(np.array_equal(dist, dist.T))
+    tour = [0] + list(order) + [0]
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(tour) - 3):
+            for j in range(i + 2, len(tour) - 1):
+                a, b = tour[i], tour[i + 1]
+                c, d = tour[j], tour[j + 1]
+                delta = dist[a, c] + dist[b, d] - dist[a, b] - dist[c, d]
+                if not symmetric:
+                    seg_fwd = sum(dist[tour[t], tour[t + 1]] for t in range(i + 1, j))
+                    seg_rev = sum(dist[tour[t + 1], tour[t]] for t in range(i + 1, j))
+                    delta += seg_rev - seg_fwd
+                if delta < -1e-9:
+                    tour[i + 1 : j + 1] = reversed(tour[i + 1 : j + 1])
+                    improved = True
+    return tour[1:-1]
+
+
+def loop_or_opt(dist, order):
+    """``tsp.or_opt`` one (segment, insertion point) move at a time."""
+    tour = [0] + list(order) + [0]
+    improved = True
+    while improved:
+        improved = False
+        for seg_len in (1, 2, 3):
+            for i in range(1, len(tour) - seg_len):
+                seg = tour[i : i + seg_len]
+                rest = tour[:i] + tour[i + seg_len :]
+                removed = (
+                    dist[tour[i - 1], seg[0]]
+                    + dist[seg[-1], tour[i + seg_len]]
+                    - dist[tour[i - 1], tour[i + seg_len]]
+                )
+                for k in range(len(rest) - 1):
+                    added = dist[rest[k], seg[0]] + dist[seg[-1], rest[k + 1]] - dist[rest[k], rest[k + 1]]
+                    if added - removed < -1e-9:
+                        tour = rest[: k + 1] + seg + rest[k + 1 :]
+                        improved = True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    return tour[1:-1]
+
+
+def loop_nearest_neighbor_cycle(dist):
+    """``tsp.nearest_neighbor_cycle`` with a keyed ``min`` per step."""
+    unvisited = set(range(1, dist.shape[0]))
+    order = []
+    cur = 0
+    while unvisited:
+        cur = min(unvisited, key=lambda v: (dist[cur, v], v))
+        order.append(cur)
+        unvisited.remove(cur)
+    return order

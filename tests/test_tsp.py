@@ -1,8 +1,10 @@
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
+from brutes import loop_held_karp_cycle, loop_nearest_neighbor_cycle, loop_or_opt, loop_two_opt
 from parkroute.errors import ResourceLimitError
 from parkroute.tsp import (
     held_karp_cycle,
@@ -85,3 +87,68 @@ def test_solve_tsp_flags_exactness_by_size():
     _, order_l, exact_l = solve_tsp(large)
     assert not exact_l
     assert sorted(order_l) == list(range(1, 20))
+
+
+def _matrix(kind, rng, m):
+    """A symmetric metric, a skewed asymmetric, or a symmetric integer matrix
+    (integer dtype) full of ties."""
+    d = _random_metric(rng, m)
+    if kind == "skewed":
+        d = d * rng.uniform(1.0, 1.6, (m, m))
+    elif kind == "tied":
+        d = rng.integers(1, 4, (m, m))
+        d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0)
+    return d
+
+
+def _same(result, reference):
+    cost, order = result
+    ref_cost, ref_order = reference
+    assert (repr(cost), order) == (repr(ref_cost), ref_order)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "skewed", "tied"])
+def test_held_karp_is_bit_identical_to_the_per_mask_loop(kind):
+    rng = np.random.default_rng(len(kind))
+    for m in range(2, 15):  # up to the 14-node cap
+        dist = _matrix(kind, rng, m)
+        _same(held_karp_cycle(dist), loop_held_karp_cycle(dist))
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "skewed", "tied"])
+def test_polishing_is_bit_identical_to_the_per_move_loops(kind):
+    rng = np.random.default_rng(100 + len(kind))
+    for m in (4, 5, 9, 15, 23, 40, 60):
+        dist = _matrix(kind, rng, m)
+        nn = nearest_neighbor_cycle(dist)
+        assert nn == loop_nearest_neighbor_cycle(dist)
+        for start in (nn, rng.permutation(np.arange(1, m)).tolist()):
+            for new, loop in ((two_opt, loop_two_opt), (or_opt, loop_or_opt)):
+                order, ref = new(dist, start), loop(dist, start)
+                _same((tour_cost(dist, order), order), (tour_cost(dist, ref), ref))
+
+
+def test_two_opt_never_ends_above_its_start_on_nearly_symmetric_matrices():
+    # a relative skew far below np.allclose's tolerance still makes the matrix
+    # asymmetric, so every reversal must price its interior arcs both ways
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(5, 12))
+        dist = _random_metric(rng, m) * (1 + 5e-6 * rng.uniform(-1, 1, (m, m)))
+        start = rng.permutation(np.arange(1, m)).tolist()
+        assert tour_cost(dist, two_opt(dist, start)) <= tour_cost(dist, start), seed
+
+
+def test_held_karp_memory_at_the_node_cap():
+    # the dense (2^13, 13) table takes 0.85 MB; blocks of CHUNK (mask, bit)
+    # pairs keep the temporaries beside it small
+    dist = _random_metric(np.random.default_rng(14), 14)
+    held_karp_cycle(dist)
+    tracemalloc.start()
+    try:
+        held_karp_cycle(dist)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2e6

@@ -4,15 +4,17 @@ Metric driving matrices (the usual case) are solved by a bitmask dynamic
 program over (unserved customers, last parking spot) whose transitions pick
 the next spot and the customer bundle walked from it; under the triangle
 inequality revisits and pass-through stops never improve, so the state space
-is exact.  A mask's completion reads only masks with fewer customers, so the
-table is filled one popcount layer at a time, each layer in numpy blocks of
-at most ``CHUNK`` (mask, bundle) pairs.  Non-metric inputs fall back to a
-depth-first branch-and-bound over parking sequences whose lower bound
-combines the unavoidable drive legs with a per-customer share of the
-cheapest admissible walk-plus-park increment, which stays admissible on any
-input.  Either path accepts at
-most ``DP_MAX_CUSTOMERS`` = 16 customers: the DP's submask work grows as 3^n,
-and the branch-and-bound proves nothing that large within its default budget.
+is exact.  The fill walks one catalog set per transition, so a mask is
+priced against its subsets of at most the largest set size rather than
+against every submask.  A mask's completion reads only masks with fewer
+customers, so the table is filled one popcount layer at a time, each layer
+in numpy blocks of at most ``CHUNK`` (mask, set) pairs.  Non-metric inputs
+fall back to a depth-first branch-and-bound over parking sequences whose
+lower bound combines the unavoidable drive legs with a per-customer share of
+the cheapest admissible walk-plus-park increment, which stays admissible on
+any input.  Either path accepts at most ``DP_MAX_CUSTOMERS`` = 16 customers:
+the DP's tables hold 2^n rows per spot, and the branch-and-bound proves
+nothing that large within its default budget.
 Its warm starts, the nearest-neighbour tour and the heuristic, enter the
 search as priced (stops, bundles) paths, so they meet the search options
 through the same bundle table and leaf check as every search leaf.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -38,6 +41,18 @@ from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
 _EPS = 1e-9
 
 DP_MAX_CUSTOMERS = 16
+
+
+def _small_subsets(bits: int, largest: int) -> np.ndarray:
+    """A (bits, count) 0/1 array whose columns are the nonempty subsets of
+    at most ``largest`` of ``bits`` positions, smallest subsets first."""
+    sizes = [np.array(list(combinations(range(bits), k))) for k in range(1, min(bits, largest) + 1)]
+    pattern = np.zeros((bits, sum(map(len, sizes))), dtype=np.int64)
+    lo = 0
+    for subset in sizes:
+        pattern[subset, np.arange(lo, lo + len(subset))[:, None]] = 1
+        lo += len(subset)
+    return pattern
 
 
 def _submasks(mask: int) -> np.ndarray:
@@ -229,6 +244,21 @@ class _Searcher:
         spot j.  Valid because with metric driving times neither revisiting a
         spot nor parking without serving can improve a solution.
 
+        A transition walks one catalog set.  F[mask, k] is the cheapest way
+        to finish ``mask`` once parked at spot k: drive on, B[mask, k], or
+        walk a set S from k and finish ``mask ^ S`` from there,
+        C[mask, k] = min over sets S of walk[S, k] + F[mask ^ S, k].  So
+        C[mask, k] walks the cheapest split of some nonempty bundle from k
+        before driving on, and parking at k first costs
+        qp[mask, k] = C[mask, k] + park[k].  Under require_self_singleton k's
+        own customer is served alone at no walk cost, so
+        qp[mask, k] = F[mask minus k's customer, k] + park[k].  A mask reads
+        only masks with fewer customers, so the tables are filled one
+        popcount layer at a time.  A layer of L bits prices each mask against
+        its subsets of at most the largest set size, in blocks of at most
+        ``CHUNK`` (mask, subset) pairs; a layer with more subsets than that
+        goes one mask at a time, its subsets ``CHUNK`` at a time.
+
         Returns (value-without-load, stops, bundles, states)."""
         S = self.spots
         D = self.inst.drive
@@ -236,54 +266,63 @@ class _Searcher:
         self.park = np.array([float(self.P[j]) for j in S])
         self.d_spot = D[np.ix_(S, S)]
         d_depot = np.array([D[0, j] for j in S])
+        # walk[row[A]]: walk cost of catalog set A from each spot column; a
+        # mask that is no catalog set reads the trailing inf row
+        walk = np.vstack((self.part.costs, np.full(len(S), np.inf)))
+        row = np.full(size, len(self.part.masks))
+        row[self.part.masks] = np.arange(len(self.part.masks))
+        largest = max(s.size for s in self.cat.sets)
+        own = np.array([1 << (j - 1) for j in S]) if self.options.require_self_singleton else None
+        cols = np.arange(len(S))
 
         self.B = B = np.empty((size, len(S)))
         B[0] = [D[j, 0] for j in S]
+        F = np.empty_like(B)
+        F[0] = B[0]
         # np.minimum.reduceat takes the minimum over the rows of each block
         # about three times faster than min(axis=...) on these narrow arrays
         for bits in range(1, self.n + 1):
-            subs = (1 << bits) - 1
-            # row i picks the bits of i + 1: a mask's submask i + 1 is its row
-            # of set-bit values times this pattern
-            pattern = (np.arange(1, subs + 1) >> np.arange(bits)[:, None]) & 1 if subs <= CHUNK else None
-            # blocks of masks whose (mask, bundle) pairs, and whose arrival
+            # column i picks the bits of the layer's i-th small subset: a
+            # mask's subsets are its row of set-bit values times this pattern
+            pattern = _small_subsets(bits, largest)
+            subs = pattern.shape[1]
+            # blocks of masks whose (mask, subset) pairs, and whose arrival
             # table of masks x spots x spots, stay within CHUNK x spots floats
             step = max(1, CHUNK // max(subs, len(S)))
             for M, pos in mask_blocks(self.n, bits, step):
+                A = np.left_shift(1, pos) @ pattern
+                for lo in range(0, subs, CHUNK):  # one pass unless the block is one mask
+                    a = A[:, lo:lo + CHUNK]
+                    v = np.take(walk, np.take(row, a.ravel()), axis=0)
+                    v += np.take(F, (M[:, None] ^ a).ravel(), axis=0)
+                    least = np.minimum.reduceat(v, np.arange(0, len(v), a.shape[1]))
+                    c = least if lo == 0 else np.minimum(c, least)
                 # qp[m, k]: park at spot k, walk a bundle, complete the rest
-                if pattern is not None:
-                    A = np.left_shift(1, pos) @ pattern
-                    v = np.take(self.bundle, A.ravel(), axis=0)
-                    v += np.take(B, (M[:, None] ^ A).ravel(), axis=0)
-                    qp = np.minimum.reduceat(v, np.arange(0, len(v), subs))
-                else:  # one mask, its bundles CHUNK at a time
-                    qp = np.min([np.minimum.reduceat(v, [0]) for _, v in self._step(int(M[0]))], axis=0)
-                qp += self.park
-                B[M] = (self.d_spot + qp[:, None, :]).min(axis=2)
+                if own is None:
+                    qp = c + self.park
+                else:
+                    qp = np.where(M[:, None] & own, F[M[:, None] ^ own, cols], np.inf) + self.park
+                B[M] = b = (self.d_spot + qp[:, None, :]).min(axis=2)
+                F[M] = np.minimum(b, c)
         opt = float((d_depot + qp).min())  # qp of the full mask, the last layer
+        del F  # the decode reads only B
 
         stops, bundles = self._dp_reconstruct(d_depot, opt)
         return opt, tuple(stops), tuple(bundles), size * len(S)
 
-    def _step(self, mask: int, base=None):
-        """Yield the nonempty submasks A of ``mask`` in chunks of at most
-        CHUNK, each with the cost, per (A, spot), of walking bundle A from the
-        spot and completing ``mask ^ A`` from there:
-        ``(base + bundle[A]) + B[mask ^ A]``."""
+    def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> list[tuple[int, int]]:
+        """The (spot column, bundle) pairs that, arriving with the per-spot
+        drive times ``arrival``, complete ``mask`` within _EPS of ``target``:
+        ``(arrival + park + bundle[A]) + B[mask ^ A]`` per nonempty submask A,
+        CHUNK submasks at a time."""
+        base = arrival + self.park
         subs = _submasks(mask)
+        pairs = []
         for lo in range(0, len(subs), CHUNK):
             A = subs[lo:lo + CHUNK]
             v = np.take(self.bundle, A, axis=0)
-            if base is not None:
-                v += base
+            v += base
             v += np.take(self.B, mask ^ A, axis=0)
-            yield A, v
-
-    def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> list[tuple[int, int]]:
-        """The (spot column, bundle) pairs that, arriving with the per-spot
-        drive times ``arrival``, complete ``mask`` within _EPS of ``target``."""
-        pairs = []
-        for A, v in self._step(mask, arrival + self.park):
             rows, cols = np.nonzero(v <= target + _EPS)
             pairs += [(int(sj), int(A[a])) for a, sj in zip(rows, cols)]
         return pairs

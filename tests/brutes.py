@@ -203,7 +203,9 @@ def milp_optimum(model):
 
 # ---------------------------------------------------------------------------
 # per-mask references for the layered numpy fills; each uses the same
-# operands in the same order, so the tables must agree bit for bit
+# operands in the same order, so the tables must agree bit for bit, except
+# ``loop_completion_table``, which prices whole bundles and so agrees with the
+# per-set fill only to rounding
 
 
 def loop_walk_costs(cat):
@@ -233,8 +235,9 @@ def loop_partition_values(customers, candidates, costs):
 
 def loop_completion_table(bundle, drive, park_time, spots):
     """The exact DP's completion table ``B[mask, j]`` one mask at a time, in
-    increasing order: park, walk a bundle and complete the rest, then take
-    the cheapest arrival leg from each spot."""
+    increasing order: park, walk a bundle (every nonempty submask, priced by
+    ``bundle``) and complete the rest, then take the cheapest arrival leg
+    from each spot."""
     S = list(spots)
     d_spot = drive[np.ix_(S, S)]
     park = np.array([float(park_time[j]) for j in S])
@@ -247,6 +250,35 @@ def loop_completion_table(bundle, drive, park_time, spots):
             a = (a - 1) & mask
         qp = (bundle[subs] + B[[mask ^ a for a in subs]]).min(axis=0) + park
         B[mask] = (d_spot + qp[None, :]).min(axis=1)
+    return B
+
+
+def loop_set_completion_table(candidates, costs, drive, park_time, spots, self_singleton=False):
+    """The exact DP's completion table ``B[mask, j]`` one mask at a time, in
+    increasing order, one catalog set per transition: ``F[mask, k]`` is the
+    least of ``B[mask, k]`` and ``C[mask, k]``, the least walk cost of a set
+    S within the mask from spot k plus ``F[mask ^ S, k]``.  Parking at k
+    costs ``C + park``, or under the self-singleton rule ``F`` of the mask
+    without k's own customer plus park, inf when the mask lacks it.
+    ``candidates`` lists the sets' member tuples, ``costs`` their walk costs
+    per spot column; bit b of a mask is customer b + 1."""
+    S = list(spots)
+    d_spot = drive[np.ix_(S, S)]
+    park = np.array([float(park_time[j]) for j in S])
+    set_masks = np.array([sum(1 << (c - 1) for c in members) for members in candidates])
+    B = np.empty((1 << (drive.shape[0] - 1), len(S)))
+    B[0] = [drive[j, 0] for j in S]
+    F = B.copy()
+    for mask in range(1, B.shape[0]):
+        fit = (set_masks & ~mask) == 0
+        c = np.min(costs[fit] + F[mask ^ set_masks[fit]], axis=0, initial=np.inf)
+        if self_singleton:
+            qp = np.array([F[mask ^ 1 << (j - 1), k] if mask >> (j - 1) & 1 else np.inf
+                           for k, j in enumerate(S)]) + park
+        else:
+            qp = c + park
+        B[mask] = (d_spot + qp[None, :]).min(axis=1)
+        F[mask] = np.minimum(B[mask], c)
     return B
 
 

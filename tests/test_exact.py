@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 import parkroute.heuristic
-from brutes import brute_optimum, loop_completion_table, loop_partition_values, loop_walk_costs, milp_optimum
+from brutes import (
+    brute_optimum, loop_completion_table, loop_partition_values, loop_set_completion_table, loop_walk_costs,
+    milp_optimum,
+)
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
 from parkroute import exact
 from parkroute.exact import SearchBudget, SearchOptions, _Control, _Searcher, check_feasible, solve_exact
@@ -354,7 +357,9 @@ def _identity_case(name):
 ] + [("geo-n12", False, False)])
 def test_layered_tables_equal_the_per_mask_loops(case, reduced, self_singleton):
     # the walk costs, the partition table and the completion table, bit for
-    # bit; geo-n12 reaches the layers whose bundles go CHUNK at a time
+    # bit against the loops that add the same operands in the same order;
+    # the bundle-form completion loop adds them in another order, so it
+    # agrees to within the decode's tolerance
     inst = _identity_case(case)
     cat = enumerate_catalog(inst)
     if reduced:
@@ -364,7 +369,45 @@ def test_layered_tables_equal_the_per_mask_loops(case, reduced, self_singleton):
     costs = loop_walk_costs(cat)
     assert np.array_equal(searcher.part.costs, costs)
     assert np.array_equal(searcher.part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
-    assert np.array_equal(searcher.B, loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots))
+    assert np.array_equal(searcher.B, loop_set_completion_table(
+        [s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots, self_singleton))
+    per_mask = loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots)
+    assert np.allclose(searcher.B, per_mask, atol=1e-9, rtol=0)
+
+
+@pytest.mark.parametrize("case", ["geo-n6", "weight-volume", "grid-4x4-first-9", "geo-n11-q6"])
+@pytest.mark.parametrize("self_singleton", [False, True])
+def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case, self_singleton):
+    # a layer with more than CHUNK small subsets goes one mask at a time, its
+    # subsets CHUNK at a time: a small CHUNK sends the toy cases there, and
+    # sets of up to six send the full mask at n = 11 there (1,485 subsets)
+    if case == "geo-n11-q6":
+        inst = gen_geo_instance(11, 4, p=5.0, q=6)
+    else:
+        inst = _identity_case(case)
+        monkeypatch.setattr(exact, "CHUNK", 16)
+    cat = enumerate_catalog(inst)
+    options = SearchOptions(require_self_singleton=self_singleton)
+    searcher = _Searcher(inst, cat, options)
+    value, stops, bundles, _ = searcher.solve_dp()
+    assert np.array_equal(searcher.B, loop_set_completion_table(
+        [s.members for s in cat.sets], searcher.part.costs, inst.drive, inst.park_time, inst.spots, self_singleton))
+    monkeypatch.undo()
+    plain = _Searcher(inst, cat, options)
+    assert plain.solve_dp()[1:3] == (stops, bundles)
+
+
+@pytest.mark.parametrize("case", ["geo-n6", "geo-n12", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"])
+@pytest.mark.parametrize("self_singleton", [False, True])
+def test_decode_reads_the_same_solution_from_the_per_mask_table(case, self_singleton):
+    # the per-set fill and the bundle-form loop differ in their last bits;
+    # the decode, which compares within 1e-9, must not see the difference
+    inst = _identity_case(case)
+    searcher = _Searcher(inst, enumerate_catalog(inst), SearchOptions(require_self_singleton=self_singleton))
+    value, stops, bundles, _ = searcher.solve_dp()
+    searcher.B = loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots)
+    d_depot = inst.drive[0, list(inst.spots)]
+    assert searcher._dp_reconstruct(d_depot, value) == (list(stops), list(bundles))
 
 
 @pytest.mark.parametrize("skew", [False, True])

@@ -10,7 +10,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedError,
 )
-from .exact import ExactResult, SearchBudget, SearchOptions, check_feasible, solve_exact
+from .exact import ExactResult, SearchBudget, check_feasible, solve_exact
 from .gridlab import (
     ThresholdReport,
     construct_q2,

@@ -12,12 +12,14 @@ in numpy blocks of at most ``CHUNK`` (mask, set) pairs.  Non-metric inputs
 fall back to a depth-first branch-and-bound over parking sequences whose
 lower bound combines the unavoidable drive legs with a per-customer share of
 the cheapest admissible walk-plus-park increment, which stays admissible on
-any input.  Either path accepts at most ``DP_MAX_CUSTOMERS`` = 16 customers:
-the DP's tables hold 2^n rows per spot, and the branch-and-bound proves
-nothing that large within its default budget.
+any input.  Only there can a pass-through stop, one that parks and serves
+no one, pay off, so the branch-and-bound allows them exactly when the drive
+matrix breaks the triangle inequality.  Either path accepts at most
+``DP_MAX_CUSTOMERS`` = 16 customers: the DP's tables hold 2^n rows per spot,
+and the branch-and-bound proves nothing that large within its default budget.
 Its warm starts, the nearest-neighbour tour and the heuristic, enter the
-search as priced (stops, bundles) paths, so they meet the search options
-through the same bundle table and leaf check as every search leaf.
+search as priced (stops, bundles) paths through the same bundle table as
+every search leaf.
 
 Each bundle's optimal split into catalog sets is read from one dense
 ``servicesets.PartitionTable`` over all customers and spots, built up front
@@ -33,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError
-from .instance import Instance
+from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
 from .servicesets import PartitionTable, ServiceSetCatalog
 from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
@@ -80,29 +82,6 @@ class SearchBudget:
             raise ValueError("budget limits must be positive")
 
 
-@dataclass(frozen=True)
-class SearchOptions:
-    """Structural restrictions that provably preserve the optimal value, the
-    first one only under the conditions given below.
-
-    require_self_singleton: when parking at a customer location, that customer
-    is served alone from there (matches the ``vi.claim4``/``vi.corollary1``
-    model rows), so no stop is a pass-through stop.  The restriction can
-    raise the optimal value on a non-metric walk, where the optimum may serve
-    the customer from another stop, and on a non-metric drive matrix, where
-    a pass-through stop can pay off.
-    require_served_stop: every stop serves at least one set (``vi.claim5``);
-    ``None`` enables pass-through stops only when the drive matrix violates
-    the triangle inequality, the one case where they can pay off.
-    enforce_stops_leq_sets: reject candidates parking more often than the
-    number of sets served (``vi.corollary3``).
-    """
-
-    require_self_singleton: bool = False
-    require_served_stop: bool | None = None
-    enforce_stops_leq_sets: bool = False
-
-
 @dataclass
 class ExactResult:
     solution: Solution | None
@@ -139,7 +118,10 @@ class _Control:
         if lb < self.abandoned_lb:
             self.abandoned_lb = lb
 
-    def offer(self, value: float, key: tuple, state) -> None:
+    def offer(self, value: float, stops, bundles) -> None:
+        """Keep the cheapest path; ties go to fewer stops, then smaller stops."""
+        key = (len(stops), tuple(stops))
+        state = (tuple(stops), tuple(bundles))
         if value < self.best_value - _EPS:
             self.best_value, self.best_key, self.best_state = value, key, state
         elif value <= self.best_value + _EPS and key < self.best_key:
@@ -148,13 +130,12 @@ class _Control:
 
 
 class _Searcher:
-    def __init__(self, inst: Instance, cat: ServiceSetCatalog, options: SearchOptions):
+    def __init__(self, inst: Instance, cat: ServiceSetCatalog):
         n = inst.n
         if n > DP_MAX_CUSTOMERS:
             raise ResourceLimitError(f"exact search supports up to {DP_MAX_CUSTOMERS} customers, got {n}")
         self.inst = inst
         self.cat = cat
-        self.options = options
         self.n = n
         self.full = (1 << n) - 1
         self.spots = inst.spots
@@ -168,30 +149,16 @@ class _Searcher:
         if missing:
             raise InfeasibleInstanceError(f"customers {missing} appear in no admissible set")
 
-        from .instance import _triangle_stats
-
+        # the DP runs on a metric drive matrix; elsewhere the branch-and-bound
+        # runs and lets a stop pass through, serving no one
         self.metric_drive = _triangle_stats(inst.drive)[0] == 0
-        if options.require_served_stop is None:
-            self.allow_empty = not self.metric_drive
-        else:
-            self.allow_empty = not options.require_served_stop
-        # every spot is a customer location, and under require_self_singleton
-        # each stop serves its own customer: no stop passes through
-        self.allow_empty = self.allow_empty and not options.require_self_singleton
 
         # bit b of a bundle mask is customer b + 1
         self.part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
         self.col = {i: si for si, i in enumerate(self.spots)}
         # bundle[A, s]: walk cost of bundle A from spot column s, inf where A
-        # cannot be served from there; under require_self_singleton the
-        # spot's own customer belongs to A and is served alone at no walk cost
+        # cannot be served from there
         self.bundle = self.part.value
-        if options.require_self_singleton:
-            masks = np.arange(self.full + 1)
-            self.bundle = np.full_like(self.part.value, np.inf)
-            for si, i in enumerate(self.spots):
-                own = masks[(masks & 1 << (i - 1)) != 0]
-                self.bundle[own, si] = self.part.value[own ^ 1 << (i - 1), si]
 
     def build_bound_tables(self):
         """dsum[mask]: the summed per-customer share of the cheapest
@@ -211,30 +178,21 @@ class _Searcher:
 
     # -- search -------------------------------------------------------------
 
-    def _consider(self, ctl: _Control, g_close: float, stops: list[int], bundles: list[int]):
-        if self.options.enforce_stops_leq_sets:
-            n_sets = sum(
-                len(self._split_bundle(i, a)) for i, a in zip(stops, bundles) if a
-            )
-            if len(stops) > n_sets:
-                return
-        ctl.offer(g_close, (len(stops), tuple(stops)), (tuple(stops), tuple(bundles)))
-
     def offer_path(self, ctl: _Control, stops, bundles) -> None:
         """Price a complete (stops, bundles) path the way ``expand`` prices a
         leaf, loading included, and offer it as an incumbent; bit b of a
         bundle is customer b + 1.  A path the bundle table cannot serve, or
-        with an empty stop when pass-through stops are off, is dropped."""
+        with a pass-through stop on a metric drive matrix, is dropped."""
         g = self.inst.n * self.inst.load_per_package
         loc = 0
         for i, A in zip(stops, bundles):
-            if not (A or self.allow_empty):
+            if not A and self.metric_drive:
                 return
             g = g + self.D[loc, i] + self.P[i] + self.bundle[A, self.col[i]]
             loc = i
         g += self.D[loc, 0]
         if g < np.inf:
-            self._consider(ctl, g, stops, bundles)
+            ctl.offer(g, stops, bundles)
 
     # -- dynamic program (metric driving times) ------------------------------
 
@@ -250,14 +208,12 @@ class _Searcher:
         C[mask, k] = min over sets S of walk[S, k] + F[mask ^ S, k].  So
         C[mask, k] walks the cheapest split of some nonempty bundle from k
         before driving on, and parking at k first costs
-        qp[mask, k] = C[mask, k] + park[k].  Under require_self_singleton k's
-        own customer is served alone at no walk cost, so
-        qp[mask, k] = F[mask minus k's customer, k] + park[k].  A mask reads
-        only masks with fewer customers, so the tables are filled one
-        popcount layer at a time.  A layer of L bits prices each mask against
-        its subsets of at most the largest set size, in blocks of at most
-        ``CHUNK`` (mask, subset) pairs; a layer with more subsets than that
-        goes one mask at a time, its subsets ``CHUNK`` at a time.
+        qp[mask, k] = C[mask, k] + park[k].  A mask reads only masks with
+        fewer customers, so the tables are filled one popcount layer at a
+        time.  A layer of L bits prices each mask against its subsets of at
+        most the largest set size, in blocks of at most ``CHUNK`` (mask,
+        subset) pairs; a layer with more subsets than that goes one mask at a
+        time, its subsets ``CHUNK`` at a time.
 
         Returns (value-without-load, stops, bundles, states)."""
         S = self.spots
@@ -272,8 +228,6 @@ class _Searcher:
         row = np.full(size, len(self.part.masks))
         row[self.part.masks] = np.arange(len(self.part.masks))
         largest = max(s.size for s in self.cat.sets)
-        own = np.array([1 << (j - 1) for j in S]) if self.options.require_self_singleton else None
-        cols = np.arange(len(S))
 
         self.B = B = np.empty((size, len(S)))
         B[0] = [D[j, 0] for j in S]
@@ -298,10 +252,7 @@ class _Searcher:
                     least = np.minimum.reduceat(v, np.arange(0, len(v), a.shape[1]))
                     c = least if lo == 0 else np.minimum(c, least)
                 # qp[m, k]: park at spot k, walk a bundle, complete the rest
-                if own is None:
-                    qp = c + self.park
-                else:
-                    qp = np.where(M[:, None] & own, F[M[:, None] ^ own, cols], np.inf) + self.park
+                qp = c + self.park
                 B[M] = b = (self.d_spot + qp[:, None, :]).min(axis=2)
                 F[M] = np.minimum(b, c)
         opt = float((d_depot + qp).min())  # qp of the full mask, the last layer
@@ -387,8 +338,6 @@ class _Searcher:
         for bi, i in enumerate(self.spots):
             if visited >> bi & 1:
                 continue
-            if self.options.require_self_singleton and not (U >> (i - 1) & 1):
-                continue  # parked customer already served elsewhere
             arrive = g + D[loc, i] + self.P[i]
             vis2 = visited | (1 << bi)
             tail_leg = np.inf
@@ -409,13 +358,13 @@ class _Searcher:
                     if rem == 0:
                         cand = cg + D[i, 0]
                         if cand <= ctl.best_value + _EPS:
-                            self._consider(ctl, cand, stops + [i], bundles + [A])
+                            ctl.offer(cand, stops + [i], bundles + [A])
                     else:
                         lb = cg + self.dsum[rem] + tail_leg + tail_home
                         if lb <= ctl.best_value + _EPS:
                             kids.append((lb, bi, i, A, cg))
                 A = (A - 1) & U
-            if self.allow_empty and U:
+            if not self.metric_drive and U:
                 lb = arrive + self.dsum[U] + tail_leg + tail_home
                 if lb <= ctl.best_value + _EPS:
                     kids.append((lb, bi, i, 0, arrive))
@@ -433,19 +382,10 @@ class _Searcher:
 
     # -- reconstruction -----------------------------------------------------
 
-    def _split_bundle(self, i: int, mask: int) -> list[int]:
-        """Deterministic optimal split of a bundle into catalog set indices."""
-        parts: list[int] = []
-        ibit = 1 << (i - 1)
-        if self.options.require_self_singleton and mask & ibit:
-            parts.append(self.cat.index_of((i,)))
-            mask ^= ibit
-        return parts + self.part.split(mask, self.col[i])
-
     def materialize(self, stops: tuple[int, ...], bundles: tuple[int, ...]) -> Solution:
         served = []
         for i, mask in zip(stops, bundles):
-            orders = [self.cat.walk_order(i, j) for j in self._split_bundle(i, mask)]
+            orders = [self.cat.walk_order(i, j) for j in self.part.split(mask, self.col[i])]
             served.append(tuple(orders))
         return assemble_solution(self.inst, stops, served)
 
@@ -454,23 +394,23 @@ def solve_exact(
     inst: Instance,
     cat: ServiceSetCatalog,
     budget: SearchBudget | None = None,
-    options: SearchOptions | None = None,
 ) -> ExactResult:
     """Solve to proven optimality within the budget.
 
     Returns the solution, a status, and a lower bound valid in every status.
-    Deterministic: cost ties resolve the same way on every run.  The
-    branch-and-bound starts from the better of the nearest-neighbour
-    park-everywhere tour and the two-echelon heuristic.  Each is priced as a
-    search path: a stop's customers cost their cheapest admissible split from
-    that stop, and a path the options forbid is dropped.
+    Deterministic: cost ties resolve the same way on every run.  A metric
+    drive matrix is solved by the DP, which ignores the budget; any other
+    drive matrix, or a DP whose decode hits a tie it cannot resolve, goes to
+    the budgeted branch-and-bound.  That search starts from the better of the
+    nearest-neighbour park-everywhere tour and the two-echelon heuristic,
+    each priced as a search path: a stop's customers cost their cheapest
+    admissible split from that stop.
     """
     budget = budget or SearchBudget()
-    options = options or SearchOptions()
-    searcher = _Searcher(inst, cat, options)
+    searcher = _Searcher(inst, cat)
 
     load = inst.n * inst.load_per_package
-    if searcher.metric_drive and not searcher.allow_empty:
+    if searcher.metric_drive:
         try:
             value, stops, bundles, states = searcher.solve_dp()
             sol = searcher.materialize(stops, bundles)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import InfeasibleSolutionError, ResourceLimitError, UnsupportedError
-from .instance import Instance
+from .instance import Instance, validate_instance
 from .servicesets import ServiceSetCatalog, reduce_catalog
 
 
@@ -172,10 +172,11 @@ def assemble_solution(inst: Instance, stops, served) -> Solution:
 class ModelOptions:
     """Optional strengthening rows and the variable reduction.
 
-    All of them preserve the optimal value and only tighten the formulation,
-    except that ``vi_claim4`` and ``vi_corollary1`` need a walk matrix that
-    satisfies the triangle inequality; on a non-metric walk they can cut off
-    the optimum.
+    All of them preserve the optimal value and only tighten the formulation.
+    ``vi_claim4`` and ``vi_corollary1`` serve a parked customer alone at its
+    own spot.  That is free only when every customer location is a parking
+    spot and the walk matrix satisfies the triangle inequality; elsewhere the
+    rows can cut off the optimum, so ``build_model`` refuses them there.
     """
 
     vi_claim4: bool = False
@@ -236,10 +237,15 @@ def build_model(inst: Instance, cat: ServiceSetCatalog, options: ModelOptions | 
     if options.var_reduction and not cat.reduced:
         cat = reduce_catalog(cat)
     all_customers = tuple(inst.customers)
-    if (options.vi_claim4 or options.vi_corollary1) and inst.spots != all_customers:
-        raise UnsupportedError(
-            "the self-singleton rows assume every customer location is a parking spot"
-        )
+    if options.vi_claim4 or options.vi_corollary1:
+        if inst.spots != all_customers:
+            raise UnsupportedError(
+                "the self-singleton rows assume every customer location is a parking spot"
+            )
+        if validate_instance(inst).walk_triangle_violations:
+            raise UnsupportedError(
+                "the self-singleton rows assume a walk matrix that satisfies the triangle inequality"
+            )
 
     spots = inst.spots
     pi = (0,) + spots

@@ -3,7 +3,8 @@
 The brute forces enumerate structures directly (permutations, set partitions,
 assignments) and never call the solver code paths under test.  The HiGHS
 reference solves a built model with scipy and shares no code with the
-package's solvers either.
+package's solvers either.  ``model_violations`` checks a solution, encoded by
+``encode_assignment``, against every row of a built model.
 """
 
 from __future__ import annotations
@@ -201,6 +202,74 @@ def milp_optimum(model):
     return res.fun
 
 
+def encode_assignment(inst, sol):
+    """Variable values of a solution under the model's naming scheme."""
+    values = {}
+    route = [0] + list(sol.stops) + [0]
+    for a, b in zip(route, route[1:]):
+        values[f"x_{a}_{b}"] = 1.0
+    for stop, stop_sets in zip(sol.stops, sol.served):
+        for order in stop_sets:
+            members = tuple(sorted(order))
+            values[f"y_{stop}__" + "_".join(map(str, members))] = 1.0
+    # package flow: each arc into a stop carries the not-yet-delivered count
+    remaining = inst.n
+    prev = 0
+    for stop, stop_sets in zip(sol.stops, sol.served):
+        values[f"v_{prev}_{stop}"] = float(remaining)
+        remaining -= sum(len(o) for o in stop_sets)
+        prev = stop
+    return values
+
+
+def model_violations(model, values, total):
+    """What a variable assignment breaks in a built model: a variable the
+    model lacks, an objective other than ``total`` (within 1e-9), or a row."""
+    names = {v.name for v in model.variables}
+    bad = [f"no variable {name}" for name in values if name not in names]
+    objective = sum(values.get(name, 0.0) * coef for name, coef in model.objective)
+    if abs(objective - total) > 1e-9:
+        bad.append(f"objective {objective} != {total}")
+    for row in model.constraints:
+        lhs = sum(values.get(name, 0.0) * coef for name, coef in row.terms)
+        if {"=": abs(lhs - row.rhs), "<=": lhs - row.rhs, ">=": row.rhs - lhs}[row.sense] > 1e-9:
+            bad.append(row.name)
+    return bad
+
+
+def ring_walk_instance():
+    """Seven customers whose walk breaks the triangle inequality: a ring
+    1-2-3-4-5-1 with 0.5 per edge and 20 for every chord, so W[1,3] >
+    W[1,2] + W[2,3].  Customer 6 is near spot 4 only and 7 near spot 1 only,
+    so the vehicle parks at both.  The ring walked as one loop (2.5) beats
+    any split of it, but that loop serves one of the two stop customers from
+    the other stop.  The drive matrix is metric."""
+    from parkroute.instance import Instance
+
+    W = np.full((7, 7), 20.0)
+    np.fill_diagonal(W, 0.0)
+    for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (4, 6), (1, 7)]:
+        W[a - 1, b - 1] = W[b - 1, a - 1] = 0.5
+    xy = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [3, 0], [2, 0], [3, 1], [0, 1]], dtype=float)
+    drive = np.abs(xy[:, None] - xy[None]).sum(axis=-1)
+    return Instance(drive=drive, walk=W, park_time=[3.0] * 7, capacity_count=4)
+
+
+def self_singleton_form(inst, sol):
+    """The solution with each stop's own customer served alone at that stop
+    and dropped from the set that served it before, the structure the
+    ``vi.claim4`` and ``vi.corollary1`` rows demand.  Every stop must be a
+    customer location.  On a metric walk the shortcut never costs more."""
+    from parkroute.model import assemble_solution
+
+    own = set(sol.stops)
+    served = []
+    for stop, stop_sets in zip(sol.stops, sol.served):
+        rest = [tuple(c for c in order if c not in own) for order in stop_sets]
+        served.append(((stop,),) + tuple(order for order in rest if order))
+    return assemble_solution(inst, sol.stops, served)
+
+
 # ---------------------------------------------------------------------------
 # per-mask references for the layered numpy fills; each uses the same
 # operands in the same order, so the tables must agree bit for bit, except
@@ -253,15 +322,14 @@ def loop_completion_table(bundle, drive, park_time, spots):
     return B
 
 
-def loop_set_completion_table(candidates, costs, drive, park_time, spots, self_singleton=False):
+def loop_set_completion_table(candidates, costs, drive, park_time, spots):
     """The exact DP's completion table ``B[mask, j]`` one mask at a time, in
     increasing order, one catalog set per transition: ``F[mask, k]`` is the
     least of ``B[mask, k]`` and ``C[mask, k]``, the least walk cost of a set
     S within the mask from spot k plus ``F[mask ^ S, k]``.  Parking at k
-    costs ``C + park``, or under the self-singleton rule ``F`` of the mask
-    without k's own customer plus park, inf when the mask lacks it.
-    ``candidates`` lists the sets' member tuples, ``costs`` their walk costs
-    per spot column; bit b of a mask is customer b + 1."""
+    costs ``C + park``.  ``candidates`` lists the sets' member tuples,
+    ``costs`` their walk costs per spot column; bit b of a mask is customer
+    b + 1."""
     S = list(spots)
     d_spot = drive[np.ix_(S, S)]
     park = np.array([float(park_time[j]) for j in S])
@@ -272,11 +340,7 @@ def loop_set_completion_table(candidates, costs, drive, park_time, spots, self_s
     for mask in range(1, B.shape[0]):
         fit = (set_masks & ~mask) == 0
         c = np.min(costs[fit] + F[mask ^ set_masks[fit]], axis=0, initial=np.inf)
-        if self_singleton:
-            qp = np.array([F[mask ^ 1 << (j - 1), k] if mask >> (j - 1) & 1 else np.inf
-                           for k, j in enumerate(S)]) + park
-        else:
-            qp = c + park
+        qp = c + park
         B[mask] = (d_spot + qp[None, :]).min(axis=1)
         F[mask] = np.minimum(B[mask], c)
     return B

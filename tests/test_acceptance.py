@@ -11,9 +11,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from brutes import brute_optimum, brute_mtsp, brute_par, brute_walk, milp_optimum
+from brutes import (
+    brute_mtsp, brute_optimum, brute_par, brute_walk, encode_assignment, milp_optimum, model_violations,
+    self_singleton_form,
+)
 from parkroute.benchmarks import modified_tsp, no_parking_benchmark, relaxed_ms
-from parkroute.exact import SearchOptions, check_feasible, solve_exact
+from parkroute.exact import check_feasible, solve_exact
 from parkroute.gridlab import (
     construct_q2,
     construct_q2_value,
@@ -136,25 +139,34 @@ def test_criterion_3_capacity3_witness_6x6():
 
 
 def test_criterion_4_option_invariance_20_instances():
+    # the reduced catalog keeps the optimum, and the optimum's self-singleton
+    # form keeps its total and meets every row of the model with all four
+    # valid inequalities and the variable reduction, so none of them cuts
+    # the optimum off
     start = time.monotonic()
     failures = []
+    reshaped = 0
+    strengthened = ModelOptions(
+        vi_claim4=True, vi_corollary1=True, vi_claim5=True, vi_corollary3=True, var_reduction=True,
+    )
     for inst in _mixed_instances(20, n_lo=4, n_hi=8, q_max=3):
         cat = enumerate_catalog(inst)
-        base = solve_exact(inst, cat).value
-        runs = {
-            "self-singleton rows": solve_exact(inst, cat, options=SearchOptions(require_self_singleton=True)),
-            "aggregated self-singleton": solve_exact(inst, cat, options=SearchOptions(require_self_singleton=True, enforce_stops_leq_sets=True)),
-            "served-stop preference": solve_exact(inst, cat, options=SearchOptions(require_served_stop=True)),
-            "stop-count check": solve_exact(inst, cat, options=SearchOptions(enforce_stops_leq_sets=True)),
-            "reduced catalog": solve_exact(inst, reduce_catalog(cat)),
-        }
-        for name, res in runs.items():
-            if abs(res.value - base) > 1e-6:
-                failures.append(f"n={inst.n} {name}: {res.value} != {base}")
+        base = solve_exact(inst, cat)
+        reduced = solve_exact(inst, reduce_catalog(cat)).value
+        if abs(reduced - base.value) > 1e-6:
+            failures.append(f"n={inst.n} reduced catalog: {reduced} != {base.value}")
+        form = self_singleton_form(inst, base.solution)
+        reshaped += form.served != base.solution.served
+        if abs(form.total - base.value) > 1e-9:
+            failures.append(f"n={inst.n} self-singleton form: {form.total} != {base.value}")
+        broken = model_violations(build_model(inst, cat, strengthened), encode_assignment(inst, form), form.total)
+        if broken:
+            failures.append(f"n={inst.n} self-singleton form breaks {broken}")
     elapsed = time.monotonic() - start
     if elapsed >= 300.0:
         failures.append(f"runtime {elapsed:.1f}s")
-    _report(4, not failures, f"20 instances x 6 configurations, {elapsed:.1f}s" + (f"; {failures}" if failures else ""))
+    _report(4, not failures, f"20 instances, reduced catalog and strengthened model, {reshaped} optima reshaped, "
+                             f"{elapsed:.1f}s" + (f"; {failures}" if failures else ""))
 
 
 def test_criterion_5_benchmark_dominance_20_instances():

@@ -11,6 +11,8 @@ from parkroute.exact import SearchBudget
 from parkroute.instance import gen_geo_instance, load_instance, save_instance
 from parkroute.model import parse_lp
 
+from brutes import ring_walk_instance
+
 
 def _read_csv(path):
     with open(path, newline="") as fh:
@@ -152,6 +154,15 @@ def test_export_lp_round_trips(tmp_path):
     model = parse_lp(lp_path.read_text())
     assert any(r.name.startswith("vi.claim4") for r in model.constraints)
     assert model.count_vars("x_") == 12  # 4x4 off-diagonal
+
+
+def test_export_lp_refuses_self_singleton_rows_on_a_non_metric_walk(tmp_path, capsys):
+    inst_path = tmp_path / "ring.json"
+    save_instance(ring_walk_instance(), inst_path)
+    lp_path = tmp_path / "model.lp"
+    assert main(["export-lp", str(inst_path), "--vi-claim4", "-o", str(lp_path)]) == 1
+    assert "error: " in capsys.readouterr().err
+    assert not lp_path.exists()
 
 
 def test_report_aggregates_solutions(tmp_path):

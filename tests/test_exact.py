@@ -9,11 +9,11 @@ import pytest
 import parkroute.heuristic
 from brutes import (
     brute_optimum, loop_completion_table, loop_partition_values, loop_set_completion_table, loop_walk_costs,
-    milp_optimum,
+    milp_optimum, ring_walk_instance, self_singleton_form,
 )
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
 from parkroute import exact
-from parkroute.exact import SearchBudget, SearchOptions, _Control, _Searcher, check_feasible, solve_exact
+from parkroute.exact import SearchBudget, _Control, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model
@@ -126,67 +126,50 @@ def test_warm_start_failure_is_not_swallowed(monkeypatch):
         solve_exact(inst, cat)
 
 
-def test_explicit_pass_through_allowance_matches_default_on_metric_input():
-    # allowing empty stops on a metric instance routes through the budgeted
-    # search instead of the DP; the optimum must not change
+def test_a_decode_tie_falls_back_to_the_search(monkeypatch):
+    # a DP decode that every optimal continuation sends back to a visited
+    # spot raises _ReconstructionTie; the branch-and-bound must then prove
+    # the DP's value
     inst = gen_geo_instance(6, seed=31, p=3.0, q=2)
     cat = enumerate_catalog(inst)
     dp = solve_exact(inst, cat)
-    bnb = solve_exact(inst, cat, options=SearchOptions(require_served_stop=False))
-    assert bnb.status == "optimal"
-    assert bnb.value == pytest.approx(dp.value, abs=1e-9)
+    targets = []
+
+    def tie(self, d_depot, target):
+        targets.append(target)
+        raise exact._ReconstructionTie
+
+    monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
+    searched = solve_exact(inst, cat)
+    assert targets == [pytest.approx(dp.bound - inst.n * inst.load_per_package, abs=1e-9)]
+    assert searched.status == dp.status == "optimal"
+    assert searched.value == pytest.approx(dp.value, abs=1e-9)
+    assert searched.bound == pytest.approx(searched.value, abs=1e-9)
+    assert check_feasible(inst, cat, searched.solution) == []
 
 
 def test_option_invariance_single_instance():
+    # the reduced catalog bans pairs that never help, so the optimum stays
     inst = gen_geo_instance(7, seed=3, p=4.0, q=3)
     cat = enumerate_catalog(inst)
     base = solve_exact(inst, cat).value
-    variants = [
-        solve_exact(inst, cat, options=SearchOptions(require_self_singleton=True)),
-        solve_exact(inst, cat, options=SearchOptions(require_served_stop=True)),
-        solve_exact(inst, cat, options=SearchOptions(enforce_stops_leq_sets=True)),
-        solve_exact(inst, reduce_catalog(cat)),
-    ]
-    for res in variants:
-        assert res.value == pytest.approx(base, abs=1e-6)
-
-
-def test_self_singleton_structure_holds_when_requested():
-    inst = gen_geo_instance(6, seed=11, p=3.0, q=3)
-    res = solve_exact(inst, enumerate_catalog(inst), options=SearchOptions(require_self_singleton=True))
-    for stop, stop_sets in zip(res.solution.stops, res.solution.served):
-        assert (stop,) in [tuple(sorted(o)) for o in stop_sets]
+    assert solve_exact(inst, reduce_catalog(cat)).value == pytest.approx(base, abs=1e-6)
 
 
 def test_self_singleton_option_binds_on_a_non_metric_walk():
-    # walking ring 1-2-3-4-5-1 with 0.5 per edge and 20 for every chord, so
-    # W[1,3] > W[1,2] + W[2,3]; customer 6 is near spot 4 only and 7 near
-    # spot 1 only, so the vehicle parks at both.  The ring walked as one loop
-    # (2.5) beats any split of it, but that loop serves one of the two stop
-    # customers from the other stop.  The driving matrix is metric, so the DP
-    # decides both solves.
-    W = np.full((7, 7), 20.0)
-    np.fill_diagonal(W, 0.0)
-    for a, b in [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (4, 6), (1, 7)]:
-        W[a - 1, b - 1] = W[b - 1, a - 1] = 0.5
-    xy = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [3, 0], [2, 0], [3, 1], [0, 1]], dtype=float)
-    drive = np.abs(xy[:, None] - xy[None]).sum(axis=-1)
-    inst = Instance(drive=drive, walk=W, park_time=[3.0] * 7, capacity_count=4)
+    # on the ring walk the optimum serves a stop's own customer from another
+    # stop, and its self-singleton form costs more, so the self-singleton MIP
+    # rows would cut the optimum off (``build_model`` refuses them there).
+    # The drive matrix is metric, so the DP decides the solve.
+    inst = ring_walk_instance()
     cat = enumerate_catalog(inst)
-
     free = solve_exact(inst, cat)
     assert free.status == "optimal"
     assert any(
         stop not in [c for order in stop_sets for c in order]
         for stop, stop_sets in zip(free.solution.stops, free.solution.served)
     )
-
-    res = solve_exact(inst, cat, options=SearchOptions(require_self_singleton=True))
-    assert res.status == "optimal"
-    for stop, stop_sets in zip(res.solution.stops, res.solution.served):
-        assert (stop,) in [tuple(sorted(o)) for o in stop_sets]
-    # no unrestricted optimum serves every stop's own customer alone there
-    assert res.value > free.value + 1e-9
+    assert self_singleton_form(inst, free.solution).total > free.value + 1e-9
 
 
 def test_every_stop_serves_and_stops_bounded_by_sets():
@@ -270,24 +253,6 @@ def test_check_feasible_flags_missing_coverage():
     assert any("not served" in v for v in violations)
 
 
-def test_self_singleton_rules_out_pass_through_stops():
-    # skewed drive, free parking and pass-through stops allowed: a budgeted
-    # search used to keep an incumbent that passes through spot 1 without
-    # serving anyone and walks customer 1 from stop 2, breaking the option
-    base = gen_geo_instance(4, 9, p=0.0, q=3)
-    drive = base.drive * np.random.default_rng(289).uniform(1.0, 3.0, size=base.drive.shape)
-    np.fill_diagonal(drive, 0.0)
-    inst = replace(base, drive=drive)
-    cat = enumerate_catalog(inst)
-    options = SearchOptions(require_self_singleton=True, require_served_stop=False)
-    for budget in (SearchBudget(max_nodes=5), None):
-        res = solve_exact(inst, cat, budget=budget, options=options)
-        for stop, stop_sets in zip(res.solution.stops, res.solution.served):
-            assert (stop,) in stop_sets
-    assert res.status == "optimal"
-    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
-
-
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("n, seed", [(1, 0), (4, 1), (7, 2), (9, 3)])
 def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
@@ -299,7 +264,7 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
     cat = enumerate_catalog(inst)
     if reduced:
         cat = reduce_catalog(cat)
-    searcher = _Searcher(inst, cat, SearchOptions())
+    searcher = _Searcher(inst, cat)
     searcher.build_bound_tables()
     delta = np.full(n + 1, np.inf)
     for i in inst.spots:
@@ -315,20 +280,31 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
 
 
 def test_warm_paths_meet_the_options_through_the_bundle_table():
-    # bit b of a bundle is customer b + 1
+    # bit b of a bundle is customer b + 1; the catalog walks customer 1 only
+    # together with customer 2
     inst = gen_geo_instance(3, seed=1, p=2.0, q=3)
-    cat = enumerate_catalog(inst)
-    own = _Searcher(inst, cat, SearchOptions(require_self_singleton=True))
-    served = _Searcher(inst, cat, SearchOptions(require_served_stop=True))
+    cat = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1, 2)), ServiceSet((3,))))
+    searcher = _Searcher(inst, cat)
+    assert searcher.metric_drive
     ctl = _Control(SearchBudget())
-    own.offer_path(ctl, [1, 2], [0b110, 0b001])  # spots 1 and 2 serve each other's customers
-    served.offer_path(ctl, [1, 2], [0b000, 0b111])  # a pass-through stop
+    searcher.offer_path(ctl, [1, 2], [0b001, 0b110])  # no catalog split serves {1}
+    searcher.offer_path(ctl, [1, 2], [0b000, 0b111])  # a pass-through stop
     assert ctl.best_state is None
-    own.offer_path(ctl, [3, 1], [0b100, 0b011])
+    searcher.offer_path(ctl, [3, 1], [0b100, 0b011])
     assert ctl.best_state == ((3, 1), (0b100, 0b011))
-    sol = own.materialize(*ctl.best_state)
-    assert sol.served == (((3,),), ((1,), (2,)))  # customer 1 alone at its own spot
+    sol = searcher.materialize(*ctl.best_state)
+    assert [[sorted(o) for o in stop_sets] for stop_sets in sol.served] == [[[3]], [[1, 2]]]
     assert ctl.best_value == pytest.approx(sol.total, abs=1e-9)
+
+    # off the triangle inequality a pass-through stop can pay off, so it is kept
+    drive = inst.drive.copy()
+    drive[0, 2] = drive[0, 1] + drive[1, 2] + 1.0
+    skewed = replace(inst, drive=drive)
+    searcher = _Searcher(skewed, ServiceSetCatalog(inst=skewed, sets=cat.sets))
+    assert not searcher.metric_drive
+    ctl = _Control(SearchBudget())
+    searcher.offer_path(ctl, [1, 2], [0b000, 0b111])
+    assert ctl.best_state == ((1, 2), (0b000, 0b111))
 
 
 def _identity_case(name):
@@ -349,13 +325,17 @@ def _identity_case(name):
     }[name]()
 
 
-@pytest.mark.parametrize("case, reduced, self_singleton", [
-    (case, reduced, self_singleton)
+# the ids of this test and the next two keep the "False" of the
+# self-singleton flag the fill once took, so each case runs under its old name
+_CASES = [
+    (case, reduced)
     for case in ["geo-n6", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"]
     for reduced in (False, True)
-    for self_singleton in (False, True)
-] + [("geo-n12", False, False)])
-def test_layered_tables_equal_the_per_mask_loops(case, reduced, self_singleton):
+] + [("geo-n12", False)]
+
+
+@pytest.mark.parametrize("case, reduced", _CASES, ids=[f"{case}-{reduced}-False" for case, reduced in _CASES])
+def test_layered_tables_equal_the_per_mask_loops(case, reduced):
     # the walk costs, the partition table and the completion table, bit for
     # bit against the loops that add the same operands in the same order;
     # the bundle-form completion loop adds them in another order, so it
@@ -364,20 +344,20 @@ def test_layered_tables_equal_the_per_mask_loops(case, reduced, self_singleton):
     cat = enumerate_catalog(inst)
     if reduced:
         cat = reduce_catalog(cat)
-    searcher = _Searcher(inst, cat, SearchOptions(require_self_singleton=self_singleton))
+    searcher = _Searcher(inst, cat)
     searcher.solve_dp()
     costs = loop_walk_costs(cat)
     assert np.array_equal(searcher.part.costs, costs)
     assert np.array_equal(searcher.part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
     assert np.array_equal(searcher.B, loop_set_completion_table(
-        [s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots, self_singleton))
+        [s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots))
     per_mask = loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots)
     assert np.allclose(searcher.B, per_mask, atol=1e-9, rtol=0)
 
 
-@pytest.mark.parametrize("case", ["geo-n6", "weight-volume", "grid-4x4-first-9", "geo-n11-q6"])
-@pytest.mark.parametrize("self_singleton", [False, True])
-def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case, self_singleton):
+@pytest.mark.parametrize("case", ["geo-n6", "weight-volume", "grid-4x4-first-9", "geo-n11-q6"],
+                         ids=lambda case: f"False-{case}")
+def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
     # a layer with more than CHUNK small subsets goes one mask at a time, its
     # subsets CHUNK at a time: a small CHUNK sends the toy cases there, and
     # sets of up to six send the full mask at n = 11 there (1,485 subsets)
@@ -387,23 +367,22 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case, self_singleton
         inst = _identity_case(case)
         monkeypatch.setattr(exact, "CHUNK", 16)
     cat = enumerate_catalog(inst)
-    options = SearchOptions(require_self_singleton=self_singleton)
-    searcher = _Searcher(inst, cat, options)
+    searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()
     assert np.array_equal(searcher.B, loop_set_completion_table(
-        [s.members for s in cat.sets], searcher.part.costs, inst.drive, inst.park_time, inst.spots, self_singleton))
+        [s.members for s in cat.sets], searcher.part.costs, inst.drive, inst.park_time, inst.spots))
     monkeypatch.undo()
-    plain = _Searcher(inst, cat, options)
+    plain = _Searcher(inst, cat)
     assert plain.solve_dp()[1:3] == (stops, bundles)
 
 
-@pytest.mark.parametrize("case", ["geo-n6", "geo-n12", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"])
-@pytest.mark.parametrize("self_singleton", [False, True])
-def test_decode_reads_the_same_solution_from_the_per_mask_table(case, self_singleton):
+@pytest.mark.parametrize("case", ["geo-n6", "geo-n12", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"],
+                         ids=lambda case: f"False-{case}")
+def test_decode_reads_the_same_solution_from_the_per_mask_table(case):
     # the per-set fill and the bundle-form loop differ in their last bits;
     # the decode, which compares within 1e-9, must not see the difference
     inst = _identity_case(case)
-    searcher = _Searcher(inst, enumerate_catalog(inst), SearchOptions(require_self_singleton=self_singleton))
+    searcher = _Searcher(inst, enumerate_catalog(inst))
     value, stops, bundles, _ = searcher.solve_dp()
     searcher.B = loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots)
     d_depot = inst.drive[0, list(inst.spots)]

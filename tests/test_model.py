@@ -19,7 +19,7 @@ from parkroute.model import (
 )
 from parkroute.servicesets import enumerate_catalog, reduce_catalog
 
-from brutes import milp_optimum
+from brutes import encode_assignment, milp_optimum, model_violations, ring_walk_instance, self_singleton_form
 
 
 def _n2_instance(q=1):
@@ -94,6 +94,17 @@ def test_structural_rows_cover_each_equation_family_once():
     }
     assert len(model.rows_tagged("eq2.depart")) == 1
     assert len(model.rows_tagged("eq7.flow.source")) == 1
+
+
+def test_self_singleton_rows_require_a_metric_walk():
+    # the ring walk breaks the triangle inequality; the other rows stay valid
+    inst = ring_walk_instance()
+    cat = enumerate_catalog(inst)
+    for rows in (ModelOptions(vi_claim4=True), ModelOptions(vi_corollary1=True)):
+        with pytest.raises(UnsupportedError, match="triangle inequality"):
+            build_model(inst, cat, rows)
+    model = build_model(inst, cat, ModelOptions(vi_claim5=True, vi_corollary3=True))
+    assert model.rows_tagged("vi.claim5") and model.rows_tagged("vi.corollary3")
 
 
 def test_vi_rows_require_full_customer_parking():
@@ -226,29 +237,11 @@ def test_solution_json_round_trip():
     assert back == sol
 
 
-def _encode_assignment(inst, sol):
-    """Variable values of a solution under the model's naming scheme."""
-    values = {}
-    route = [0] + list(sol.stops) + [0]
-    for a, b in zip(route, route[1:]):
-        values[f"x_{a}_{b}"] = 1.0
-    for stop, stop_sets in zip(sol.stops, sol.served):
-        for order in stop_sets:
-            members = tuple(sorted(order))
-            values[f"y_{stop}__" + "_".join(map(str, members))] = 1.0
-    # package flow: each arc into a stop carries the not-yet-delivered count
-    remaining = inst.n
-    prev = 0
-    for stop, stop_sets in zip(sol.stops, sol.served):
-        values[f"v_{prev}_{stop}"] = float(remaining)
-        remaining -= sum(len(o) for o in stop_sets)
-        prev = stop
-    return values
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_oracle_solution_satisfies_every_model_row(seed):
-    from parkroute.exact import SearchOptions, solve_exact
+    # the self-singleton rows hold on the optimum's self-singleton form,
+    # which on a metric walk costs what the optimum costs
+    from parkroute.exact import solve_exact
 
     inst = gen_geo_instance(5, seed=seed + 60, p=3.0, q=2, f=0.6)
     cat = enumerate_catalog(inst)
@@ -256,18 +249,10 @@ def test_oracle_solution_satisfies_every_model_row(seed):
         inst, cat,
         ModelOptions(vi_claim4=True, vi_corollary1=True, vi_claim5=True, vi_corollary3=True),
     )
-    res = solve_exact(inst, cat, options=SearchOptions(require_self_singleton=True))
-    values = _encode_assignment(inst, res.solution)
-    objective = sum(values.get(name, 0.0) * coef for name, coef in model.objective)
-    assert objective == pytest.approx(res.solution.total, abs=1e-9)
-    for row in model.constraints:
-        lhs = sum(values.get(name, 0.0) * coef for name, coef in row.terms)
-        if row.sense == "=":
-            assert lhs == pytest.approx(row.rhs, abs=1e-9), row.name
-        elif row.sense == "<=":
-            assert lhs <= row.rhs + 1e-9, row.name
-        else:
-            assert lhs >= row.rhs - 1e-9, row.name
+    res = solve_exact(inst, cat)
+    form = self_singleton_form(inst, res.solution)
+    assert form.total == pytest.approx(res.value, abs=1e-9)
+    assert model_violations(model, encode_assignment(inst, form), form.total) == []
 
 
 @pytest.mark.parametrize("seed", [70, 71, 72])

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost, milp_optimum
 from parkroute.benchmarks import modified_tsp
 from parkroute.errors import ParkrouteError
-from parkroute.exact import SearchBudget, SearchOptions, check_feasible, solve_exact
+from parkroute.exact import SearchBudget, check_feasible, solve_exact
 from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, heuristic_solve, solve_par
 from parkroute.instance import (
     GridParams,
@@ -79,16 +79,12 @@ def test_partition_table_matches_brute_force(inst):
 
 
 @SETTINGS
-@given(instances(), st.booleans())
-def test_exact_dp_matches_brute_force_on_metric_drive(inst, self_singleton):
+@given(instances())
+def test_exact_dp_matches_brute_force_on_metric_drive(inst):
     assert validate_instance(inst).drive_triangle_violations == 0
-    options = SearchOptions(require_self_singleton=self_singleton)
-    res = solve_exact(inst, enumerate_catalog(inst), options=options)
+    res = solve_exact(inst, enumerate_catalog(inst))
     assert res.status == "optimal"
     assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
-    if self_singleton:  # every stop serves its own customer alone
-        for stop, stop_sets in zip(res.solution.stops, res.solution.served):
-            assert (stop,) in stop_sets
 
 
 @settings(SETTINGS, max_examples=20)
@@ -121,17 +117,11 @@ def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
 
 
 @SETTINGS
-@given(
-    instances(min_n=2), st.integers(0, 10_000), st.integers(1, 60),
-    st.booleans(), st.sampled_from([None, True, False]), st.booleans(),
-)
-def test_budgeted_search_keeps_its_warm_start_and_the_options(
-    inst, skew_seed, max_nodes, self_singleton, served_stop, stops_leq_sets
-):
+@given(instances(min_n=2), st.integers(0, 10_000), st.integers(1, 60))
+def test_budgeted_search_keeps_its_warm_start(inst, skew_seed, max_nodes):
     inst = _skewed(inst, skew_seed)
     cat = enumerate_catalog(inst)
-    options = SearchOptions(self_singleton, served_stop, stops_leq_sets)
-    res = solve_exact(inst, cat, budget=SearchBudget(max_nodes=max_nodes), options=options)
+    res = solve_exact(inst, cat, budget=SearchBudget(max_nodes=max_nodes))
     try:
         heuristic_solve(inst, cat)
     except ParkrouteError:
@@ -149,13 +139,6 @@ def test_budgeted_search_keeps_its_warm_start_and_the_options(
     sol = res.solution
     assert best <= res.value + 1e-9
     assert check_feasible(inst, cat, sol) == []
-    if self_singleton:
-        for stop, stop_sets in zip(sol.stops, sol.served):
-            assert (stop,) in stop_sets
-    if served_stop:
-        assert all(sol.served)
-    if stops_leq_sets:
-        assert sol.num_stops <= sol.num_sets
 
 
 def _check_parking_assignment(inst):

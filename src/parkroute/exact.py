@@ -37,7 +37,7 @@ import numpy as np
 from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError
 from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import PartitionTable, ServiceSetCatalog
+from .servicesets import PartitionTable, ServiceSetCatalog, walk_tour
 from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
 
 _EPS = 1e-9
@@ -255,7 +255,9 @@ class _Searcher:
                 qp = c + self.park
                 B[M] = b = (self.d_spot + qp[:, None, :]).min(axis=2)
                 F[M] = np.minimum(b, c)
-        opt = float((d_depot + qp).min())  # qp of the full mask, the last layer
+        # qp of the full mask, the last layer; the value stands even if the
+        # decode ties, and bounds the search below, since the DP allows revisits
+        self.dp_value = opt = float((d_depot + qp).min())
         del F  # the decode reads only B
 
         stops, bundles = self._dp_reconstruct(d_depot, opt)
@@ -385,8 +387,8 @@ class _Searcher:
     def materialize(self, stops: tuple[int, ...], bundles: tuple[int, ...]) -> Solution:
         served = []
         for i, mask in zip(stops, bundles):
-            orders = [self.cat.walk_order(i, j) for j in self.part.split(mask, self.col[i])]
-            served.append(tuple(orders))
+            sets = [self.cat.sets[j].members for j in self.part.split(mask, self.col[i])]
+            served.append(tuple(walk_tour(self.inst, i, members)[1] for members in sets))
         return assemble_solution(self.inst, stops, served)
 
 
@@ -401,7 +403,8 @@ def solve_exact(
     Deterministic: cost ties resolve the same way on every run.  A metric
     drive matrix is solved by the DP, which ignores the budget; any other
     drive matrix, or a DP whose decode hits a tie it cannot resolve, goes to
-    the budgeted branch-and-bound.  That search starts from the better of the
+    the budgeted branch-and-bound, whose bound after such a tie is at least
+    the DP's value.  That search starts from the better of the
     nearest-neighbour park-everywhere tour and the two-echelon heuristic,
     each priced as a search path: a stop's customers cost their cheapest
     admissible split from that stop.
@@ -410,6 +413,7 @@ def solve_exact(
     searcher = _Searcher(inst, cat)
 
     load = inst.n * inst.load_per_package
+    floor = -np.inf  # a lower bound proven before the search, loading included
     if searcher.metric_drive:
         try:
             value, stops, bundles, states = searcher.solve_dp()
@@ -418,7 +422,7 @@ def solve_exact(
                 solution=sol, status="optimal", bound=value + load, value=sol.total, nodes=states,
             )
         except _ReconstructionTie:
-            pass  # proven value exists but no canonical decode; re-search below
+            floor = searcher.dp_value + load  # proven value but no canonical decode; re-search below
 
     searcher.build_bound_tables()
     ctl = _Control(budget)
@@ -444,13 +448,13 @@ def solve_exact(
     if ctl.best_state is None:
         return ExactResult(
             solution=None, status="timeout",
-            bound=min(ctl.abandoned_lb, root_lb), value=None, nodes=ctl.nodes,
+            bound=max(min(ctl.abandoned_lb, root_lb), floor), value=None, nodes=ctl.nodes,
         )
     sol = searcher.materialize(*ctl.best_state)
     if ctl.stopped:
         return ExactResult(
             solution=sol, status="feasible",
-            bound=min(ctl.abandoned_lb, ctl.best_value), value=sol.total, nodes=ctl.nodes,
+            bound=max(min(ctl.abandoned_lb, ctl.best_value), floor), value=sol.total, nodes=ctl.nodes,
         )
     return ExactResult(
         solution=sol, status="optimal", bound=ctl.best_value, value=sol.total, nodes=ctl.nodes,

@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ResourceLimitError
+from .errors import InfeasibleInstanceError
 from .instance import Instance
 from .model import Solution, assemble_solution
 from .servicesets import MAX_WALK_SET, PartitionTable, ServiceSetCatalog, walk_tour
@@ -151,25 +151,21 @@ def solve_ssa(
     cat: ServiceSetCatalog | None,
     spot: int,
     customers,
-    allow_greedy: bool = False,
 ) -> tuple[list[tuple[int, ...]], float, bool]:
     """Cheapest partition of ``customers`` into admissible walking sets from
-    ``spot`` (exact up to 20 customers, read from a ``PartitionTable``).
+    ``spot`` (exact up to 20 customers, read from a ``PartitionTable``; a
+    flagged greedy split beyond).
 
-    Returns (walking orders, walk minutes, exact flag).  With a catalog, set
-    admissibility follows the catalog (including any reduction); without one,
-    capacity limits are read from the instance.
+    Returns (walking orders, walk minutes, exact flag).  A catalog, if given,
+    only filters the candidate sets (membership and any reduction); without
+    one, capacity limits are read from the instance.  ``walk_tour`` prices
+    every candidate: a spot's few customers do not pay for a numpy table.
     """
     K = tuple(sorted(customers))
     k = len(K)
     if k == 0:
         return [], 0.0, True
     if k > 20:
-        if not allow_greedy:
-            raise ResourceLimitError(
-                f"set partition over {k} customers exceeds the exact limit 20; "
-                "pass allow_greedy=True for a flagged fallback"
-            )
         return _greedy_ssa(inst, spot, K)
 
     q = inst.capacity_count if inst.capacity_count is not None else k
@@ -180,7 +176,6 @@ def solve_ssa(
             if cat is None:
                 if inst.over_capacity(members):
                     continue
-                tours.append(walk_tour(inst, spot, members))
             else:
                 try:
                     j = cat.index_of(members)
@@ -188,8 +183,8 @@ def solve_ssa(
                     continue
                 if not cat.admissible(spot, j):
                     continue
-                tours.append(cat.walk_entry(spot, j))
             cands.append(members)
+            tours.append(walk_tour(inst, spot, members))
 
     part = PartitionTable(K, cands, np.array([cost for cost, _ in tours], dtype=float)[:, None])
     full = (1 << k) - 1
@@ -243,7 +238,7 @@ def heuristic_solve_full(
     served = []
     ssa_exact = True
     for s in stops:
-        orders, _, exact = solve_ssa(inst, cat, s, assigned[s], allow_greedy=True)
+        orders, _, exact = solve_ssa(inst, cat, s, assigned[s])
         ssa_exact = ssa_exact and exact
         served.append(tuple(orders))
     solution = assemble_solution(inst, stops, served)

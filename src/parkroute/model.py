@@ -261,6 +261,8 @@ def build_model(inst: Instance, cat: ServiceSetCatalog, options: ModelOptions | 
             "use variable accounting instead of a materialized model at this size"
         )
 
+    walk = cat.walk_cost_table()
+    col = {i: si for si, i in enumerate(spots)}
     variables: list[VarDef] = []
     objective: list[tuple[str, float]] = []
     for i in pi:
@@ -273,7 +275,7 @@ def build_model(inst: Instance, cat: ServiceSetCatalog, options: ModelOptions | 
         s = cat.sets[j]
         name = _yname(i, s.members)
         variables.append(VarDef(name, "B"))
-        objective.append((name, cat.walk_cost(i, j) + f * s.size))
+        objective.append((name, float(walk[j, col[i]]) + f * s.size))
     for i in pi:
         for k in spots:
             if i != k:

@@ -4,21 +4,19 @@ parked-customer variable reduction, and the subset-partition table.
 A service set is a group of customers served in one walking loop from a parked
 vehicle.  The catalog enumerates every set that fits the carrier capacity
 (count, weight, volume).  ``walk_cost_table`` prices every set from every spot
-at once: sets of up to three customers in one numpy pass, larger ones through
-``walk_tour``.  The per-pair walking tours, service order included, are
-computed lazily and memoized.  ``PartitionTable`` splits every subset of a
-customer group into candidate walking sets at least cost, per parking spot;
-the exact solver and the heuristic's set assignment both read their splits
-from it.
+once per catalog, in one table that every reader shares: sets of up to three
+customers in one numpy pass, larger ones through ``walk_tour``.  That is the
+one scalar pricer; it also returns the walking order.  ``PartitionTable``
+splits every subset of a customer group into candidate walking sets at least
+cost, per parking spot; the exact solver and the heuristic's set assignment
+both read their splits from it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from pathlib import Path
 
 import numpy as np
 
@@ -53,7 +51,7 @@ class ServiceSetCatalog:
     reduced: bool = False
     _index: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
     _member_sets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
-    _walk: dict[tuple[int, int], tuple[float, tuple[int, ...]]] = field(default_factory=dict, repr=False)
+    _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self._index:
@@ -95,33 +93,18 @@ class ServiceSetCatalog:
         )
 
     def precompute_walk_costs(self) -> None:
-        """Opt-in eager fill of the walk-cost memo for every admissible pair
-        (the lazy default keeps the pair count from dominating memory)."""
-        for i in self.inst.spots:
-            for j in range(len(self.sets)):
-                if self.admissible(i, j):
-                    self.walk_entry(i, j)
-
-    def walk_cost(self, parking: int, j: int) -> float:
-        return self.walk_entry(parking, j)[0]
-
-    def walk_order(self, parking: int, j: int) -> tuple[int, ...]:
-        return self.walk_entry(parking, j)[1]
-
-    def walk_entry(self, parking: int, j: int) -> tuple[float, tuple[int, ...]]:
-        key = (parking, j)
-        hit = self._walk.get(key)
-        if hit is None:
-            hit = walk_tour(self.inst, parking, self.sets[j].members)
-            self._walk[key] = hit
-        return hit
+        """Fill the walk-cost table that ``walk_cost_table`` returns."""
+        self.walk_cost_table()
 
     def walk_cost_table(self) -> np.ndarray:
         """``table[j, s]``: the walk cost of set j from spot ``inst.spots[s]``,
-        inf where the pair is inadmissible.  Bit for bit what ``walk_cost``
-        returns: sets of up to three customers take ``walk_tour``'s sums, left
-        to right, and its tie rules in one numpy pass; larger sets go through
-        the memo."""
+        inf where the pair is inadmissible.  Filled on the first call and
+        returned, read-only, by every later one.  Bit for bit what
+        ``walk_tour`` returns: sets of up to three customers take its sums,
+        left to right, and its tie rules in one numpy pass; larger sets call
+        it."""
+        if self._table is not None:
+            return self._table
         W = self.inst.walk
         p = np.array(self.inst.spots)
         sizes = np.array([s.size for s in self.sets])
@@ -144,12 +127,12 @@ class ServiceSetCatalog:
                     best = cost if best is None else np.where(cost < best - 1e-12, cost, best)
                 table[rows] = best
             else:
-                table[rows] = [
-                    [self.walk_cost(i, j) if self.admissible(i, j) else np.inf for i in self.inst.spots]
-                    for j in rows
-                ]
+                table[rows] = [[walk_tour(self.inst, i, self.sets[j].members)[0] if self.admissible(i, j)
+                                else np.inf for i in self.inst.spots] for j in rows]
             if self.reduced and size >= 2:
                 table[rows] = np.where((members[:, :, None] == p).any(axis=1), np.inf, table[rows])
+        table.flags.writeable = False
+        self._table = table
         return table
 
 
@@ -332,18 +315,3 @@ def removed_pair_count(n: int, q: int) -> int:
 
 def reduced_pair_count(n: int, q: int) -> int:
     return pair_count(n, q) - removed_pair_count(n, q)
-
-
-# ---------------------------------------------------------------------------
-# optional export
-
-def dump_catalog_csv(cat: ServiceSetCatalog, path: str | Path, parkings=None) -> None:
-    """Write set_id, members, and (on demand) the walking cost per parking spot."""
-    parkings = list(parkings) if parkings is not None else []
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["set_id", "members"] + [f"cost_from_{i}" for i in parkings])
-        for j, s in enumerate(cat.sets):
-            row = [j, "|".join(map(str, s.members))]
-            row += [f"{cat.walk_cost(i, j):.6f}" for i in parkings]
-            writer.writerow(row)

@@ -279,10 +279,12 @@ def self_singleton_form(inst, sol):
 
 def loop_walk_costs(cat):
     """Walk cost of every catalog set (rows) from every spot (columns), one
-    ``walk_cost`` call per admissible pair, inf elsewhere."""
+    scalar ``walk_time`` call per admissible pair, inf elsewhere."""
+    from parkroute.servicesets import walk_time
+
     return np.array([
-        [cat.walk_cost(i, j) if cat.admissible(i, j) else np.inf for i in cat.inst.spots]
-        for j in range(len(cat.sets))
+        [walk_time(cat.inst, i, s.members) if cat.admissible(i, j) else np.inf for i in cat.inst.spots]
+        for j, s in enumerate(cat.sets)
     ])
 
 

@@ -17,7 +17,7 @@ from parkroute.exact import SearchBudget, _Control, _Searcher, check_feasible, s
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model
-from parkroute.servicesets import ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog
+from parkroute.servicesets import ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog, walk_time
 
 
 def test_single_customer_closed_form():
@@ -147,6 +147,18 @@ def test_a_decode_tie_falls_back_to_the_search(monkeypatch):
     assert searched.bound == pytest.approx(searched.value, abs=1e-9)
     assert check_feasible(inst, cat, searched.solution) == []
 
+    # a search cut short by its node budget keeps the DP's proven value as
+    # its bound (the search's own bound is far lower here)
+    inst = gen_geo_instance(12, 1, p=5, q=3)
+    cat = enumerate_catalog(inst)
+    monkeypatch.undo()
+    dp = solve_exact(inst, cat)
+    monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
+    cut = solve_exact(inst, cat, SearchBudget(max_nodes=200))
+    assert cut.status == "feasible"
+    assert dp.bound - 1e-9 <= cut.bound <= cut.value
+    assert check_feasible(inst, cat, cut.solution) == []
+
 
 def test_option_invariance_single_instance():
     # the reduced catalog bans pairs that never help, so the optimum stays
@@ -271,7 +283,8 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
         for c in inst.customers:
             for j in cat.sets_containing(c):
                 if cat.admissible(i, j):
-                    delta[c] = min(delta[c], cat.walk_cost(i, j) / cat.sets[j].size + inst.park_time[i] / n)
+                    members = cat.sets[j].members
+                    delta[c] = min(delta[c], walk_time(inst, i, members) / len(members) + inst.park_time[i] / n)
     dsum = np.zeros(1 << n)
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length()

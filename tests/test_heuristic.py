@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from brutes import all_partitions, brute_par, brute_walk
-from parkroute.errors import ResourceLimitError
 from parkroute.exact import check_feasible, solve_exact
 from parkroute.heuristic import (
     heuristic_solve,
@@ -155,9 +154,8 @@ def test_ssa_matches_partition_brute_force(k):
 def test_ssa_size_cap_and_greedy_fallback():
     inst = gen_geo_instance(25, seed=1, p=1.0, q=3)
     members = list(range(1, 22))
-    with pytest.raises(ResourceLimitError):
-        solve_ssa(inst, None, 1, members)
-    orders, walk, exact = solve_ssa(inst, None, 1, members, allow_greedy=True)
+    # more than 20 customers: a greedy split, flagged non-exact
+    orders, walk, exact = solve_ssa(inst, None, 1, members)
     assert not exact
     assert sorted(c for o in orders for c in o) == members
 

@@ -35,7 +35,7 @@ from parkroute.model import (
     parse_lp,
     solution_from_dict,
 )
-from parkroute.servicesets import PartitionTable, enumerate_catalog
+from parkroute.servicesets import PartitionTable, enumerate_catalog, walk_time
 from parkroute.tsp import solve_tsp
 
 # fixed example sequence, so a Tier-1 run is reproducible; no example database
@@ -66,7 +66,7 @@ def instances(draw, min_n=1, max_n=6):
 @given(instances())
 def test_partition_table_matches_brute_force(inst):
     cat = enumerate_catalog(inst)
-    costs = np.array([[cat.walk_cost(i, j) for i in inst.spots] for j in range(len(cat.sets))])
+    costs = np.array([[walk_time(inst, i, s.members) for i in inst.spots] for s in cat.sets])
     part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
     for mask in range(1 << inst.n):
         members = [c for c in inst.customers if mask >> (c - 1) & 1]

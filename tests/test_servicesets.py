@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_
 from parkroute.servicesets import (
     PartitionTable,
     count_sets,
-    dump_catalog_csv,
     enumerate_catalog,
     pair_count,
     reduce_catalog,
@@ -149,35 +150,43 @@ def test_removed_pairs_closed_form_small():
         assert red.removed_pair_count() == removed_pair_count(n, q)
 
 
-def test_catalog_walk_costs_memoized_and_consistent():
-    inst = gen_geo_instance(5, seed=6, q=2)
+def test_walk_cost_table_is_filled_once_and_matches_walk_tour():
+    # sets of up to four customers: the numpy pass and the scalar calls
+    inst = gen_geo_instance(6, seed=12, q=4)
     cat = enumerate_catalog(inst)
+    assert cat._table is None
+    cat.precompute_walk_costs()
+    table = cat._table
+    assert table is not None
+    assert cat.walk_cost_table() is table
+    assert cat.walk_cost_table() is table
+    assert not table.flags.writeable
+    assert np.array_equal(table, loop_walk_costs(cat))
     j = cat.index_of((2, 4))
-    first = cat.walk_cost(1, j)
-    assert cat.walk_cost(1, j) == first
-    assert first == pytest.approx(walk_time(inst, 1, (2, 4)))
-    assert sorted(cat.walk_order(1, j)) == [2, 4]
+    cost, order = walk_tour(inst, 1, (2, 4))
+    assert table[j, inst.spots.index(1)] == cost
+    assert sorted(order) == [2, 4]
 
 
-def test_precompute_matches_lazy():
-    inst = gen_geo_instance(6, seed=12, q=2)
-    lazy = enumerate_catalog(inst)
-    eager = enumerate_catalog(inst)
-    eager.precompute_walk_costs()
-    assert len(eager._walk) == eager.pair_count()
-    for i in inst.spots:
-        for j in range(len(lazy.sets)):
-            assert eager.walk_cost(i, j) == lazy.walk_cost(i, j)
-
-
-def test_catalog_csv_dump(tmp_path):
-    inst = gen_geo_instance(3, seed=1, q=2)
+@pytest.mark.parametrize(
+    "make", [reduce_catalog, lambda cat: replace(cat, reduced=True)], ids=["reduce_catalog", "replace"]
+)
+def test_reduced_catalog_gets_its_own_walk_cost_table(make):
+    inst = gen_geo_instance(6, seed=12, q=4)
     cat = enumerate_catalog(inst)
-    out = tmp_path / "catalog.csv"
-    dump_catalog_csv(cat, out, parkings=[1, 2])
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "set_id,members,cost_from_1,cost_from_2"
-    assert len(lines) == 1 + len(cat.sets)
+    full = cat.walk_cost_table()
+    assert np.isfinite(full).all()
+    red = make(cat)
+    assert red.reduced and red._table is None
+    table = red.walk_cost_table()
+    assert table is not full
+    assert np.array_equal(table, loop_walk_costs(red))
+    banned = [
+        (j, col) for j in range(len(red.sets)) for col, i in enumerate(inst.spots) if not red.admissible(i, j)
+    ]
+    assert len(banned) == red.removed_pair_count() > 0
+    assert all(np.isinf(table[j, col]) for j, col in banned)
+    assert cat.walk_cost_table() is full
 
 
 def test_every_customer_has_its_singleton():

@@ -142,8 +142,8 @@ _BENCH_HEADER = [
 def _bench_one(path: str, models: list[str], budget: SearchBudget,
                exact_n_max: int, with_optimum: bool) -> list[dict]:
     inst = load_instance(path)
-    optimum = ""
-    if with_optimum:
+    optimum = ""  # left empty above the exact limit and where no proof came
+    if with_optimum and inst.n <= DP_MAX_CUSTOMERS:
         res = solve_exact(inst, enumerate_catalog(inst), budget=budget)
         if res.status == "optimal":
             optimum = _fmt6(res.value)

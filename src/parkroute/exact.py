@@ -8,22 +8,26 @@ is exact.  The fill walks one catalog set per transition, so a mask is
 priced against its subsets of at most the largest set size rather than
 against every submask.  A mask's completion reads only masks with fewer
 customers, so the table is filled one popcount layer at a time, each layer
-in numpy blocks of at most ``CHUNK`` (mask, set) pairs.  Non-metric inputs
-fall back to a depth-first branch-and-bound over parking sequences whose
-lower bound combines the unavoidable drive legs with a per-customer share of
-the cheapest admissible walk-plus-park increment, which stays admissible on
-any input.  Only there can a pass-through stop, one that parks and serves
-no one, pay off, so the branch-and-bound allows them exactly when the drive
+in numpy blocks of at most ``CHUNK`` (mask, set) pairs.  The decode reads
+the same per-set transitions back, one catalog set per step; a stop's bundle
+is the union of the sets walked there.  Non-metric inputs fall back to a
+depth-first branch-and-bound over parking sequences whose lower bound
+combines the unavoidable drive legs with a per-customer share of the
+cheapest admissible walk-plus-park increment, which stays admissible on any
+input.  Only there can a pass-through stop, one that parks and serves no
+one, pay off, so the branch-and-bound allows them exactly when the drive
 matrix breaks the triangle inequality.  Either path accepts at most
-``DP_MAX_CUSTOMERS`` = 16 customers: the DP's tables hold 2^n rows per spot,
-and the branch-and-bound proves nothing that large within its default budget.
-Its warm starts, the nearest-neighbour tour and the heuristic, enter the
-search as priced (stops, bundles) paths through the same bundle table as
-every search leaf.
+``DP_MAX_CUSTOMERS`` = 18 customers: the DP's two tables hold 2^n rows per
+spot, and the branch-and-bound proves nothing that large within its default
+budget.  Its warm starts, the nearest-neighbour tour and the heuristic,
+enter the search as priced (stops, bundles) paths through the same bundle
+table as every search leaf.
 
-Each bundle's optimal split into catalog sets is read from one dense
-``servicesets.PartitionTable`` over all customers and spots, built up front
-and shared by both paths (and by the heuristic's set assignment).
+The branch-and-bound prices bundles from one dense
+``servicesets.PartitionTable`` over all customers and spots, built only when
+that search runs.  A solution's stops are split into walking sets by a
+one-column ``PartitionTable`` over each stop's own bundle, which gives the
+same split as the dense table.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
 
 _EPS = 1e-9
 
-DP_MAX_CUSTOMERS = 16
+DP_MAX_CUSTOMERS = 18
 
 
 def _small_subsets(bits: int, largest: int) -> np.ndarray:
@@ -55,16 +59,6 @@ def _small_subsets(bits: int, largest: int) -> np.ndarray:
         pattern[subset, np.arange(lo, lo + len(subset))[:, None]] = 1
         lo += len(subset)
     return pattern
-
-
-def _submasks(mask: int) -> np.ndarray:
-    """The nonempty submasks of ``mask`` as an int64 array, in no set order."""
-    subs = np.zeros(1, dtype=np.int64)
-    while mask:
-        low = mask & -mask
-        subs = np.concatenate((subs, subs | low))
-        mask ^= low
-    return subs[1:]
 
 
 class _ReconstructionTie(Exception):
@@ -153,21 +147,22 @@ class _Searcher:
         # runs and lets a stop pass through, serving no one
         self.metric_drive = _triangle_stats(inst.drive)[0] == 0
 
-        # bit b of a bundle mask is customer b + 1
-        self.part = PartitionTable(inst.customers, [s.members for s in cat.sets], costs)
+        # bit b of a bundle mask is customer b + 1; masks[j] is catalog set j
+        self.costs = costs
+        self.masks = np.array([sum(1 << (c - 1) for c in s.members) for s in cat.sets], dtype=np.int64)
         self.col = {i: si for si, i in enumerate(self.spots)}
-        # bundle[A, s]: walk cost of bundle A from spot column s, inf where A
-        # cannot be served from there
-        self.bundle = self.part.value
 
-    def build_bound_tables(self):
-        """dsum[mask]: the summed per-customer share of the cheapest
+    def setup_search(self):
+        """The branch-and-bound's tables.  bundle[A, s]: walk cost of bundle A
+        from spot column s, inf where A cannot be served from there.
+        dsum[mask]: the summed per-customer share of the cheapest
         walk-plus-park increment over the customers of ``mask``; a customer's
         share is the least, over its sets and the spots, of the set's walk
         cost divided by its size plus the spot's park time divided by n."""
+        self.bundle = PartitionTable(self.inst.customers, [s.members for s in self.cat.sets], self.costs).value
         sizes = np.array([s.size for s in self.cat.sets])
-        share = (self.part.costs / sizes[:, None] + self.P[list(self.spots)] / self.n).min(axis=1)
-        holds = (self.part.masks[:, None] >> np.arange(self.n) & 1) == 1
+        share = (self.costs / sizes[:, None] + self.P[list(self.spots)] / self.n).min(axis=1)
+        holds = (self.masks[:, None] >> np.arange(self.n) & 1) == 1
         delta = np.where(holds, share[:, None], np.inf).min(axis=0)  # per bit
         # dsum[mask] = dsum[mask minus its lowest bit] + delta[lowest bit]:
         # double over the bits from the highest down, interleaving each new bit
@@ -224,14 +219,14 @@ class _Searcher:
         d_depot = np.array([D[0, j] for j in S])
         # walk[row[A]]: walk cost of catalog set A from each spot column; a
         # mask that is no catalog set reads the trailing inf row
-        walk = np.vstack((self.part.costs, np.full(len(S), np.inf)))
-        row = np.full(size, len(self.part.masks))
-        row[self.part.masks] = np.arange(len(self.part.masks))
+        walk = np.vstack((self.costs, np.full(len(S), np.inf)))
+        row = np.full(size, len(self.masks))
+        row[self.masks] = np.arange(len(self.masks))
         largest = max(s.size for s in self.cat.sets)
 
         self.B = B = np.empty((size, len(S)))
         B[0] = [D[j, 0] for j in S]
-        F = np.empty_like(B)
+        self.F = F = np.empty_like(B)
         F[0] = B[0]
         # np.minimum.reduceat takes the minimum over the rows of each block
         # about three times faster than min(axis=...) on these narrow arrays
@@ -258,27 +253,45 @@ class _Searcher:
         # qp of the full mask, the last layer; the value stands even if the
         # decode ties, and bounds the search below, since the DP allows revisits
         self.dp_value = opt = float((d_depot + qp).min())
-        del F  # the decode reads only B
 
         stops, bundles = self._dp_reconstruct(d_depot, opt)
         return opt, tuple(stops), tuple(bundles), size * len(S)
 
-    def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> list[tuple[int, int]]:
-        """The (spot column, bundle) pairs that, arriving with the per-spot
-        drive times ``arrival``, complete ``mask`` within _EPS of ``target``:
-        ``(arrival + park + bundle[A]) + B[mask ^ A]`` per nonempty submask A,
-        CHUNK submasks at a time."""
-        base = arrival + self.park
-        subs = _submasks(mask)
-        pairs = []
-        for lo in range(0, len(subs), CHUNK):
-            A = subs[lo:lo + CHUNK]
-            v = np.take(self.bundle, A, axis=0)
-            v += base
-            v += np.take(self.B, mask ^ A, axis=0)
-            rows, cols = np.nonzero(v <= target + _EPS)
-            pairs += [(int(sj), int(A[a])) for a, sj in zip(rows, cols)]
-        return pairs
+    def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> set[tuple[int, int]]:
+        """The distinct (spot column, bundle) pairs that, arriving with the
+        per-spot drive times ``arrival``, complete ``mask`` within _EPS of
+        ``target``, read back one catalog set at a time the way the fill
+        prices them: a stop at column k starts with a set S within ``mask``
+        for which ``arrival + ((walk[S] + F[mask ^ S]) + park)`` attains the
+        target at k, then walks on as ``_stop_tails`` allows from
+        ``mask ^ S``.  Its bundle is the union of the sets walked."""
+        fit = np.flatnonzero((self.masks & ~mask) == 0)
+        first = self.masks[fit]
+        v = self.costs[fit] + self.F[mask ^ first]
+        v += self.park
+        v += arrival
+        rows, cols = np.nonzero(v <= target + _EPS)
+        return {
+            (int(k), int(S) | T)
+            for S, k in zip(first[rows], cols)
+            for T in self._stop_tails(mask ^ int(S), int(k))
+        }
+
+    def _stop_tails(self, rest: int, k: int) -> set[int]:
+        """The bundles within ``rest`` that a stop at spot column k can still
+        walk on an optimal completion of ``rest`` before it drives on: the
+        empty bundle where B[rest, k] attains F[rest, k], and S plus a tail of
+        ``rest ^ S`` for each set S whose walk[S, k] + F[rest ^ S, k]
+        attains it.  Memoized on (rest, k) for the whole decode."""
+        if (rest, k) not in self._tails:
+            f = self.F[rest, k] + _EPS
+            tails = {0} if self.B[rest, k] <= f else set()
+            fit = np.flatnonzero((self.masks & ~rest) == 0)
+            sets = self.masks[fit]
+            for S in sets[self.costs[fit, k] + self.F[rest ^ sets, k] <= f]:
+                tails.update(int(S) | T for T in self._stop_tails(rest ^ int(S), k))
+            self._tails[rest, k] = tails
+        return self._tails[rest, k]
 
     def _dp_reconstruct(self, d_depot: np.ndarray, target: float):
         """Greedy front construction of the canonical optimal solution:
@@ -287,6 +300,7 @@ class _Searcher:
         S = self.spots
         B = self.B
         memo: dict[tuple[int, int], int] = {}
+        self._tails = {}
         stops: list[int] = []
         bundles: list[int] = []
         mask = self.full
@@ -385,9 +399,18 @@ class _Searcher:
     # -- reconstruction -----------------------------------------------------
 
     def materialize(self, stops: tuple[int, ...], bundles: tuple[int, ...]) -> Solution:
+        """Split each stop's bundle into catalog sets with a one-column
+        ``PartitionTable`` over the bundle's customers and the sets inside
+        it: the same values, bit for bit, and the same lowest-bit,
+        catalog-order split as the dense table over all customers."""
         served = []
         for i, mask in zip(stops, bundles):
-            sets = [self.cat.sets[j].members for j in self.part.split(mask, self.col[i])]
+            inside = np.flatnonzero((self.masks & ~mask) == 0)
+            members = [c for c in self.inst.customers if mask >> (c - 1) & 1]
+            part = PartitionTable(
+                members, [self.cat.sets[j].members for j in inside], self.costs[inside, self.col[i], None],
+            )
+            sets = [self.cat.sets[inside[j]].members for j in part.split((1 << len(members)) - 1, 0)]
             served.append(tuple(walk_tour(self.inst, i, members)[1] for members in sets))
         return assemble_solution(self.inst, stops, served)
 
@@ -424,7 +447,7 @@ def solve_exact(
         except _ReconstructionTie:
             floor = searcher.dp_value + load  # proven value but no canonical decode; re-search below
 
-    searcher.build_bound_tables()
+    searcher.setup_search()
     ctl = _Control(budget)
 
     if inst.spots == tuple(inst.customers):

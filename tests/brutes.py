@@ -348,6 +348,68 @@ def loop_set_completion_table(candidates, costs, drive, park_time, spots):
     return B
 
 
+def dense_table_decode(searcher, target):
+    """The exact DP's decode over the dense partition table, after a filled
+    ``searcher.solve_dp()``: from each remaining mask, every nonempty submask
+    A priced as a bundle, ``(arrival + park + bundle[A]) + B[mask ^ A]``,
+    against the target within 1e-9; the canonical choice is the fewest
+    stops, then the smallest stop, then the smallest bundle mask.  Returns
+    (stops, bundles, served), each stop's sets split by the dense table and
+    listed in walking order."""
+    from parkroute.exact import _ReconstructionTie
+    from parkroute.servicesets import PartitionTable, walk_tour
+
+    inst = searcher.inst
+    S = list(searcher.spots)
+    part = PartitionTable(inst.customers, [s.members for s in searcher.cat.sets], searcher.costs)
+    B, d_spot = searcher.B, searcher.d_spot
+    park = np.array([float(inst.park_time[j]) for j in S])
+
+    def transitions(mask, arrival, target):
+        subs, a = [], mask
+        while a:
+            subs.append(a)
+            a = (a - 1) & mask
+        subs = np.array(subs, dtype=np.int64)
+        v = ((arrival + park) + part.value[subs]) + B[mask ^ subs]
+        rows, cols = np.nonzero(v <= target + 1e-9)
+        return [(int(k), int(subs[r])) for r, k in zip(rows, cols)]
+
+    memo = {}
+
+    def fewest(mask, si):
+        if mask == 0:
+            return 0
+        if (mask, si) not in memo:
+            memo[mask, si] = min(
+                (1 + fewest(mask ^ A, sj) for sj, A in transitions(mask, d_spot[si], B[mask, si])),
+                default=len(S) + inst.n,
+            )
+        return memo[mask, si]
+
+    stops, bundles, served = [], [], []
+    mask, arrival, visited = (1 << inst.n) - 1, inst.drive[0, S], 0
+    while mask:
+        choices = [
+            (1 + fewest(mask ^ A, sj), S[sj], A, sj)
+            for sj, A in transitions(mask, arrival, target)
+            if not visited >> sj & 1
+        ]
+        if not choices:
+            raise _ReconstructionTie
+        _, j, A, sj = min(choices)
+        stops.append(j)
+        bundles.append(A)
+        sets = [searcher.cat.sets[c].members for c in part.split(A, sj)]
+        served.append(tuple(walk_tour(inst, j, members)[1] for members in sets))
+        visited |= 1 << sj
+        mask ^= A
+        arrival = d_spot[sj]
+        if mask:
+            target = float(B[mask, sj])
+    return stops, bundles, served
+
+
 # ---------------------------------------------------------------------------
 # per-mask and per-move references for the vectorised tour layer; each uses
 # the same operands in the same order, so tours and costs must agree bit for

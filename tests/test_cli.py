@@ -73,6 +73,20 @@ def test_benchmark_leaves_an_unproven_optimum_empty(tmp_path, monkeypatch):
     assert [r["optimum"] for r in _read_csv(out_csv)] == [""]
 
 
+def test_benchmark_leaves_the_optimum_empty_above_the_exact_limit(tmp_path):
+    # a file too large for the exact solver must not abort the run
+    paths = []
+    for n in (6, 19):
+        paths.append(str(tmp_path / f"inst{n}.json"))
+        main(["gen", "--geo", "-n", str(n), "--seed", "1", "-o", paths[-1]])
+    out_csv = tmp_path / "bench.csv"
+    assert main(["benchmark", "--models", "mtsp", "--with-optimum", *paths, "-o", str(out_csv)]) == 0
+    rows = _read_csv(out_csv)
+    assert [r["instance"] for r in rows] == paths
+    assert rows[0]["optimum"] != "" and float(rows[0]["completion"]) >= float(rows[0]["optimum"]) - 1e-6
+    assert rows[1]["optimum"] == ""
+
+
 def test_benchmark_jobs_write_the_same_csv(tmp_path):
     paths = []
     for seed in (1, 2):

@@ -8,16 +8,20 @@ import pytest
 
 import parkroute.heuristic
 from brutes import (
-    brute_optimum, loop_completion_table, loop_partition_values, loop_set_completion_table, loop_walk_costs,
-    milp_optimum, ring_walk_instance, self_singleton_form,
+    brute_optimum, dense_table_decode, loop_completion_table, loop_partition_values, loop_set_completion_table,
+    loop_walk_costs, milp_optimum, ring_walk_instance, self_singleton_form,
 )
+from parkroute.benchmarks import modified_tsp
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
 from parkroute import exact
 from parkroute.exact import SearchBudget, _Control, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
+from parkroute.heuristic import heuristic_solve
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
-from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model
-from parkroute.servicesets import ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog, walk_time
+from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model, evaluate_solution
+from parkroute.servicesets import (
+    PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog, walk_time,
+)
 
 
 def test_single_customer_closed_form():
@@ -57,12 +61,50 @@ def test_n7_optimum_matches_highs(seed):
     assert res.value == pytest.approx(milp_optimum(build_model(inst, cat)), abs=1e-6)
 
 
-def test_more_than_16_customers_are_refused_at_once():
-    inst = gen_geo_instance(17, seed=1)
+def test_more_than_18_customers_are_refused_at_once():
+    inst = gen_geo_instance(19, seed=1)
     start = time.monotonic()
-    with pytest.raises(ResourceLimitError, match="up to 16 customers"):
+    with pytest.raises(ResourceLimitError, match="up to 18 customers"):
         solve_exact(inst, enumerate_catalog(inst))
     assert time.monotonic() - start < 1.0
+
+
+def test_17_customers_are_proven_by_the_dp():
+    inst = gen_geo_instance(17, seed=1, p=5.0, q=3)
+    cat = enumerate_catalog(inst)
+    res = solve_exact(inst, cat)
+    assert res.status == "optimal"
+    assert res.bound == pytest.approx(res.value, abs=1e-9)
+    assert evaluate_solution(inst, res.solution).total == pytest.approx(res.value, abs=1e-9)
+    assert check_feasible(inst, cat, res.solution) == []
+    assert res.value <= heuristic_solve(inst, cat).total + 1e-9
+    assert res.value <= modified_tsp(inst).completion + 1e-9
+    again = solve_exact(inst, cat)
+    assert (again.status, again.value, again.bound, again.solution) == (res.status, res.value, res.bound, res.solution)
+
+
+def test_the_dp_builds_no_partition_table_over_all_customers(monkeypatch):
+    # the DP path splits each stop on its own bundle; only the
+    # branch-and-bound builds the table over every customer
+    counts = []
+    build = PartitionTable.__init__
+
+    def record(self, customers, candidates, costs):
+        counts.append(len(customers))
+        build(self, customers, candidates, costs)
+
+    monkeypatch.setattr(PartitionTable, "__init__", record)
+    inst = gen_geo_instance(12, 1, p=5.0, q=3)
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert res.status == "optimal"
+    assert counts and inst.n not in counts
+
+    counts.clear()
+    drive = inst.drive.copy()
+    drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
+    skewed = replace(inst, drive=drive)
+    solve_exact(skewed, enumerate_catalog(skewed), SearchBudget(max_nodes=50))
+    assert inst.n in counts
 
 
 def test_true_optima_on_2x2_grid_sweep():
@@ -277,7 +319,7 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
     if reduced:
         cat = reduce_catalog(cat)
     searcher = _Searcher(inst, cat)
-    searcher.build_bound_tables()
+    searcher.setup_search()
     delta = np.full(n + 1, np.inf)
     for i in inst.spots:
         for c in inst.customers:
@@ -299,6 +341,7 @@ def test_warm_paths_meet_the_options_through_the_bundle_table():
     cat = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1, 2)), ServiceSet((3,))))
     searcher = _Searcher(inst, cat)
     assert searcher.metric_drive
+    searcher.setup_search()
     ctl = _Control(SearchBudget())
     searcher.offer_path(ctl, [1, 2], [0b001, 0b110])  # no catalog split serves {1}
     searcher.offer_path(ctl, [1, 2], [0b000, 0b111])  # a pass-through stop
@@ -315,9 +358,11 @@ def test_warm_paths_meet_the_options_through_the_bundle_table():
     skewed = replace(inst, drive=drive)
     searcher = _Searcher(skewed, ServiceSetCatalog(inst=skewed, sets=cat.sets))
     assert not searcher.metric_drive
+    searcher.setup_search()
     ctl = _Control(SearchBudget())
     searcher.offer_path(ctl, [1, 2], [0b000, 0b111])
     assert ctl.best_state == ((1, 2), (0b000, 0b111))
+    assert searcher.materialize(*ctl.best_state).served[0] == ()
 
 
 def _identity_case(name):
@@ -359,12 +404,13 @@ def test_layered_tables_equal_the_per_mask_loops(case, reduced):
         cat = reduce_catalog(cat)
     searcher = _Searcher(inst, cat)
     searcher.solve_dp()
+    part = PartitionTable(inst.customers, [s.members for s in cat.sets], searcher.costs)
     costs = loop_walk_costs(cat)
-    assert np.array_equal(searcher.part.costs, costs)
-    assert np.array_equal(searcher.part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
+    assert np.array_equal(part.costs, costs)
+    assert np.array_equal(part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
     assert np.array_equal(searcher.B, loop_set_completion_table(
         [s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots))
-    per_mask = loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots)
+    per_mask = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
     assert np.allclose(searcher.B, per_mask, atol=1e-9, rtol=0)
 
 
@@ -383,7 +429,7 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
     searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()
     assert np.array_equal(searcher.B, loop_set_completion_table(
-        [s.members for s in cat.sets], searcher.part.costs, inst.drive, inst.park_time, inst.spots))
+        [s.members for s in cat.sets], searcher.costs, inst.drive, inst.park_time, inst.spots))
     monkeypatch.undo()
     plain = _Searcher(inst, cat)
     assert plain.solve_dp()[1:3] == (stops, bundles)
@@ -395,11 +441,45 @@ def test_decode_reads_the_same_solution_from_the_per_mask_table(case):
     # the per-set fill and the bundle-form loop differ in their last bits;
     # the decode, which compares within 1e-9, must not see the difference
     inst = _identity_case(case)
-    searcher = _Searcher(inst, enumerate_catalog(inst))
+    cat = enumerate_catalog(inst)
+    searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()
-    searcher.B = loop_completion_table(searcher.bundle, inst.drive, inst.park_time, inst.spots)
+    part = PartitionTable(inst.customers, [s.members for s in cat.sets], searcher.costs)
+    searcher.B = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
     d_depot = inst.drive[0, list(inst.spots)]
     assert searcher._dp_reconstruct(d_depot, value) == (list(stops), list(bundles))
+
+
+def _decode_cases():
+    for case in ["geo-n6", "geo-n12", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"]:
+        yield case, lambda case=case: _identity_case(case)
+    for p in (1.0, 2.0, 2.3, 3.0):
+        yield f"grid-2x2-p{p}", lambda p=p: gen_grid_instance(GridParams(sqrt_n=2, walk_rate=1.6, park_time=p, capacity=2))
+    for p in (2.2, 2.3):
+        yield f"grid-4x4-p{p}", lambda p=p: gen_grid_instance(GridParams(sqrt_n=4, walk_rate=1.6, park_time=p, capacity=2))
+    for n in range(8, 13):
+        for seed in range(1, 6):
+            for p in (1.0, 5.0, 8.0):
+                yield f"geo-n{n}-s{seed}-p{p:g}", lambda n=n, seed=seed, p=p: gen_geo_instance(n, seed, p=p, q=3)
+
+
+_DECODE_CASES = dict(_decode_cases())
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("case", list(_DECODE_CASES))
+def test_decode_matches_the_dense_table_decode(case, reduced):
+    # one catalog set per step against every submask priced as a bundle by
+    # the dense partition table: the same stops, bundles and walking sets
+    inst = _DECODE_CASES[case]()
+    cat = enumerate_catalog(inst)
+    if reduced:
+        cat = reduce_catalog(cat)
+    searcher = _Searcher(inst, cat)
+    value, stops, bundles, _ = searcher.solve_dp()
+    ref_stops, ref_bundles, ref_served = dense_table_decode(searcher, value)
+    assert (stops, bundles) == (tuple(ref_stops), tuple(ref_bundles))
+    assert searcher.materialize(stops, bundles).served == tuple(ref_served)
 
 
 @pytest.mark.parametrize("skew", [False, True])

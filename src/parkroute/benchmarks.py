@@ -20,6 +20,10 @@ from .servicesets import enumerate_catalog
 from .tsp import solve_tsp
 
 DESK_EXACT_N = 10
+# floats in one block of modified TSP's split table: n = 50 takes two blocks.
+# Blocks four times larger save under a millisecond there and raise the
+# process's peak resident memory by about 1 MB.
+SPLIT_CELLS = 1 << 16
 
 
 @dataclass
@@ -35,11 +39,12 @@ class BenchmarkResult:
 
 
 def _solve_variant(variant: Instance, budget, exact_n_max: int):
-    """Inner solve on a modified instance: exact oracle at desk scale,
-    the two-echelon heuristic beyond."""
-    if variant.n <= exact_n_max:
-        from .exact import solve_exact
+    """Inner solve on a modified instance: exact oracle at desk scale (up to
+    ``exact_n_max`` and never above the exact limit), the two-echelon
+    heuristic beyond."""
+    from .exact import DP_MAX_CUSTOMERS, solve_exact
 
+    if variant.n <= min(exact_n_max, DP_MAX_CUSTOMERS):
         cat = enumerate_catalog(variant)
         res = solve_exact(variant, cat, budget=budget)
         if res.solution is None:
@@ -109,6 +114,35 @@ def relaxed_ms(
     )
 
 
+def _split_block(segs, lo: int, hi: int, cols: slice, end: int, with_cut: bool = False):
+    """Optimal splits of positions a..t into order-respecting sets walked
+    from each spot in ``cols``, for every block start lo <= a <= hi and every
+    a <= t <= end, filled together.
+
+    ``g[a - lo, t + 1 - lo]`` holds the split of a..t (``g[a - lo, a - lo]``
+    = 0 is the empty one).  Each t tries the sets of ``segs[t]`` in
+    increasing s, and one numpy step updates every start a <= s, so each
+    start sees the additions a one-start fill makes, in its order.  With
+    ``with_cut``, ``cut`` holds the first position of the split's last set.
+    """
+    starts = hi - lo + 1
+    g = np.full((starts, end + 2 - lo, cols.stop - cols.start), np.inf)
+    g[np.arange(starts), np.arange(starts)] = 0.0
+    cut = np.zeros(g.shape, dtype=int) if with_cut else None
+    for t in range(lo, end + 1):
+        row = g[:, t + 1 - lo]
+        for s, w in segs[t]:
+            if s < lo:
+                continue
+            k = min(s, hi) - lo + 1  # starts a <= s
+            v = g[:k, s - lo] + w[cols]
+            better = v < row[:k] - 1e-12
+            np.copyto(row[:k], v, where=better)
+            if with_cut:
+                np.copyto(cut[:k, t + 1 - lo], s, where=better)
+    return g, cut
+
+
 def modified_tsp(inst: Instance) -> BenchmarkResult:
     """Fix the service order by a driving-time TSP, then choose parking events
     and contiguous service sets along that order by dynamic programming.
@@ -119,10 +153,13 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
 
     The DP is the route-first/cluster-second split of Beasley (1983) and
     Prins (2004).  Block starts a run in increasing order, so the best prefix
-    ending at a - 1 is final when a is reached.  One order-respecting split
+    ending at a - 1 is final when a is reached.  The order-respecting split
     from a to n, vectorised over the spots at or after a, then prices the
-    block a..b for every end b at once: O(n^2 q) cells with one vectorised
-    step each.  The split is re-run only for the chosen blocks when decoding.
+    block a..b for every end b at once.  As in Vidal (2016), the split is
+    shared across block starts: ``_split_block`` fills it for a run of starts
+    at once, as many as keep its table within ``SPLIT_CELLS`` floats, so the
+    O(n^2 q) cells take O(n q) numpy steps per run.  The decode re-runs a
+    one-start split for each chosen block.
     """
     n = inst.n
     _, order, tsp_exact = solve_tsp(inst.drive)  # customer ids, fixed service order
@@ -148,41 +185,30 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
         for t in range(n + 1)
     ]
 
-    def split(a: int, cols: slice):
-        """Optimal split of positions a..t into order-respecting sets walked
-        from each spot in cols, for every t >= a; row t - a + 1 holds t."""
-        g = np.full((n - a + 2, len(sp[cols])), np.inf)
-        cut = np.zeros(g.shape, dtype=int)
-        g[0] = 0.0
-        for t in range(a, n + 1):
-            row, crow = g[t - a + 1], cut[t - a + 1]
-            for s, w in segs[t]:
-                if s >= a:
-                    v = g[s - a] + w[cols]
-                    better = v < row - 1e-12
-                    np.copyto(row, v, where=better)
-                    np.copyto(crow, s, where=better)
-        return g, cut
-
     F = np.full((n + 1, n + 1), np.inf)  # F[t, i]: served first t, last spot i
     F[0, 0] = 0.0
     start = np.zeros((n + 1, n + 1), dtype=int)  # block start of the best F[t, i]
     prev = np.zeros((n + 1, n + 1), dtype=int)  # and the spot before it
-    for a in range(1, n + 1):
-        k0 = int(np.searchsorted(spos, a))
-        if k0 == len(sp):
-            break  # no spot at or after a
-        if not np.isfinite(F[a - 1]).any():
-            continue  # no feasible prefix ends at a - 1
-        cols, ids = slice(k0, None), sp[k0:]
-        arrive = F[a - 1][:, None] + D[:, ids]
-        j = arrive.argmin(axis=0)  # first index on ties
-        total = (arrive[j, np.arange(len(ids))] + inst.park_time[ids]) + split(a, cols)[0][1:]
-        cur = F[a:, ids]
-        better = (np.arange(a, n + 1)[:, None] >= spos[cols]) & (total < cur - 1e-12)
-        F[a:, ids] = np.where(better, total, cur)
-        start[a:, ids] = np.where(better, a, start[a:, ids])
-        prev[a:, ids] = np.where(better, j, prev[a:, ids])
+    lo, last = 1, int(spos[-1])  # no block starts after the last spot
+    while lo <= last:
+        k_lo = int(np.searchsorted(spos, lo))
+        per_start = (n + 2 - lo) * (len(sp) - k_lo)
+        hi = min(last, lo + max(1, SPLIT_CELLS // per_start) - 1)
+        g, _ = _split_block(segs, lo, hi, slice(k_lo, len(sp)), n)
+        for a in range(lo, hi + 1):
+            if not np.isfinite(F[a - 1]).any():
+                continue  # no feasible prefix ends at a - 1
+            k0 = int(np.searchsorted(spos, a))
+            ids = sp[k0:]
+            arrive = F[a - 1][:, None] + D[:, ids]
+            j = arrive.argmin(axis=0)  # first index on ties
+            total = (arrive[j, np.arange(len(ids))] + inst.park_time[ids]) + g[a - lo, a + 1 - lo :, k0 - k_lo :]
+            cur = F[a:, ids]
+            better = (np.arange(a, n + 1)[:, None] >= spos[k0:]) & (total < cur - 1e-12)
+            F[a:, ids] = np.where(better, total, cur)
+            start[a:, ids] = np.where(better, a, start[a:, ids])
+            prev[a:, ids] = np.where(better, j, prev[a:, ids])
+        lo = hi + 1
     finish = F[n, 1:] + D[1:, 0]
     i = int(finish.argmin()) + 1
     objective = finish[i - 1] + n * inst.load_per_package
@@ -192,7 +218,7 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     b = n
     while b > 0:
         a, k = int(start[b, i]), int(np.searchsorted(spos, pos[i]))
-        cut = split(a, slice(k, k + 1))[1][:, 0]
+        cut = _split_block(segs, a, a, slice(k, k + 1), b, with_cut=True)[1][0, :, 0]
         sets = []
         t = b
         while t >= a:

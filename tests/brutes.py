@@ -509,3 +509,130 @@ def loop_nearest_neighbor_cycle(dist):
         order.append(cur)
         unvisited.remove(cur)
     return order
+
+
+# ---------------------------------------------------------------------------
+# per-candidate and per-start references for PA-R's local search and the
+# modified-TSP split; the vectorised code must take the same moves and splits
+
+
+def loop_local_search(W, park, mask):
+    """``heuristic.local_search`` with one ``_assignment_cost`` call per
+    candidate opening."""
+    from parkroute.heuristic import _EPS, _assignment_cost
+
+    m = len(mask)
+    best = _assignment_cost(W, park, mask)
+    improved = True
+    do_swaps = m <= 60
+    while improved:
+        improved = False
+        for t in range(m):
+            cand = mask.copy()
+            cand[t] = not cand[t]
+            c = _assignment_cost(W, park, cand)
+            if c < best - _EPS:
+                mask, best = cand, c
+                improved = True
+        if do_swaps and not improved:
+            for t in range(m):
+                if not mask[t]:
+                    continue
+                for u in range(m):
+                    if mask[u]:
+                        continue
+                    cand = mask.copy()
+                    cand[t], cand[u] = False, True
+                    c = _assignment_cost(W, park, cand)
+                    if c < best - _EPS:
+                        mask, best = cand, c
+                        improved = True
+                        break
+                if improved:
+                    break
+    return mask
+
+
+def loop_split(n, sp, segs, a, cols):
+    """Optimal split of positions a..t into order-respecting sets walked
+    from each spot in cols, for every t >= a, one start at a time; row
+    t - a + 1 holds t.  ``modified_tsp``'s split before it shared one fill
+    across block starts."""
+    g = np.full((n - a + 2, len(sp[cols])), np.inf)
+    cut = np.zeros(g.shape, dtype=int)
+    g[0] = 0.0
+    for t in range(a, n + 1):
+        row, crow = g[t - a + 1], cut[t - a + 1]
+        for s, w in segs[t]:
+            if s >= a:
+                v = g[s - a] + w[cols]
+                better = v < row - 1e-12
+                np.copyto(row, v, where=better)
+                np.copyto(crow, s, where=better)
+    return g, cut
+
+
+def loop_modified_tsp(inst):
+    """``benchmarks.modified_tsp`` with one ``loop_split`` per block start;
+    returns (completion, model objective, stops, served)."""
+    from parkroute.model import assemble_solution
+    from parkroute.tsp import solve_tsp
+
+    n = inst.n
+    _, order, _ = solve_tsp(inst.drive)
+    D = inst.drive
+    W = inst.walk
+    q = inst.capacity_count if inst.capacity_count is not None else n
+    pos = {c: t for t, c in enumerate(order, 1)}
+    sp = np.array(sorted(inst.spots, key=pos.get))
+    spos = np.array([pos[i] for i in sp])
+    chain = np.zeros(n + 1)
+    for t in range(2, n + 1):
+        chain[t] = chain[t - 1] + W[order[t - 2], order[t - 1]]
+    out = W[np.ix_(sp, order)].T
+    back = W[np.ix_(order, sp)]
+    segs = [
+        [(s, out[s - 1] + (chain[t] - chain[s]) + back[t - 1])
+         for s in range(max(1, t - q + 1), t + 1) if not inst.over_capacity(order[s - 1:t])]
+        for t in range(n + 1)
+    ]
+    F = np.full((n + 1, n + 1), np.inf)
+    F[0, 0] = 0.0
+    start = np.zeros((n + 1, n + 1), dtype=int)
+    prev = np.zeros((n + 1, n + 1), dtype=int)
+    for a in range(1, n + 1):
+        k0 = int(np.searchsorted(spos, a))
+        if k0 == len(sp):
+            break
+        if not np.isfinite(F[a - 1]).any():
+            continue
+        cols, ids = slice(k0, None), sp[k0:]
+        arrive = F[a - 1][:, None] + D[:, ids]
+        j = arrive.argmin(axis=0)
+        total = (arrive[j, np.arange(len(ids))] + inst.park_time[ids]) + loop_split(n, sp, segs, a, cols)[0][1:]
+        cur = F[a:, ids]
+        better = (np.arange(a, n + 1)[:, None] >= spos[cols]) & (total < cur - 1e-12)
+        F[a:, ids] = np.where(better, total, cur)
+        start[a:, ids] = np.where(better, a, start[a:, ids])
+        prev[a:, ids] = np.where(better, j, prev[a:, ids])
+    finish = F[n, 1:] + D[1:, 0]
+    i = int(finish.argmin()) + 1
+    objective = finish[i - 1] + n * inst.load_per_package
+    stops, served = [], []
+    b = n
+    while b > 0:
+        a, k = int(start[b, i]), int(np.searchsorted(spos, pos[i]))
+        cut = loop_split(n, sp, segs, a, slice(k, k + 1))[1][:, 0]
+        sets = []
+        t = b
+        while t >= a:
+            s = int(cut[t - a + 1])
+            sets.append(tuple(order[s - 1 : t]))
+            t = s - 1
+        stops.append(i)
+        served.append(tuple(reversed(sets)))
+        b, i = a - 1, int(prev[b, i])
+    stops.reverse()
+    served.reverse()
+    solution = assemble_solution(inst, stops, served)
+    return solution.total, objective, solution.num_stops, tuple(served)

@@ -1,11 +1,12 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import parkroute.benchmarks
-from brutes import brute_mtsp
+from brutes import brute_mtsp, loop_modified_tsp
 from parkroute.errors import InfeasibleInstanceError, UnsupportedError
 from parkroute.benchmarks import modified_tsp, no_parking_benchmark, relaxed_ms, run_benchmarks
 from parkroute.exact import solve_exact
@@ -102,6 +103,47 @@ def test_modified_tsp_n100_is_fast():
     assert time.perf_counter() - start < 10.0
     # completion of the earlier per-(start, end, spot) DP on this instance
     assert res.completion == pytest.approx(335.1091004269853, abs=1e-9)
+
+
+def _mtsp_cases():
+    # every n up to 20, then sizes up to 80; q = 1..4; half the cases park at
+    # a random subset of the customers
+    for n in [*range(1, 21), 25, 33, 41, 50, 64, 80]:
+        for q in (1, 2, 3, 4):
+            for seed in (1, 2):
+                inst = gen_geo_instance(n, seed, p=3.0, q=q, f=0.2)
+                if seed == 2 and n > 2:
+                    rng = np.random.default_rng([n, q])
+                    subset = rng.choice(np.arange(1, n + 1), max(1, n // 2), replace=False)
+                    inst = replace(inst, parking_locations=tuple(subset.tolist()))
+                yield inst
+    # weights and volumes bind before the count does
+    rng = np.random.default_rng(5)
+    base = gen_geo_instance(30, 5, p=4.0, q=4)
+    yield replace(base, weights=rng.uniform(0.5, 2.0, 30), capacity_weight=3.0,
+                  volumes=rng.uniform(0.5, 2.0, 30), capacity_volume=3.5)
+
+
+def test_modified_tsp_matches_the_per_start_split():
+    # the split filled for a block of starts at once against one split per
+    # start: the same objective, stops and sets, bit for bit
+    for inst in _mtsp_cases():
+        res = modified_tsp(inst)
+        got = (res.completion, res.model_objective, res.stops, res.solution.served)
+        assert tuple(map(repr, got)) == tuple(map(repr, loop_modified_tsp(inst)))
+
+
+def test_modified_tsp_memory_stays_within_the_split_block():
+    # one table over every start would hold n^2 m floats (27 MB here); a
+    # block of starts stays within SPLIT_CELLS floats (512 KiB)
+    inst = gen_geo_instance(150, 1, p=5.0, q=3)
+    tracemalloc.start()
+    try:
+        modified_tsp(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
 
 
 def test_modified_tsp_dominates_oracle():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import parkroute.cli
+from parkroute.benchmarks import no_parking_benchmark
 from parkroute.cli import main
 from parkroute.exact import SearchBudget
 from parkroute.instance import gen_geo_instance, load_instance, save_instance
@@ -85,6 +86,17 @@ def test_benchmark_leaves_the_optimum_empty_above_the_exact_limit(tmp_path):
     assert [r["instance"] for r in rows] == paths
     assert rows[0]["optimum"] != "" and float(rows[0]["completion"]) >= float(rows[0]["optimum"]) - 1e-6
     assert rows[1]["optimum"] == ""
+
+
+def test_benchmark_exact_n_max_above_the_exact_limit_falls_back_to_the_heuristic(tmp_path):
+    # 19 customers exceed the exact solver's limit whatever --exact-n-max says
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--geo", "-n", "19", "--seed", "1", "-o", str(inst_path)])
+    for name, extra in (("raised", ["--exact-n-max", "20"]), ("default", [])):
+        out = tmp_path / f"{name}.csv"
+        assert main(["benchmark", "--models", "npt", *extra, str(inst_path), "-o", str(out)]) == 0
+    assert (tmp_path / "raised.csv").read_text() == (tmp_path / "default.csv").read_text()
+    assert no_parking_benchmark(load_instance(inst_path), exact_n_max=20).solver == "heuristic"
 
 
 def test_benchmark_jobs_write_the_same_csv(tmp_path):

@@ -1,11 +1,16 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from brutes import all_partitions, brute_par, brute_walk
+import parkroute.heuristic
+from brutes import all_partitions, brute_par, brute_walk, loop_local_search
 from parkroute.exact import check_feasible, solve_exact
 from parkroute.heuristic import (
+    _assignment_cost,
+    _first_swap,
+    _flip_costs,
     heuristic_solve,
     heuristic_solve_full,
     route_parking,
@@ -58,6 +63,75 @@ def test_par_matches_opening_enumeration(seed):
     pa = solve_par(inst)
     assert pa.proof
     assert pa.objective == pytest.approx(brute_par(inst), abs=1e-9)
+
+
+def test_par_neighbourhood_prices_are_bit_identical_to_assignment_cost():
+    # random search times make every park sum depend on its summation order
+    rng = np.random.default_rng(3)
+    for m, n in ((14, 14), (20, 33), (45, 60)):
+        W = rng.uniform(0.0, 30.0, (m, n))
+        park = rng.uniform(0.1, 12.0, m)
+        for trial in range(6):
+            mask = rng.random(m) < rng.uniform(0.2, 0.9)
+            if trial == 0:
+                mask[:] = False  # one spot open: dropping it costs inf
+            mask[rng.integers(m)] = True
+            start = int(rng.integers(m))
+            loop = []
+            for t in range(start, m):
+                cand = mask.copy()
+                cand[t] = not cand[t]
+                loop.append(_assignment_cost(W, park, cand))
+            assert list(map(repr, _flip_costs(W, park, mask, start).tolist())) == list(map(repr, loop))
+            pairs = []
+            for t in np.flatnonzero(mask):
+                for u in np.flatnonzero(~mask):
+                    cand = mask.copy()
+                    cand[t], cand[u] = False, True
+                    pairs.append((int(t), int(u), _assignment_cost(W, park, cand)))
+            for best in (np.inf, *np.quantile([c for *_, c in pairs], [0.0, 0.5]) + 2e-9):
+                expect = next(((t, u, c) for t, u, c in pairs if c < best - 1e-9), None)
+                assert _first_swap(W, park, mask, best) == expect
+
+
+def _local_search_cases():
+    # n = 14..100 with m > 13 spots; odd seeds draw a search time per spot,
+    # seeds 0 and 3 (mod 4) park at a random subset of at least 14 customers
+    for n in (14, 20, 27, 35, 44, 50, 60, 61, 75, 100):
+        for seed in range(1, 9):
+            for p in (0.5, 2.0, 5.0, 12.0):
+                inst = gen_geo_instance(n, seed, p=p, q=3)
+                rng = np.random.default_rng([n, seed, int(4 * p)])
+                if seed % 2:
+                    inst = replace(inst, park_time=rng.uniform(0.2 * p, 2.0 * p, n))
+                if seed % 4 in (0, 3) and n > 14:
+                    size = int(rng.integers(14, n))
+                    inst = replace(inst, parking_locations=tuple(rng.choice(np.arange(1, n + 1), size, replace=False).tolist()))
+                yield inst
+
+
+def test_par_local_search_takes_the_moves_of_the_per_candidate_loop(monkeypatch):
+    # one _assignment_cost call per candidate against numpy steps over the
+    # neighbourhood: the same opening, assignment and bits of the objective
+    swaps = []
+    first_swap = parkroute.heuristic._first_swap
+
+    def recorded(*args):
+        swaps.append(first_swap(*args))
+        return swaps[-1]
+
+    monkeypatch.setattr(parkroute.heuristic, "_first_swap", recorded)
+    sizes = []
+    for inst in _local_search_cases():
+        pa = solve_par(inst)
+        with monkeypatch.context() as patched:
+            patched.setattr(parkroute.heuristic, "local_search", loop_local_search)
+            ref = solve_par(inst)
+        assert not pa.proof
+        assert (pa.opened, pa.assign, repr(pa.objective), pa.proof) == (ref.opened, ref.assign, repr(ref.objective), ref.proof)
+        sizes.append(len(inst.spots))
+    assert any(s is not None for s in swaps)  # the sweep accepts swaps
+    assert max(sizes) > 60  # and reaches the spot counts that try none
 
 
 def test_route_single_spot():

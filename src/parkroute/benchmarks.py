@@ -4,6 +4,9 @@ drive/walk objective.
 
 Every benchmark returns a feasible solution re-costed under the true
 completion-time objective, so each one is an upper bound on the optimum.
+The no-parking and relaxed benchmarks solve a modified instance: exactly, by
+``exact.solve_exact``, up to ``exact.DP_MAX_CUSTOMERS`` customers, and by the
+two-echelon heuristic above that.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .model import Solution, assemble_solution
 from .servicesets import enumerate_catalog
 from .tsp import solve_tsp
 
-DESK_EXACT_N = 10
 # floats in one block of modified TSP's split table: n = 50 takes two blocks.
 # Blocks four times larger save under a millisecond there and raise the
 # process's peak resident memory by about 1 MB.
@@ -38,13 +40,15 @@ class BenchmarkResult:
     degenerate: bool = False
 
 
-def _solve_variant(variant: Instance, budget, exact_n_max: int):
-    """Inner solve on a modified instance: exact oracle at desk scale (up to
-    ``exact_n_max`` and never above the exact limit), the two-echelon
-    heuristic beyond."""
+def _solve_variant(variant: Instance, budget):
+    """Inner solve on a modified instance: ``solve_exact`` up to the exact
+    limit ``DP_MAX_CUSTOMERS``, the two-echelon heuristic beyond.  A metric
+    variant is proven by the DP.  A non-metric one goes to the budgeted
+    branch-and-bound, which from about 8 customers runs to its budget and
+    returns its best incumbent, flagged not exact."""
     from .exact import DP_MAX_CUSTOMERS, solve_exact
 
-    if variant.n <= min(exact_n_max, DP_MAX_CUSTOMERS):
+    if variant.n <= DP_MAX_CUSTOMERS:
         cat = enumerate_catalog(variant)
         res = solve_exact(variant, cat, budget=budget)
         if res.solution is None:
@@ -56,17 +60,13 @@ def _solve_variant(variant: Instance, budget, exact_n_max: int):
     return out.solution, "heuristic", False
 
 
-def no_parking_benchmark(
-    inst: Instance,
-    budget=None,
-    exact_n_max: int = DESK_EXACT_N,
-) -> BenchmarkResult:
+def no_parking_benchmark(inst: Instance, budget=None) -> BenchmarkResult:
     """Solve with all search times forced to zero, then re-cost the resulting
     structure with the true parking times (completion = v + sum of p over the
     stops actually used)."""
     n = inst.n
     variant = replace(inst, park_time=np.zeros(n + 1))
-    sol0, solver, exact = _solve_variant(variant, budget, exact_n_max)
+    sol0, solver, exact = _solve_variant(variant, budget)
     recosted = assemble_solution(inst, sol0.stops, sol0.served)
     return BenchmarkResult(
         name="no-parking-time",
@@ -79,12 +79,7 @@ def no_parking_benchmark(
     )
 
 
-def relaxed_ms(
-    inst: Instance,
-    alpha: float = 0.6,
-    budget=None,
-    exact_n_max: int = DESK_EXACT_N,
-) -> BenchmarkResult:
+def relaxed_ms(inst: Instance, alpha: float = 0.6, budget=None) -> BenchmarkResult:
     """Optimize alpha*drive + (1-alpha)*walk (parking search time absent from
     the objective, loading constant added), multiple sets per spot allowed;
     completion is recomputed with the true parking times."""
@@ -98,7 +93,7 @@ def relaxed_ms(
         park_time=np.zeros(n + 1),
         load_per_package=0.0,
     )
-    sol0, solver, exact = _solve_variant(variant, budget, exact_n_max)
+    sol0, solver, exact = _solve_variant(variant, budget)
     recosted = assemble_solution(inst, sol0.stops, sol0.served)
     bd = recosted.breakdown
     objective = alpha * bd.drive_min + (1.0 - alpha) * bd.walk_min + bd.load_min
@@ -242,22 +237,17 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     )
 
 
-def run_benchmarks(
-    inst: Instance,
-    models,
-    budget=None,
-    exact_n_max: int = DESK_EXACT_N,
-) -> list[BenchmarkResult]:
+def run_benchmarks(inst: Instance, models, budget=None) -> list[BenchmarkResult]:
     """Run benchmarks named 'npt', 'mtsp', or 'ms:<alpha>'; every name is
     checked by ``parse_models`` before the first model runs."""
     results = []
     for name, alpha in parse_models(models):
         if name == "npt":
-            results.append(no_parking_benchmark(inst, budget, exact_n_max))
+            results.append(no_parking_benchmark(inst, budget))
         elif name == "mtsp":
             results.append(modified_tsp(inst))
         else:
-            results.append(relaxed_ms(inst, alpha, budget, exact_n_max))
+            results.append(relaxed_ms(inst, alpha, budget))
     return results
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -40,7 +41,11 @@ DEFAULT_BUDGET_SECONDS = 300.0
 def _budget(args) -> SearchBudget:
     seconds = args.budget_seconds
     if seconds is None:
-        seconds = float(os.environ.get("PARKROUTE_BUDGET_SECONDS", DEFAULT_BUDGET_SECONDS))
+        text = os.environ.get("PARKROUTE_BUDGET_SECONDS", str(DEFAULT_BUDGET_SECONDS))
+        try:
+            seconds = float(text)
+        except ValueError as exc:
+            raise ParkrouteError(f"PARKROUTE_BUDGET_SECONDS must be a number, got {text!r}") from exc
     return SearchBudget(max_seconds=seconds)
 
 
@@ -139,8 +144,7 @@ _BENCH_HEADER = [
 ]
 
 
-def _bench_one(path: str, models: list[str], budget: SearchBudget,
-               exact_n_max: int, with_optimum: bool) -> list[dict]:
+def _bench_one(path: str, models: list[str], budget: SearchBudget, with_optimum: bool) -> list[dict]:
     inst = load_instance(path)
     optimum = ""  # left empty above the exact limit and where no proof came
     if with_optimum and inst.n <= DP_MAX_CUSTOMERS:
@@ -148,7 +152,7 @@ def _bench_one(path: str, models: list[str], budget: SearchBudget,
         if res.status == "optimal":
             optimum = _fmt6(res.value)
     rows = []
-    for result in bm.run_benchmarks(inst, models, budget=budget, exact_n_max=exact_n_max):
+    for result in bm.run_benchmarks(inst, models, budget=budget):
         bd = result.solution.breakdown
         rows.append({
             "instance": path,
@@ -175,14 +179,14 @@ def _cmd_benchmark(args) -> int:
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
-                pool.submit(_bench_one, path, models, budget, args.exact_n_max, args.with_optimum)
+                pool.submit(_bench_one, path, models, budget, args.with_optimum)
                 for path in args.instances
             ]
             for fut in futures:
                 rows.extend(fut.result())
     else:
         for path in args.instances:
-            rows.extend(_bench_one(path, models, budget, args.exact_n_max, args.with_optimum))
+            rows.extend(_bench_one(path, models, budget, args.with_optimum))
     _emit_csv(rows, args.output, _BENCH_HEADER)
     return 0
 
@@ -194,6 +198,8 @@ def _parse_sweep(text: str) -> list[float]:
         start, step, stop = (float(v) for v in text[2:].split(":"))
     except ValueError as exc:
         raise ParkrouteError(f"bad sweep argument {text!r}") from exc
+    if not all(map(math.isfinite, (start, step, stop))):
+        raise ParkrouteError(f"sweep numbers must be finite, got {text!r}")
     if step <= 0:
         raise ParkrouteError("sweep step must be positive")
     values = []
@@ -210,7 +216,7 @@ def _cmd_grid(args) -> int:
         walk_rate=args.walk_rate, load=args.load, capacity=args.q,
     )
     p_values = _parse_sweep(args.sweep)
-    reports = grid_sweep(gp, args.q, p_values, budget=_budget(args), oracle_n_max=args.oracle_n_max)
+    reports = grid_sweep(gp, args.q, p_values, budget=_budget(args))
     rows = []
     for rep in reports:
         rows.append({
@@ -309,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--models", default="npt,mtsp,ms:0.6,ms:0.8")
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--with-optimum", action="store_true")
-    b.add_argument("--exact-n-max", type=int, default=bm.DESK_EXACT_N)
     b.add_argument("--budget-seconds", type=float, default=None)
     b.add_argument("-o", "--output", default=None)
     b.set_defaults(func=_cmd_benchmark)
@@ -322,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--drive-rate", type=float, default=1.0)
     gr.add_argument("--walk-rate", type=float, default=1.0)
     gr.add_argument("--load", type=float, default=0.0)
-    gr.add_argument("--oracle-n-max", type=int, default=DP_MAX_CUSTOMERS)
     gr.add_argument("--budget-seconds", type=float, default=None)
     gr.add_argument("-o", "--output", default=None)
     gr.set_defaults(func=_cmd_grid)

@@ -25,23 +25,25 @@ table as every search leaf.
 
 The branch-and-bound prices bundles from one dense
 ``servicesets.PartitionTable`` over all customers and spots, built only when
-that search runs.  A solution's stops are split into walking sets by a
-one-column ``PartitionTable`` over each stop's own bundle, which gives the
-same split as the dense table.
+that search runs.  A solution's stops are split into walking sets by the
+heuristic's per-spot set partition, ``heuristic.solve_ssa``, over each stop's
+own bundle, which gives the same split as the dense table.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError
+from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError, UnsupportedError
+from .heuristic import solve_ssa
 from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import PartitionTable, ServiceSetCatalog, walk_tour
+from .servicesets import PartitionTable, ServiceSetCatalog
 from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
 
 _EPS = 1e-9
@@ -72,8 +74,10 @@ class SearchBudget:
     max_seconds: float = 300.0
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_seconds <= 0:
-            raise ValueError("budget limits must be positive")
+        for name in ("max_nodes", "max_seconds"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails the comparison too
+                raise UnsupportedError(f"budget {name} must be positive and finite, got {value}")
 
 
 @dataclass
@@ -399,19 +403,13 @@ class _Searcher:
     # -- reconstruction -----------------------------------------------------
 
     def materialize(self, stops: tuple[int, ...], bundles: tuple[int, ...]) -> Solution:
-        """Split each stop's bundle into catalog sets with a one-column
-        ``PartitionTable`` over the bundle's customers and the sets inside
-        it: the same values, bit for bit, and the same lowest-bit,
-        catalog-order split as the dense table over all customers."""
+        """Split each stop's bundle into walking sets with ``solve_ssa``: its
+        candidates come in catalog order and ``walk_tour`` prices them bit
+        for bit like the catalog's table, so the split is the DP's."""
         served = []
         for i, mask in zip(stops, bundles):
-            inside = np.flatnonzero((self.masks & ~mask) == 0)
             members = [c for c in self.inst.customers if mask >> (c - 1) & 1]
-            part = PartitionTable(
-                members, [self.cat.sets[j].members for j in inside], self.costs[inside, self.col[i], None],
-            )
-            sets = [self.cat.sets[inside[j]].members for j in part.split((1 << len(members)) - 1, 0)]
-            served.append(tuple(walk_tour(self.inst, i, members)[1] for members in sets))
+            served.append(tuple(solve_ssa(self.inst, self.cat, i, members)[0]))
         return assemble_solution(self.inst, stops, served)
 
 

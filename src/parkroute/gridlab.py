@@ -1,7 +1,8 @@
 """Complete-grid analysis: the park-at-every-customer TSP value, the search
 time thresholds where that solution stops being optimal, the constructed
 witness solutions that beat it, and empirical certification against the exact
-oracle at desk scale.
+oracle, ``exact.solve_exact``, on grids of at most ``exact.DP_MAX_CUSTOMERS``
+customers.  Larger grids get no oracle value.
 """
 
 from __future__ import annotations
@@ -172,14 +173,13 @@ class ThresholdReport:
     status: str = "ok"
 
 
-def _witness(gp: GridParams, q: int, budget, oracle_n_max: int) -> tuple[Solution | None, str]:
+def _witness(gp: GridParams, q: int, budget) -> tuple[Solution | None, str]:
     if q <= 2 and gp.sqrt_n >= 4:
         return construct_q2(gp), "ok"
     if q == 3 and gp.sqrt_n >= 6:
         return construct_q3(gp), "ok"
-    if gp.n <= oracle_n_max:
-        sol, status = _oracle(gp, q, budget)
-        return sol, status
+    if gp.n <= DP_MAX_CUSTOMERS:
+        return _oracle(gp, q, budget)
     return None, "partial"
 
 
@@ -190,12 +190,14 @@ def _oracle(gp: GridParams, q: int, budget) -> tuple[Solution | None, str]:
     return res.solution, ("ok" if res.status == "optimal" else "partial")
 
 
-def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = DP_MAX_CUSTOMERS) -> list[ThresholdReport]:
+def verify_claims(gp_range, q: int, budget=None) -> list[ThresholdReport]:
     """Certify the threshold in both directions on each grid.
 
     Below the threshold the oracle optimum must equal the park-everywhere TSP
-    value (checked when the grid is oracle-tractable); above it a constructed
-    witness must beat the TSP value strictly, which needs no oracle.  A report
+    value (checked when the grid has at most ``DP_MAX_CUSTOMERS`` customers);
+    above it a constructed witness must beat the TSP value strictly, which
+    needs no oracle.  A grid too small for a construction takes the oracle's
+    solution as its witness, under the same limit.  A report
     whose check was not run or did not hold has ``certified`` False.
 
     For capacity <= 2 the 2x2 grid is an exception to the threshold: its
@@ -212,7 +214,7 @@ def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = DP_MAX_CUST
         p = gp.park_time
         if p <= thr + _EPS:
             report = ThresholdReport(gp=gp, q=q, threshold=thr, regime="tsp_optimal", tsp_value=tsp_v)
-            if gp.n <= oracle_n_max:
+            if gp.n <= DP_MAX_CUSTOMERS:
                 sol, status = _oracle(gp, q, budget)
                 report.status = status
                 if sol is not None:
@@ -220,7 +222,7 @@ def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = DP_MAX_CUST
                     report.certified = status == "ok" and abs(sol.total - tsp_v) <= 1e-6
             reports.append(report)
         else:
-            witness, status = _witness(gp, q, budget, oracle_n_max)
+            witness, status = _witness(gp, q, budget)
             report = ThresholdReport(
                 gp=gp, q=q, threshold=thr, regime="tsp_suboptimal",
                 tsp_value=tsp_v, witness=witness, status=status,
@@ -232,7 +234,7 @@ def verify_claims(gp_range, q: int, budget=None, oracle_n_max: int = DP_MAX_CUST
     return reports
 
 
-def grid_sweep(gp_base: GridParams, q: int, p_values, budget=None, oracle_n_max: int = DP_MAX_CUSTOMERS):
+def grid_sweep(gp_base: GridParams, q: int, p_values, budget=None):
     """Rows for the threshold-regime CSV: one report per search-time value."""
     gps = [replace(gp_base, park_time=float(p), capacity=q) for p in p_values]
-    return verify_claims(gps, q, budget=budget, oracle_n_max=oracle_n_max)
+    return verify_claims(gps, q, budget=budget)

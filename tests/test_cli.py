@@ -88,15 +88,16 @@ def test_benchmark_leaves_the_optimum_empty_above_the_exact_limit(tmp_path):
     assert rows[1]["optimum"] == ""
 
 
-def test_benchmark_exact_n_max_above_the_exact_limit_falls_back_to_the_heuristic(tmp_path):
-    # 19 customers exceed the exact solver's limit whatever --exact-n-max says
+def test_benchmark_above_the_exact_limit_falls_back_to_the_heuristic(tmp_path):
+    # 19 customers exceed the exact solver's limit, so the no-parking variant
+    # is solved by the heuristic and the run still writes its row
     inst_path = tmp_path / "inst.json"
     main(["gen", "--geo", "-n", "19", "--seed", "1", "-o", str(inst_path)])
-    for name, extra in (("raised", ["--exact-n-max", "20"]), ("default", [])):
-        out = tmp_path / f"{name}.csv"
-        assert main(["benchmark", "--models", "npt", *extra, str(inst_path), "-o", str(out)]) == 0
-    assert (tmp_path / "raised.csv").read_text() == (tmp_path / "default.csv").read_text()
-    assert no_parking_benchmark(load_instance(inst_path), exact_n_max=20).solver == "heuristic"
+    out_csv = tmp_path / "bench.csv"
+    assert main(["benchmark", "--models", "npt", str(inst_path), "-o", str(out_csv)]) == 0
+    npt = no_parking_benchmark(load_instance(inst_path))
+    assert (npt.solver, npt.exact) == ("heuristic", False)
+    assert [r["completion"] for r in _read_csv(out_csv)] == [f"{npt.completion:.6f}"]
 
 
 def test_benchmark_jobs_write_the_same_csv(tmp_path):
@@ -128,7 +129,7 @@ def test_grid_sweep_csv_regime_flip(tmp_path):
     out_csv = tmp_path / "grid.csv"
     code = main([
         "grid", "--q", "3", "--sqrt-n", "6", "--walk-rate", "1.6",
-        "--sweep", "p=0:0.25:2", "--oracle-n-max", "0", "-o", str(out_csv),
+        "--sweep", "p=0:0.25:2", "-o", str(out_csv),
     ])
     assert code == 0
     rows = _read_csv(out_csv)
@@ -158,8 +159,8 @@ def test_grid_sweep_csv_marks_uncertified_rows(tmp_path):
 
 
 def test_grid_oracle_defaults_to_the_dp_limit(tmp_path):
-    # without --oracle-n-max the 4x4 grid (n = 16) is in the oracle's reach,
-    # so the row below the capacity-2 threshold is proven by one DP solve
+    # the 4x4 grid (n = 16) is within the exact limit, so the row below the
+    # capacity-2 threshold is proven by one DP solve
     out_csv = tmp_path / "grid.csv"
     code = main([
         "grid", "--q", "2", "--sqrt-n", "4", "--walk-rate", "1.6",
@@ -170,6 +171,36 @@ def test_grid_oracle_defaults_to_the_dp_limit(tmp_path):
     assert [(r["regime"], r["certified"], r["oracle_value"]) for r in rows] == [
         ("tsp_optimal", "true", "52.000000")
     ]
+
+
+@pytest.mark.parametrize("sweep", ["p=0:1:inf", "p=nan:1:2", "p=0:nan:2", "p=-inf:1:0", "p=0:inf:1"])
+def test_grid_sweep_with_a_non_finite_number_is_an_error(tmp_path, capsys, monkeypatch, sweep):
+    # refused before the sweep's loop runs: an infinite stop would never end
+    # it, and a NaN start would give an empty CSV
+    def no_loop(*args):
+        raise AssertionError("the sweep loop ran")
+
+    monkeypatch.setattr(parkroute.cli, "round", no_loop, raising=False)
+    out_csv = tmp_path / "grid.csv"
+    assert main(["grid", "--q", "2", "--sqrt-n", "2", "--sweep", sweep, "-o", str(out_csv)]) == 1
+    assert capsys.readouterr().err.startswith("error: sweep numbers must be finite")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-1", None), ("nan", None), ("inf", None), (None, "abc"), (None, "nan"), (None, "0"),
+], ids=str)
+def test_malformed_budget_is_an_error(tmp_path, capsys, monkeypatch, flag, env):
+    inst_path = tmp_path / "inst.json"
+    main(["gen", "--geo", "-n", "4", "--seed", "1", "-o", str(inst_path)])
+    if env is not None:
+        monkeypatch.setenv("PARKROUTE_BUDGET_SECONDS", env)
+    extra = [] if flag is None else ["--budget-seconds", flag]
+    sol_path = tmp_path / "sol.json"
+    capsys.readouterr()
+    assert main(["solve", str(inst_path), *extra, "-o", str(sol_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not sol_path.exists()
 
 
 def test_export_lp_round_trips(tmp_path):

@@ -178,7 +178,7 @@ def test_grid_sweep_regime_flip():
     base = GridParams(sqrt_n=6, walk_rate=1.6, capacity=3)
     thr = threshold_p(3, base)
     ps = [0.0, 0.5, thr, thr + 0.05, 2.0]
-    reports = grid_sweep(base, q=3, p_values=ps, oracle_n_max=0)
+    reports = grid_sweep(base, q=3, p_values=ps)
     regimes = [r.regime for r in reports]
     assert regimes == ["tsp_optimal"] * 3 + ["tsp_suboptimal"] * 2
     for rep in reports[3:]:

@@ -42,10 +42,11 @@ class BenchmarkResult:
 
 def _solve_variant(variant: Instance, budget):
     """Inner solve on a modified instance: ``solve_exact`` up to the exact
-    limit ``DP_MAX_CUSTOMERS``, the two-echelon heuristic beyond.  A metric
-    variant is proven by the DP.  A non-metric one goes to the budgeted
-    branch-and-bound, which from about 8 customers runs to its budget and
-    returns its best incumbent, flagged not exact."""
+    limit ``DP_MAX_CUSTOMERS``, the two-echelon heuristic beyond.  The DP
+    proves a metric variant, and mostly a non-metric one too, through the
+    closure of its drive matrix; otherwise the budgeted branch-and-bound
+    starts from the DP's solution, and an incumbent it cannot prove within
+    the budget is flagged not exact."""
     from .exact import DP_MAX_CUSTOMERS, solve_exact
 
     if variant.n <= DP_MAX_CUSTOMERS:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -281,7 +282,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged,
+    and building it costs more than parsing a command line."""
     parser = argparse.ArgumentParser(prog="parkroute", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -1,27 +1,30 @@
 """Desk-scale exact solver, LP-free.
 
-Metric driving matrices (the usual case) are solved by a bitmask dynamic
-program over (unserved customers, last parking spot) whose transitions pick
-the next spot and the customer bundle walked from it; under the triangle
-inequality revisits and pass-through stops never improve, so the state space
-is exact.  The fill walks one catalog set per transition, so a mask is
+A bitmask dynamic program over (unserved customers, last parking spot) runs
+on every input; its transitions pick the next spot and the customer bundle
+walked from it.  The fill walks one catalog set per transition, so a mask is
 priced against its subsets of at most the largest set size rather than
 against every submask.  A mask's completion reads only masks with fewer
 customers, so the table is filled one popcount layer at a time, each layer
 in numpy blocks of at most ``CHUNK`` (mask, set) pairs.  The decode reads
 the same per-set transitions back, one catalog set per step; a stop's bundle
-is the union of the sets walked there.  Non-metric inputs fall back to a
-depth-first branch-and-bound over parking sequences whose lower bound
-combines the unavoidable drive legs with a per-customer share of the
-cheapest admissible walk-plus-park increment, which stays admissible on any
-input.  Only there can a pass-through stop, one that parks and serves no
-one, pay off, so the branch-and-bound allows them exactly when the drive
-matrix breaks the triangle inequality.  Either path accepts at most
-``DP_MAX_CUSTOMERS`` = 18 customers: the DP's two tables hold 2^n rows per
-spot, and the branch-and-bound proves nothing that large within its default
-budget.  Its warm starts, the nearest-neighbour tour and the heuristic,
-enter the search as priced (stops, bundles) paths through the same bundle
-table as every search leaf.
+is the union of the sets walked there.
+
+On a metric drive matrix revisits and pass-through stops (stops that park
+and serve no one) never improve, so the DP's solution is optimal.  Off the
+triangle inequality a pass-through stop can pay off, and the DP drives on
+the matrix's shortest-path closure instead.  The closure is never above the
+true matrix and prices a detour through a pass-through stop without its park
+time, so the DP's value is a proven floor.  Its solution, costed on the true
+matrix, is optimal when it meets the floor; otherwise it is the incumbent of
+a depth-first branch-and-bound over parking sequences whose root bound is
+the floor.  The search's per-node bound combines the unavoidable drive legs
+with a per-customer share of the cheapest admissible walk-plus-park
+increment, which stays admissible on any input, and it allows pass-through
+stops exactly when the drive matrix breaks the triangle inequality.  Either
+path accepts at most ``DP_MAX_CUSTOMERS`` = 18 customers: the DP's two
+tables hold 2^n rows per spot, and the branch-and-bound proves nothing that
+large within its default budget.
 
 The branch-and-bound prices bundles from one dense
 ``servicesets.PartitionTable`` over all customers and spots, built only when
@@ -39,12 +42,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ParkrouteError, ResourceLimitError, UnsupportedError
+from .errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedError
 from .heuristic import solve_ssa
 from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
 from .servicesets import PartitionTable, ServiceSetCatalog
-from .tsp import CHUNK, mask_blocks, nearest_neighbor_cycle
+from .tsp import CHUNK, mask_blocks
 
 _EPS = 1e-9
 
@@ -61,6 +64,15 @@ def _small_subsets(bits: int, largest: int) -> np.ndarray:
         pattern[subset, np.arange(lo, lo + len(subset))[:, None]] = 1
         lo += len(subset)
     return pattern
+
+
+def _closure(drive: np.ndarray) -> np.ndarray:
+    """The shortest-path closure of a drive matrix (Floyd-Warshall): the
+    cheapest drive between every two nodes through any others; never above
+    ``drive``."""
+    for k in range(len(drive)):
+        drive = np.minimum(drive, drive[:, k, None] + drive[k])
+    return drive
 
 
 class _ReconstructionTie(Exception):
@@ -147,14 +159,14 @@ class _Searcher:
         if missing:
             raise InfeasibleInstanceError(f"customers {missing} appear in no admissible set")
 
-        # the DP runs on a metric drive matrix; elsewhere the branch-and-bound
-        # runs and lets a stop pass through, serving no one
+        # off the triangle inequality the branch-and-bound lets a stop pass
+        # through, serving no one, and the DP drives on the closure instead
         self.metric_drive = _triangle_stats(inst.drive)[0] == 0
+        self.D_dp = inst.drive if self.metric_drive else _closure(inst.drive)
 
         # bit b of a bundle mask is customer b + 1; masks[j] is catalog set j
         self.costs = costs
         self.masks = np.array([sum(1 << (c - 1) for c in s.members) for s in cat.sets], dtype=np.int64)
-        self.col = {i: si for si, i in enumerate(self.spots)}
 
     def setup_search(self):
         """The branch-and-bound's tables.  bundle[A, s]: walk cost of bundle A
@@ -175,31 +187,16 @@ class _Searcher:
             dsum = np.stack((dsum, dsum + delta[b]), axis=1).ravel()
         self.dsum = dsum
 
-    # -- search -------------------------------------------------------------
-
-    def offer_path(self, ctl: _Control, stops, bundles) -> None:
-        """Price a complete (stops, bundles) path the way ``expand`` prices a
-        leaf, loading included, and offer it as an incumbent; bit b of a
-        bundle is customer b + 1.  A path the bundle table cannot serve, or
-        with a pass-through stop on a metric drive matrix, is dropped."""
-        g = self.inst.n * self.inst.load_per_package
-        loc = 0
-        for i, A in zip(stops, bundles):
-            if not A and self.metric_drive:
-                return
-            g = g + self.D[loc, i] + self.P[i] + self.bundle[A, self.col[i]]
-            loc = i
-        g += self.D[loc, 0]
-        if g < np.inf:
-            ctl.offer(g, stops, bundles)
-
-    # -- dynamic program (metric driving times) ------------------------------
+    # -- dynamic program (the drive matrix or its closure) --------------------
 
     def solve_dp(self) -> tuple[float, tuple[int, ...], tuple[int, ...], int]:
-        """Exact optimum via a completion DP: B[mask][j] is the cheapest way to
-        serve the customer mask and return to the depot starting parked at
-        spot j.  Valid because with metric driving times neither revisiting a
-        spot nor parking without serving can improve a solution.
+        """Completion DP on ``D_dp``: B[mask][j] is the cheapest way to serve
+        the customer mask and return to the depot starting parked at spot j.
+        On a metric drive matrix neither revisiting a spot nor parking
+        without serving can improve a solution, so the value is the optimum.
+        The closure is metric and never above the true matrix, and a detour
+        through a pass-through stop costs at least the closure's leg, so there
+        the value bounds every solution on the true matrix from below.
 
         A transition walks one catalog set.  F[mask, k] is the cheapest way
         to finish ``mask`` once parked at spot k: drive on, B[mask, k], or
@@ -216,7 +213,7 @@ class _Searcher:
 
         Returns (value-without-load, stops, bundles, states)."""
         S = self.spots
-        D = self.inst.drive
+        D = self.D_dp
         size = self.full + 1
         self.park = np.array([float(self.P[j]) for j in S])
         self.d_spot = D[np.ix_(S, S)]
@@ -421,56 +418,38 @@ def solve_exact(
     """Solve to proven optimality within the budget.
 
     Returns the solution, a status, and a lower bound valid in every status.
-    Deterministic: cost ties resolve the same way on every run.  A metric
-    drive matrix is solved by the DP, which ignores the budget; any other
-    drive matrix, or a DP whose decode hits a tie it cannot resolve, goes to
-    the budgeted branch-and-bound, whose bound after such a tie is at least
-    the DP's value.  That search starts from the better of the
-    nearest-neighbour park-everywhere tour and the two-echelon heuristic,
-    each priced as a search path: a stop's customers cost their cheapest
-    admissible split from that stop.
+    Deterministic: cost ties resolve the same way on every run.  The DP runs
+    first and ignores the budget: on the drive matrix itself when it is
+    metric, else on its closure, whose value is a proven floor.  Its decoded
+    solution, costed on the true drive matrix, is optimal when it meets the
+    floor, which always holds on a metric matrix.  Otherwise it is the
+    budgeted branch-and-bound's incumbent and the floor its root bound; after
+    a decode tie the search starts with the floor alone.
     """
     budget = budget or SearchBudget()
     searcher = _Searcher(inst, cat)
 
     load = inst.n * inst.load_per_package
-    floor = -np.inf  # a lower bound proven before the search, loading included
-    if searcher.metric_drive:
-        try:
-            value, stops, bundles, states = searcher.solve_dp()
-            sol = searcher.materialize(stops, bundles)
-            return ExactResult(
-                solution=sol, status="optimal", bound=value + load, value=sol.total, nodes=states,
-            )
-        except _ReconstructionTie:
-            floor = searcher.dp_value + load  # proven value but no canonical decode; re-search below
+    try:
+        _, stops, bundles, states = searcher.solve_dp()
+        sol = searcher.materialize(stops, bundles)
+    except _ReconstructionTie:
+        sol = None  # no canonical decode; the search starts without an incumbent
+    # the DP relaxes every solution, so its value plus loading is a floor
+    floor = searcher.dp_value + load
+    if sol is not None and sol.total <= floor + _EPS:
+        return ExactResult(solution=sol, status="optimal", bound=floor, value=sol.total, nodes=states)
 
     searcher.setup_search()
     ctl = _Control(budget)
-
-    if inst.spots == tuple(inst.customers):
-        order = nearest_neighbor_cycle(inst.drive)
-        searcher.offer_path(ctl, order, [1 << (c - 1) for c in order])
-    try:
-        from .heuristic import heuristic_solve
-
-        warm = heuristic_solve(inst, cat)
-    except ParkrouteError:
-        pass  # no heuristic warm start; the search runs without it
-    else:
-        bundles = [sum(1 << (c - 1) for o in stop_sets for c in o) for stop_sets in warm.served]
-        searcher.offer_path(ctl, warm.stops, bundles)
-
+    if sol is not None:
+        ctl.offer(sol.total, stops, bundles)
     # search in completion-time space: the constant loading term is folded in
     # up front so incumbent totals and bounds are directly comparable
-    root_lb = load + float(searcher.dsum[searcher.full])
-    searcher.expand(ctl, 0, 0, 0, load, [], [], root_lb)
+    searcher.expand(ctl, 0, 0, 0, load, [], [], floor)
 
     if ctl.best_state is None:
-        return ExactResult(
-            solution=None, status="timeout",
-            bound=max(min(ctl.abandoned_lb, root_lb), floor), value=None, nodes=ctl.nodes,
-        )
+        return ExactResult(solution=None, status="timeout", bound=floor, value=None, nodes=ctl.nodes)
     sol = searcher.materialize(*ctl.best_state)
     if ctl.stopped:
         return ExactResult(

@@ -7,7 +7,7 @@ import pytest
 
 import parkroute.cli
 from parkroute.benchmarks import no_parking_benchmark
-from parkroute.cli import main
+from parkroute.cli import build_parser, main
 from parkroute.exact import SearchBudget
 from parkroute.instance import gen_geo_instance, load_instance, save_instance
 from parkroute.model import parse_lp
@@ -61,11 +61,24 @@ def test_benchmark_csv_dominates_optimum(tmp_path):
         assert abs(parts - float(row["completion"])) < 1e-5
 
 
+def test_the_parser_is_built_once_and_parses_each_line_afresh():
+    # one parser serves every call in a process; a flag given to one call
+    # must not become the default of the next
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["solve", "a.json", "--method", "heuristic", "--reduced"])
+    second = build_parser().parse_args(["solve", "b.json"])
+    assert (first.instance, first.method, first.reduced) == ("a.json", "heuristic", True)
+    assert (second.instance, second.method, second.reduced) == ("b.json", "exact", False)
+    runs = [build_parser().parse_args(["benchmark", *files]).instances for files in (["x", "y"], ["z"])]
+    assert runs == [["x", "y"], ["z"]]
+
+
 def test_benchmark_leaves_an_unproven_optimum_empty(tmp_path, monkeypatch):
-    # a skewed drive matrix sends the optimum through branch-and-bound; a
-    # small node budget stops it with its warm start, which proves nothing
-    base = gen_geo_instance(9, 3, p=5.0, q=3)
-    skew = np.random.default_rng(7).uniform(1.0, 1.6, size=base.drive.shape)
+    # free parking on a skewed drive matrix: the closure DP's solution misses
+    # its floor, and a small node budget stops the branch-and-bound with that
+    # solution unproven
+    base = gen_geo_instance(9, 1, p=0.0, q=3)
+    skew = np.random.default_rng(9).uniform(1.0, 1.6, size=base.drive.shape)
     inst_path = tmp_path / "inst.json"
     save_instance(replace(base, drive=base.drive * skew), inst_path)
     monkeypatch.setattr(parkroute.cli, "SearchBudget", lambda max_seconds: SearchBudget(200, max_seconds))

@@ -14,7 +14,7 @@ from brutes import (
 from parkroute.benchmarks import modified_tsp
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
 from parkroute import exact
-from parkroute.exact import SearchBudget, _Control, _Searcher, check_feasible, solve_exact
+from parkroute.exact import SearchBudget, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.heuristic import heuristic_solve
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
@@ -22,6 +22,13 @@ from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution
 from parkroute.servicesets import (
     PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog, walk_time,
 )
+
+
+def _skew(inst, seed):
+    """``inst`` with each drive time stretched by a seeded factor in [1, 1.6),
+    which breaks the triangle inequality."""
+    factor = np.random.default_rng(seed).uniform(1.0, 1.6, size=inst.drive.shape)
+    return replace(inst, drive=inst.drive * factor)
 
 
 def test_single_customer_closed_form():
@@ -58,6 +65,20 @@ def test_n7_optimum_matches_highs(seed):
     cat = enumerate_catalog(inst)
     res = solve_exact(inst, cat)
     assert res.status == "optimal"
+    assert res.value == pytest.approx(milp_optimum(build_model(inst, cat)), abs=1e-6)
+
+
+@pytest.mark.parametrize("seed, p", [(1, 5.0), (2, 5.0), (3, 0.0), (4, 1.0)])
+def test_n7_optimum_on_a_skewed_drive_matches_highs(seed, p):
+    # the closure DP's solution meets its floor and proves itself, except on
+    # seed 2, where the branch-and-bound runs from it.  The MIP's routes may
+    # enter a spot twice, which the search forbids, so HiGHS is a reference
+    # only where that does not pay, as on these inputs
+    inst = _skew(gen_geo_instance(7, seed, p=p, q=3), seed)
+    cat = enumerate_catalog(inst)
+    res = solve_exact(inst, cat)
+    assert res.status == "optimal"
+    assert res.bound <= res.value + 1e-9
     assert res.value == pytest.approx(milp_optimum(build_model(inst, cat)), abs=1e-6)
 
 
@@ -99,10 +120,10 @@ def test_the_dp_builds_no_partition_table_over_all_customers(monkeypatch):
     assert res.status == "optimal"
     assert counts and inst.n not in counts
 
+    # free parking on a skewed drive: the closure DP's solution, costed on
+    # the true drive, misses the DP's floor, so the search runs
     counts.clear()
-    drive = inst.drive.copy()
-    drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
-    skewed = replace(inst, drive=drive)
+    skewed = _skew(gen_geo_instance(12, 0, p=0.0, q=3), 0)
     solve_exact(skewed, enumerate_catalog(skewed), SearchBudget(max_nodes=50))
     assert inst.n in counts
 
@@ -144,28 +165,28 @@ def test_dp_proves_the_4x4_grid_threshold():
     assert res.value == pytest.approx(milp_optimum(build_model(inst, cat, strengthened)), abs=1e-6)
 
 
-def test_warm_start_failure_is_not_swallowed(monkeypatch):
-    # skewed drive: the budgeted search runs and asks the heuristic for a
-    # warm start; a package error only drops the warm start, any other
-    # error is a fault and propagates
-    inst = gen_geo_instance(5, seed=4, p=2.0, q=2)
-    drive = inst.drive.copy()
-    drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
-    inst = replace(inst, drive=drive)
+def test_the_search_runs_without_the_heuristic(monkeypatch):
+    # on this skewed drive the closure DP's solution misses its floor and the
+    # branch-and-bound runs from it; the heuristic has no part in the solve
+    inst = _skew(gen_geo_instance(4, 12, p=0.5, q=3), 7)
     cat = enumerate_catalog(inst)
 
-    def fail(exc):
-        def heuristic_solve(*args, **kwargs):
-            raise exc
-        return heuristic_solve
+    def fail(*args, **kwargs):
+        raise RuntimeError("the exact solver called the heuristic")
 
-    monkeypatch.setattr(parkroute.heuristic, "heuristic_solve", fail(InfeasibleInstanceError("no warm start")))
+    searched = []
+    setup = _Searcher.setup_search
+
+    def record(self):
+        searched.append(True)
+        setup(self)
+
+    monkeypatch.setattr(parkroute.heuristic, "heuristic_solve", fail)
+    monkeypatch.setattr(_Searcher, "setup_search", record)
     res = solve_exact(inst, cat)
+    assert searched == [True]
     assert res.status == "optimal"
     assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
-    monkeypatch.setattr(parkroute.heuristic, "heuristic_solve", fail(RuntimeError("bug")))
-    with pytest.raises(RuntimeError, match="bug"):
-        solve_exact(inst, cat)
 
 
 def test_a_decode_tie_falls_back_to_the_search(monkeypatch):
@@ -257,11 +278,9 @@ def test_determinism_two_runs():
 
 
 def test_budget_exhaustion_keeps_valid_bound():
-    # non-metric drive forces the budgeted search path
-    drive = np.array([[0, 1, 9, 1], [1, 0, 9, 1], [9, 9, 0, 9], [1, 1, 9, 0.0]])
-    drive[0, 2] = 30; drive[2, 0] = 30
-    walk = np.full((3, 3), 4.0); np.fill_diagonal(walk, 0.0)
-    inst = Instance(drive=drive, walk=walk, park_time=[0.5, 0.5, 0.5], capacity_count=2)
+    # a skewed drive whose closure DP solution misses its floor, so the
+    # budgeted search runs
+    inst = _skew(gen_geo_instance(4, 7, p=0.5, q=3), 7)
     cat = enumerate_catalog(inst)
     full = solve_exact(inst, cat)
     capped = solve_exact(inst, cat, budget=SearchBudget(max_nodes=2))
@@ -334,35 +353,41 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
     assert np.array_equal(searcher.dsum, dsum)
 
 
-def test_warm_paths_meet_the_options_through_the_bundle_table():
+def test_a_pass_through_stop_materialises_as_an_empty_stop():
     # bit b of a bundle is customer b + 1; the catalog walks customer 1 only
-    # together with customer 2
+    # together with customer 2.  Off the triangle inequality the search may
+    # park at a stop and serve no one there
     inst = gen_geo_instance(3, seed=1, p=2.0, q=3)
-    cat = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1, 2)), ServiceSet((3,))))
-    searcher = _Searcher(inst, cat)
-    assert searcher.metric_drive
-    searcher.setup_search()
-    ctl = _Control(SearchBudget())
-    searcher.offer_path(ctl, [1, 2], [0b001, 0b110])  # no catalog split serves {1}
-    searcher.offer_path(ctl, [1, 2], [0b000, 0b111])  # a pass-through stop
-    assert ctl.best_state is None
-    searcher.offer_path(ctl, [3, 1], [0b100, 0b011])
-    assert ctl.best_state == ((3, 1), (0b100, 0b011))
-    sol = searcher.materialize(*ctl.best_state)
-    assert [[sorted(o) for o in stop_sets] for stop_sets in sol.served] == [[[3]], [[1, 2]]]
-    assert ctl.best_value == pytest.approx(sol.total, abs=1e-9)
-
-    # off the triangle inequality a pass-through stop can pay off, so it is kept
     drive = inst.drive.copy()
     drive[0, 2] = drive[0, 1] + drive[1, 2] + 1.0
     skewed = replace(inst, drive=drive)
-    searcher = _Searcher(skewed, ServiceSetCatalog(inst=skewed, sets=cat.sets))
+    cat = ServiceSetCatalog(inst=skewed, sets=(ServiceSet((1, 2)), ServiceSet((3,))))
+    searcher = _Searcher(skewed, cat)
     assert not searcher.metric_drive
-    searcher.setup_search()
-    ctl = _Control(SearchBudget())
-    searcher.offer_path(ctl, [1, 2], [0b000, 0b111])
-    assert ctl.best_state == ((1, 2), (0b000, 0b111))
-    assert searcher.materialize(*ctl.best_state).served[0] == ()
+    sol = searcher.materialize((1, 2), (0b000, 0b111))
+    assert sol.served[0] == ()
+    assert [[sorted(o) for o in stop_sets] for stop_sets in sol.served] == [[], [[1, 2], [3]]]
+    assert check_feasible(skewed, cat, sol) == []
+
+
+def test_a_pass_through_stop_that_pays_is_found():
+    # the drive reaches spot 1 cheaply only through spot 3, and customer 2
+    # is cheap to walk only on the tour 1 -> 3 -> 2 -> 1, so the optimum parks
+    # at 3 without serving anyone there.  The closure DP's floor prices that
+    # detour; its solution, parked at 1 alone, drives the direct leg on the
+    # true matrix, so the search runs and finds the detour
+    drive = np.full((4, 4), 20.0)
+    np.fill_diagonal(drive, 0.0)
+    drive[0, 3] = drive[3, 1] = drive[1, 0] = 1.0
+    walk = np.full((3, 3), 10.0)  # customers only: row and column c - 1
+    np.fill_diagonal(walk, 0.0)
+    walk[0, 2] = walk[2, 1] = walk[1, 0] = 1.0
+    inst = Instance(drive=drive, walk=walk, park_time=[1.0, 1.0, 1.0], capacity_count=3)
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9) == 8.0
+    assert res.solution.stops == (3, 1) and res.solution.served[0] == ()
+    assert res.bound == pytest.approx(res.value, abs=1e-9)
 
 
 def _identity_case(name):
@@ -487,10 +512,8 @@ def test_solve_exact_frees_its_searcher(monkeypatch, skew):
     # with the collector off, the searcher and its tables must go as soon as
     # the solve returns: nothing it built may hold a reference cycle
     inst = gen_geo_instance(6, seed=4, p=2.0, q=2)
-    if skew:  # a triangle violation: branch-and-bound with a warm start
-        drive = inst.drive.copy()
-        drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
-        inst = replace(inst, drive=drive)
+    if skew:  # the closure DP's solution misses its floor: the search runs
+        inst = _skew(gen_geo_instance(4, 12, p=0.5, q=3), 7)
     searchers = []
 
     class Tracked(_Searcher):

@@ -15,8 +15,7 @@ from hypothesis import strategies as st
 
 from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost, milp_optimum
 from parkroute.benchmarks import modified_tsp
-from parkroute.errors import ParkrouteError
-from parkroute.exact import SearchBudget, check_feasible, solve_exact
+from parkroute.exact import SearchBudget, _ReconstructionTie, _Searcher, check_feasible, solve_exact
 from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, heuristic_solve, solve_par
 from parkroute.instance import (
     GridParams,
@@ -98,7 +97,8 @@ def test_exact_optimum_matches_highs(inst):
 
 def _skewed(inst, skew_seed):
     """Random skew, plus one depot leg longer than its detour through another
-    customer, so the triangle inequality fails and the DP does not run."""
+    customer, so the triangle inequality fails and the DP runs on the
+    closure of the drive matrix."""
     drive = inst.drive * np.random.default_rng(skew_seed).uniform(1.0, 1.6, size=inst.drive.shape)
     np.fill_diagonal(drive, 0.0)
     drive[0, 1] = drive[0, 2] + drive[2, 1] + 1.0
@@ -110,24 +110,32 @@ def _skewed(inst, skew_seed):
 @SETTINGS
 @given(instances(min_n=2), st.integers(0, 10_000))
 def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
+    # the closure DP's value, loading included, is a floor whether or not
+    # its decode ties, and the reported bound never exceeds the optimum
     inst = _skewed(inst, skew_seed)
-    res = solve_exact(inst, enumerate_catalog(inst))
+    cat = enumerate_catalog(inst)
+    res = solve_exact(inst, cat)
+    best = brute_optimum(inst)
     assert res.status == "optimal"
-    assert res.value == pytest.approx(brute_optimum(inst), abs=1e-9)
+    assert res.value == pytest.approx(best, abs=1e-9)
+    assert res.bound <= best + 1e-9
+    searcher = _Searcher(inst, cat)
+    try:
+        searcher.solve_dp()
+    except _ReconstructionTie:
+        pass
+    assert searcher.dp_value + inst.n * inst.load_per_package <= best + 1e-9
 
 
 @SETTINGS
 @given(instances(min_n=2), st.integers(0, 10_000), st.integers(1, 60))
 def test_budgeted_search_keeps_its_warm_start(inst, skew_seed, max_nodes):
+    # the closure DP's solution proves itself or is the search's incumbent
+    # from the first node on
     inst = _skewed(inst, skew_seed)
     cat = enumerate_catalog(inst)
     res = solve_exact(inst, cat, budget=SearchBudget(max_nodes=max_nodes))
-    try:
-        heuristic_solve(inst, cat)
-    except ParkrouteError:
-        pass
-    else:  # the warm start is the incumbent from the first node on
-        assert res.status in ("optimal", "feasible")
+    assert res.status in ("optimal", "feasible")
     if res.status == "optimal":
         assert res.bound == pytest.approx(res.value, abs=1e-9)
     else:

@@ -217,7 +217,7 @@ def _cmd_grid(args) -> int:
         walk_rate=args.walk_rate, load=args.load, capacity=args.q,
     )
     p_values = _parse_sweep(args.sweep)
-    reports = grid_sweep(gp, args.q, p_values, budget=_budget(args))
+    reports = grid_sweep(gp, args.q, p_values)
     rows = []
     for rep in reports:
         rows.append({
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     gr.add_argument("--drive-rate", type=float, default=1.0)
     gr.add_argument("--walk-rate", type=float, default=1.0)
     gr.add_argument("--load", type=float, default=0.0)
-    gr.add_argument("--budget-seconds", type=float, default=None)
     gr.add_argument("-o", "--output", default=None)
     gr.set_defaults(func=_cmd_grid)
 

@@ -4,11 +4,12 @@ A bitmask dynamic program over (unserved customers, last parking spot) runs
 on every input; its transitions pick the next spot and the customer bundle
 walked from it.  The fill walks one catalog set per transition, so a mask is
 priced against its subsets of at most the largest set size rather than
-against every submask.  A mask's completion reads only masks with fewer
-customers, so the table is filled one popcount layer at a time, each layer
-in numpy blocks of at most ``CHUNK`` (mask, set) pairs.  The decode reads
-the same per-set transitions back, one catalog set per step; a stop's bundle
-is the union of the sets walked there.
+against every submask.  That per-set step is ``servicesets._set_layers``,
+the subset fill ``PartitionTable`` shares: it yields the walk-then-finish
+minimum one block of a popcount layer at a time, and the DP adds its park and
+drive terms to each block.  The decode reads the same per-set transitions
+back, one catalog set per step; a stop's bundle is the union of the sets
+walked there.
 
 On a metric drive matrix revisits and pass-through stops (stops that park
 and serve no one) never improve, so the DP's solution is optimal.  Off the
@@ -38,7 +39,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -46,24 +46,11 @@ from .errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedErro
 from .heuristic import solve_ssa
 from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import PartitionTable, ServiceSetCatalog
-from .tsp import CHUNK, mask_blocks
+from .servicesets import PartitionTable, ServiceSetCatalog, _set_layers
 
 _EPS = 1e-9
 
 DP_MAX_CUSTOMERS = 18
-
-
-def _small_subsets(bits: int, largest: int) -> np.ndarray:
-    """A (bits, count) 0/1 array whose columns are the nonempty subsets of
-    at most ``largest`` of ``bits`` positions, smallest subsets first."""
-    sizes = [np.array(list(combinations(range(bits), k))) for k in range(1, min(bits, largest) + 1)]
-    pattern = np.zeros((bits, sum(map(len, sizes))), dtype=np.int64)
-    lo = 0
-    for subset in sizes:
-        pattern[subset, np.arange(lo, lo + len(subset))[:, None]] = 1
-        lo += len(subset)
-    return pattern
 
 
 def _closure(drive: np.ndarray) -> np.ndarray:
@@ -205,11 +192,10 @@ class _Searcher:
         C[mask, k] walks the cheapest split of some nonempty bundle from k
         before driving on, and parking at k first costs
         qp[mask, k] = C[mask, k] + park[k].  A mask reads only masks with
-        fewer customers, so the tables are filled one popcount layer at a
-        time.  A layer of L bits prices each mask against its subsets of at
-        most the largest set size, in blocks of at most ``CHUNK`` (mask,
-        subset) pairs; a layer with more subsets than that goes one mask at a
-        time, its subsets ``CHUNK`` at a time.
+        fewer customers: ``_set_layers`` yields C a block of one popcount
+        layer at a time, reading F, and each block's B and F rows are
+        written before the next block is drawn.  It needs distinct sets,
+        which a catalog's are.
 
         Returns (value-without-load, stops, bundles, states)."""
         S = self.spots
@@ -218,39 +204,17 @@ class _Searcher:
         self.park = np.array([float(self.P[j]) for j in S])
         self.d_spot = D[np.ix_(S, S)]
         d_depot = np.array([D[0, j] for j in S])
-        # walk[row[A]]: walk cost of catalog set A from each spot column; a
-        # mask that is no catalog set reads the trailing inf row
-        walk = np.vstack((self.costs, np.full(len(S), np.inf)))
-        row = np.full(size, len(self.masks))
-        row[self.masks] = np.arange(len(self.masks))
         largest = max(s.size for s in self.cat.sets)
 
         self.B = B = np.empty((size, len(S)))
         B[0] = [D[j, 0] for j in S]
         self.F = F = np.empty_like(B)
         F[0] = B[0]
-        # np.minimum.reduceat takes the minimum over the rows of each block
-        # about three times faster than min(axis=...) on these narrow arrays
-        for bits in range(1, self.n + 1):
-            # column i picks the bits of the layer's i-th small subset: a
-            # mask's subsets are its row of set-bit values times this pattern
-            pattern = _small_subsets(bits, largest)
-            subs = pattern.shape[1]
-            # blocks of masks whose (mask, subset) pairs, and whose arrival
-            # table of masks x spots x spots, stay within CHUNK x spots floats
-            step = max(1, CHUNK // max(subs, len(S)))
-            for M, pos in mask_blocks(self.n, bits, step):
-                A = np.left_shift(1, pos) @ pattern
-                for lo in range(0, subs, CHUNK):  # one pass unless the block is one mask
-                    a = A[:, lo:lo + CHUNK]
-                    v = np.take(walk, np.take(row, a.ravel()), axis=0)
-                    v += np.take(F, (M[:, None] ^ a).ravel(), axis=0)
-                    least = np.minimum.reduceat(v, np.arange(0, len(v), a.shape[1]))
-                    c = least if lo == 0 else np.minimum(c, least)
-                # qp[m, k]: park at spot k, walk a bundle, complete the rest
-                qp = c + self.park
-                B[M] = b = (self.d_spot + qp[:, None, :]).min(axis=2)
-                F[M] = np.minimum(b, c)
+        for M, c in _set_layers(self.n, self.masks, self.costs, largest, F, False):
+            # qp[m, k]: park at spot k, walk a bundle, complete the rest
+            qp = c + self.park
+            B[M] = b = (self.d_spot + qp[:, None, :]).min(axis=2)
+            F[M] = np.minimum(b, c)
         # qp of the full mask, the last layer; the value stands even if the
         # decode ties, and bounds the search below, since the DP allows revisits
         self.dp_value = opt = float((d_depot + qp).min())

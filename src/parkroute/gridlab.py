@@ -2,7 +2,8 @@
 time thresholds where that solution stops being optimal, the constructed
 witness solutions that beat it, and empirical certification against the exact
 oracle, ``exact.solve_exact``, on grids of at most ``exact.DP_MAX_CUSTOMERS``
-customers.  Larger grids get no oracle value.
+customers.  Larger grids get no oracle value.  Grid drive matrices are
+rectilinear, hence metric, so the DP proves each oracle solve without a budget.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import UnsupportedError
-from .exact import DP_MAX_CUSTOMERS, SearchBudget, solve_exact
+from .exact import DP_MAX_CUSTOMERS, solve_exact
 from .instance import GridParams, Instance, gen_grid_instance, grid_id
 from .model import Solution, assemble_solution
 from .servicesets import enumerate_catalog
@@ -173,24 +174,24 @@ class ThresholdReport:
     status: str = "ok"
 
 
-def _witness(gp: GridParams, q: int, budget) -> tuple[Solution | None, str]:
+def _witness(gp: GridParams, q: int) -> tuple[Solution | None, str]:
     if q <= 2 and gp.sqrt_n >= 4:
         return construct_q2(gp), "ok"
     if q == 3 and gp.sqrt_n >= 6:
         return construct_q3(gp), "ok"
     if gp.n <= DP_MAX_CUSTOMERS:
-        return _oracle(gp, q, budget)
+        return _oracle(gp, q)
     return None, "partial"
 
 
-def _oracle(gp: GridParams, q: int, budget) -> tuple[Solution | None, str]:
+def _oracle(gp: GridParams, q: int) -> tuple[Solution | None, str]:
     inst = gen_grid_instance(replace(gp, capacity=q))
     cat = enumerate_catalog(inst)
-    res = solve_exact(inst, cat, budget=budget or SearchBudget())
+    res = solve_exact(inst, cat)
     return res.solution, ("ok" if res.status == "optimal" else "partial")
 
 
-def verify_claims(gp_range, q: int, budget=None) -> list[ThresholdReport]:
+def verify_claims(gp_range, q: int) -> list[ThresholdReport]:
     """Certify the threshold in both directions on each grid.
 
     Below the threshold the oracle optimum must equal the park-everywhere TSP
@@ -215,14 +216,14 @@ def verify_claims(gp_range, q: int, budget=None) -> list[ThresholdReport]:
         if p <= thr + _EPS:
             report = ThresholdReport(gp=gp, q=q, threshold=thr, regime="tsp_optimal", tsp_value=tsp_v)
             if gp.n <= DP_MAX_CUSTOMERS:
-                sol, status = _oracle(gp, q, budget)
+                sol, status = _oracle(gp, q)
                 report.status = status
                 if sol is not None:
                     report.oracle_value = sol.total
                     report.certified = status == "ok" and abs(sol.total - tsp_v) <= 1e-6
             reports.append(report)
         else:
-            witness, status = _witness(gp, q, budget)
+            witness, status = _witness(gp, q)
             report = ThresholdReport(
                 gp=gp, q=q, threshold=thr, regime="tsp_suboptimal",
                 tsp_value=tsp_v, witness=witness, status=status,
@@ -234,7 +235,7 @@ def verify_claims(gp_range, q: int, budget=None) -> list[ThresholdReport]:
     return reports
 
 
-def grid_sweep(gp_base: GridParams, q: int, p_values, budget=None):
+def grid_sweep(gp_base: GridParams, q: int, p_values):
     """Rows for the threshold-regime CSV: one report per search-time value."""
     gps = [replace(gp_base, park_time=float(p), capacity=q) for p in p_values]
-    return verify_claims(gps, q, budget=budget)
+    return verify_claims(gps, q)

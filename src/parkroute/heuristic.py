@@ -296,6 +296,8 @@ def solve_ssa(
             cands.append(members)
             tours.append(walk_tour(inst, spot, members))
 
+    if cands == [K]:  # the group is its only candidate, as a lone customer's singleton
+        return [tours[0][1]], float(tours[0][0]), True
     part = PartitionTable(K, cands, np.array([cost for cost, _ in tours], dtype=float)[:, None])
     full = (1 << k) - 1
     walk = float(part.value[full, 0])

@@ -9,7 +9,8 @@ customers in one numpy pass, larger ones through ``walk_tour``.  That is the
 one scalar pricer; it also returns the walking order.  ``PartitionTable``
 splits every subset of a customer group into candidate walking sets at least
 cost, per parking spot; the exact solver and the heuristic's set assignment
-both read their splits from it.
+both read their splits from it.  It fills its table with ``_set_layers``,
+the one subset fill, which the exact DP's completion step reads too.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedError
 from .instance import Instance
-from .tsp import CHUNK, held_karp_cycle
+from .tsp import CHUNK, held_karp_cycle, mask_blocks
 
 MAX_WALK_SET = 12
 DEFAULT_PAIR_CAP = 20_000_000
@@ -227,18 +228,70 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
 # ---------------------------------------------------------------------------
 # subset partition
 
+def _small_subsets(bits: int, largest: int, lowest: bool) -> np.ndarray:
+    """A (bits, count) 0/1 array whose columns are the nonempty subsets of
+    at most ``largest`` of ``bits`` positions, smallest subsets first; with
+    ``lowest``, only those holding position 0."""
+    sizes = [
+        np.array([s for s in combinations(range(bits), k) if s[0] == 0 or not lowest])
+        for k in range(1, min(bits, largest) + 1)
+    ]
+    pattern = np.zeros((bits, sum(map(len, sizes))), dtype=np.int64)
+    lo = 0
+    for subset in sizes:
+        pattern[subset, np.arange(lo, lo + len(subset))[:, None]] = 1
+        lo += len(subset)
+    return pattern
+
+
+def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, table: np.ndarray, lowest: bool):
+    """Yield (M, least) for blocks of the nonempty masks of n bits, one
+    popcount layer at a time from one bit up: ``least[i, s]`` is the least
+    ``costs[j, s] + table[M[i] ^ masks[j], s]`` over the sets j inside M[i],
+    or with ``lowest`` over those holding its lowest bit; inf where none.
+
+    Sets are distinct and hold at most ``largest`` bits.  A mask reads
+    ``table`` only at masks with fewer bits, which the caller has written by
+    then.  Each mask is priced against its subsets of at most ``largest``
+    bits, in blocks of at most ``CHUNK`` (mask, subset) and (mask, column)
+    pairs; a layer with more subsets than that goes one mask at a time, its
+    subsets ``CHUNK`` at a time."""
+    cols = table.shape[1]
+    # walk[row[A]]: the cost of set A; a mask that is no set reads the
+    # trailing inf row
+    walk = np.vstack((costs, np.full(cols, np.inf)))
+    row = np.full(1 << n, len(masks))
+    row[masks] = np.arange(len(masks))
+    # np.minimum.reduceat takes the minimum over the rows of each block
+    # about three times faster than min(axis=...) on these narrow arrays
+    for bits in range(1, n + 1):
+        # column i picks the bits of the layer's i-th small subset: a mask's
+        # subsets are its row of set-bit values times this pattern
+        pattern = _small_subsets(bits, largest, lowest)
+        subs = pattern.shape[1]
+        for M, pos in mask_blocks(n, bits, max(1, CHUNK // max(subs, cols))):
+            A = np.left_shift(1, pos) @ pattern
+            for lo in range(0, subs, CHUNK):  # one pass unless the block is one mask
+                a = A[:, lo:lo + CHUNK]
+                v = np.take(walk, np.take(row, a.ravel()), axis=0)
+                v += np.take(table, (M[:, None] ^ a).ravel(), axis=0)
+                least = np.minimum.reduceat(v, np.arange(0, len(v), a.shape[1]))
+                c = least if lo == 0 else np.minimum(c, least)
+            yield M, c
+
+
 class PartitionTable:
     """Cheapest split of every subset of ``customers`` into candidate walking
     sets, for several parking spots at once.
 
-    Bit b of a mask stands for ``customers[b]``.  ``candidates`` lists member
-    tuples in catalog order and ``costs[c, s]`` is the walk cost of candidate c
-    from spot column s (inf where the pair is inadmissible).  ``value[mask, s]``
-    is the least total cost, inf when no split exists.  Each mask's split takes
-    a candidate holding its lowest bit, so a mask reads only masks whose lowest
-    bit is higher.  The table is therefore filled one lowest-bit group at a
-    time, from the highest bit down; within a group, blocks of masks are priced
-    against the group's candidates in one numpy pass each.
+    Bit b of a mask stands for ``customers[b]``.  ``candidates`` lists
+    member tuples in catalog order and ``costs[c, s]`` is the walk cost of
+    candidate c from spot column s (inf where the pair is inadmissible).
+    Candidates must be distinct: the fill looks a set up by its mask, which
+    keeps one row per mask.  ``value[mask, s]`` is the least total cost, inf
+    when no split exists.  Each mask's split takes a candidate holding its
+    lowest bit, so the table is ``_set_layers`` with ``lowest``, the exact
+    DP's per-set layer fill.
     """
 
     def __init__(self, customers, candidates, costs: np.ndarray):
@@ -249,32 +302,12 @@ class PartitionTable:
         self.costs = np.asarray(costs, dtype=float)
         self._low = self.masks & -self.masks
         k = len(pos)
-        value = np.full((1 << k, self.costs.shape[1]), np.inf)
+        self.value = value = np.full((1 << k, self.costs.shape[1]), np.inf)
         value[0] = 0.0
-        # one-customer masks take their singleton candidates; the group passes
-        # below start at two customers
-        single = self.masks == self._low
-        np.minimum.at(value, self.masks[single], self.costs[single] + value[0])
-        # candidates grouped by lowest bit; group b spans bounds[b]:bounds[b + 1]
-        by_low = np.argsort(self._low, kind="stable")
-        cm, cc = self.masks[by_low], self.costs[by_low]
-        bounds = np.searchsorted(self._low[by_low], 1 << np.arange(k + 1))
-        for b in range(k - 2, -1, -1):
-            # the group's candidates after an empty one at infinite cost, which
-            # fits every mask: it leaves each minimum as it is and opens each
-            # mask's run of (mask, candidate) pairs
-            gm = np.concatenate(([0], cm[bounds[b]:bounds[b + 1]]))
-            gc = np.concatenate((np.full((1, value.shape[1]), np.inf), cc[bounds[b]:bounds[b + 1]]))
-            # masks with lowest bit b and another bit set, a block at a time:
-            # at most CHUNK (mask, candidate) pairs per block
-            step = max(1, CHUNK // len(gm)) * (2 << b)
-            for start in range(3 << b, 1 << k, step):
-                M = np.arange(start, min(start + step, 1 << k), 2 << b)
-                rows, cols = np.nonzero((gm & ~M[:, None]) == 0)
-                vals = np.take(gc, cols, axis=0)
-                vals += np.take(value, M[rows] ^ gm[cols], axis=0)
-                value[M] = np.minimum.reduceat(vals, np.flatnonzero(cols == 0))
-        self.value = value
+        # without candidates every one-bit subset reads the inf row
+        largest = max((len(members) for members in candidates), default=1)
+        for M, least in _set_layers(k, self.masks, self.costs, largest, value, True):
+            value[M] = least
 
     def split(self, mask: int, col: int) -> list[int]:
         """Candidate indices of the optimal split of ``mask`` from spot column

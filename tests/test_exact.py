@@ -13,7 +13,7 @@ from brutes import (
 )
 from parkroute.benchmarks import modified_tsp
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
-from parkroute import exact
+from parkroute import exact, servicesets
 from parkroute.exact import SearchBudget, _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.heuristic import heuristic_solve
@@ -449,7 +449,7 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
         inst = gen_geo_instance(11, 4, p=5.0, q=6)
     else:
         inst = _identity_case(case)
-        monkeypatch.setattr(exact, "CHUNK", 16)
+        monkeypatch.setattr(servicesets, "CHUNK", 16)
     cat = enumerate_catalog(inst)
     searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()

@@ -4,6 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from parkroute import exact, gridlab
 from parkroute.errors import UnsupportedError
 from parkroute.exact import check_feasible, solve_exact
 from parkroute.gridlab import (
@@ -183,3 +184,27 @@ def test_grid_sweep_regime_flip():
     assert regimes == ["tsp_optimal"] * 3 + ["tsp_suboptimal"] * 2
     for rep in reports[3:]:
         assert rep.witness_value < rep.tsp_value - 1e-9
+
+
+@pytest.mark.parametrize("sqrt_n", [2, 4])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_grid_oracle_proves_every_row_without_the_search(monkeypatch, q, sqrt_n):
+    # grid drive matrices are metric, so each oracle solve is proven by the
+    # DP alone: the branch-and-bound, the one reader of a budget, never runs
+    def no_search(self):
+        raise AssertionError("the oracle reached the branch-and-bound")
+
+    solves = []
+
+    def recorded(inst, cat):
+        res = solve_exact(inst, cat)
+        solves.append(res.status)
+        return res
+
+    monkeypatch.setattr(exact._Searcher, "setup_search", no_search)
+    monkeypatch.setattr(gridlab, "solve_exact", recorded)
+    for walk_rate in (1.0, 1.6):
+        base = GridParams(sqrt_n=sqrt_n, walk_rate=walk_rate)
+        reports = grid_sweep(base, q, [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        assert [r.status for r in reports] == ["ok"] * 7
+    assert solves and set(solves) == {"optimal"}

@@ -6,6 +6,7 @@ import pytest
 
 import parkroute.heuristic
 from brutes import all_partitions, brute_par, brute_walk, loop_local_search
+from parkroute.errors import InfeasibleInstanceError
 from parkroute.exact import check_feasible, solve_exact
 from parkroute.heuristic import (
     _assignment_cost,
@@ -18,7 +19,7 @@ from parkroute.heuristic import (
     solve_ssa,
 )
 from parkroute.instance import Instance, gen_geo_instance
-from parkroute.servicesets import enumerate_catalog
+from parkroute.servicesets import PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, walk_tour
 from parkroute.tsp import solve_tsp
 
 
@@ -200,6 +201,35 @@ def test_ssa_spot_serves_itself_for_free():
     assert orders == [(2,)]
     assert walk == 0.0
 
+
+
+def _ssa_from_the_table(inst, spot, group):
+    """``solve_ssa``'s table path for a group whose only candidate is itself."""
+    cost, order = walk_tour(inst, spot, group)
+    part = PartitionTable(group, [group], np.array([[cost]]))
+    full = (1 << len(group)) - 1
+    return [order for _ in part.split(full, 0)], float(part.value[full, 0]), True
+
+
+@pytest.mark.parametrize("spot, group", [(1, (3,)), (4, (4,)), (2, (4,)), (3, (1, 2))])
+def test_ssa_lone_candidate_skips_the_table(monkeypatch, spot, group):
+    # a group that is its own only candidate, as a lone customer is, takes
+    # the shortcut: the table path's tour and walk, bit for bit, no table
+    inst = gen_geo_instance(4, seed=3, q=2)
+    want = _ssa_from_the_table(inst, spot, group)
+    pair_only = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1, 2)), ServiceSet((3,)), ServiceSet((4,))))
+    monkeypatch.setattr(parkroute.heuristic, "PartitionTable", None)
+    assert solve_ssa(inst, pair_only, spot, group) == want
+    if len(group) == 1:
+        assert solve_ssa(inst, None, spot, group) == want
+        assert solve_ssa(inst, enumerate_catalog(inst), spot, group) == want
+
+
+def test_ssa_lone_customer_without_its_singleton_is_infeasible():
+    inst = gen_geo_instance(4, seed=3, q=2)
+    pair_only = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1, 2)), ServiceSet((3,)), ServiceSet((4,))))
+    with pytest.raises(InfeasibleInstanceError):
+        solve_ssa(inst, pair_only, 3, [1])
 
 def test_ssa_prefers_pair_when_cheaper():
     # walking a->b is nearly free, so the pair beats two out-and-backs

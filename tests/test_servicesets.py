@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -211,6 +212,42 @@ def test_partition_table_equals_the_per_mask_loop_at_small_k(k):
     if k == 4:
         assert np.isinf(part.value[0b0010]).all()  # customer 12 alone
 
+
+@pytest.mark.parametrize("chunk", [2, 5, 16])
+def test_partition_table_in_small_chunks(monkeypatch, chunk):
+    # a CHUNK below a layer's subset count sends every mask through one at a
+    # time, its subsets a CHUNK at a time
+    inst = gen_geo_instance(8, 2, p=5.0, q=4)
+    cat = enumerate_catalog(inst)
+    candidates = [s.members for s in cat.sets]
+    costs = cat.walk_cost_table()
+    monkeypatch.setattr(servicesets, "CHUNK", chunk)
+    assert np.array_equal(
+        PartitionTable(inst.customers, candidates, costs).value,
+        loop_partition_values(inst.customers, candidates, costs),
+    )
+
+
+def test_partition_table_with_more_spot_columns_than_subsets():
+    # 300 columns, integer costs with ties and inf entries: blocks hold at
+    # most CHUNK // 300 masks
+    customers = (2, 3, 5, 7, 11, 13)
+    candidates = [m for size in (1, 2, 3) for m in combinations(customers, size)]
+    rng = np.random.default_rng(3)
+    costs = rng.integers(0, 6, size=(len(candidates), 300)).astype(float)
+    costs[rng.random(costs.shape) < 0.3] = np.inf
+    assert np.array_equal(
+        PartitionTable(customers, candidates, costs).value,
+        loop_partition_values(customers, candidates, costs),
+    )
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_partition_table_without_candidates(k):
+    customers = tuple(range(1, k + 1))
+    part = PartitionTable(customers, [], np.empty((0, 2)))
+    assert np.array_equal(part.value, loop_partition_values(customers, [], np.empty((0, 2))))
+    assert (part.value[0] == 0.0).all() and np.isinf(part.value[1:]).all()
 
 @pytest.mark.parametrize("reduced", [False, True])
 def test_walk_costs_and_partition_table_on_the_4x4_grid(reduced):

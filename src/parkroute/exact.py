@@ -6,10 +6,10 @@ walked from it.  The fill walks one catalog set per transition, so a mask is
 priced against its subsets of at most the largest set size rather than
 against every submask.  That per-set step is ``servicesets._set_layers``,
 the subset fill ``PartitionTable`` shares: it yields the walk-then-finish
-minimum one block of a popcount layer at a time, and the DP adds its park and
-drive terms to each block.  The decode reads the same per-set transitions
-back, one catalog set per step; a stop's bundle is the union of the sets
-walked there.
+minimum one run of masks of a popcount layer at a time, and the DP adds its
+park and drive terms to each run.  The decode reads the same per-set
+transitions back, one catalog set per step; a stop's bundle is the union of
+the sets walked there.
 
 On a metric drive matrix revisits and pass-through stops (stops that park
 and serve no one) never improve, so the DP's solution is optimal.  Off the
@@ -23,8 +23,8 @@ the floor.  The search's per-node bound combines the unavoidable drive legs
 with a per-customer share of the cheapest admissible walk-plus-park
 increment, which stays admissible on any input, and it allows pass-through
 stops exactly when the drive matrix breaks the triangle inequality.  Either
-path accepts at most ``DP_MAX_CUSTOMERS`` = 18 customers: the DP's two
-tables hold 2^n rows per spot, and the branch-and-bound proves nothing that
+path accepts at most ``DP_MAX_CUSTOMERS`` = 18 customers: the DP's one
+table holds 2^n rows per spot, and the branch-and-bound proves nothing that
 large within its default budget.
 
 The branch-and-bound prices bundles from one dense
@@ -139,10 +139,11 @@ class _Searcher:
         self.D = inst.drive
         self.P = inst.park_time
 
-        # walk cost of every catalog set from every spot, inf where inadmissible
-        costs = cat.walk_cost_table()
-        covered = {c for j, s in enumerate(cat.sets) if np.isfinite(costs[j]).any() for c in s.members}
-        missing = [c for c in inst.customers if c not in covered]
+        # walk costs per (catalog set, spot), inf where inadmissible; masks[j]: set j, bit b customer b + 1
+        self.costs = costs = cat.walk_cost_table()
+        self.masks = np.array([sum(1 << (c - 1) for c in s.members) for s in cat.sets], dtype=np.int64)
+        covered = int(np.bitwise_or.reduce(self.masks[np.isfinite(costs).any(axis=1)]))
+        missing = [c for c in inst.customers if not covered >> (c - 1) & 1]
         if missing:
             raise InfeasibleInstanceError(f"customers {missing} appear in no admissible set")
 
@@ -150,10 +151,6 @@ class _Searcher:
         # through, serving no one, and the DP drives on the closure instead
         self.metric_drive = _triangle_stats(inst.drive)[0] == 0
         self.D_dp = inst.drive if self.metric_drive else _closure(inst.drive)
-
-        # bit b of a bundle mask is customer b + 1; masks[j] is catalog set j
-        self.costs = costs
-        self.masks = np.array([sum(1 << (c - 1) for c in s.members) for s in cat.sets], dtype=np.int64)
 
     def setup_search(self):
         """The branch-and-bound's tables.  bundle[A, s]: walk cost of bundle A
@@ -192,10 +189,10 @@ class _Searcher:
         C[mask, k] walks the cheapest split of some nonempty bundle from k
         before driving on, and parking at k first costs
         qp[mask, k] = C[mask, k] + park[k].  A mask reads only masks with
-        fewer customers: ``_set_layers`` yields C a block of one popcount
-        layer at a time, reading F, and each block's B and F rows are
-        written before the next block is drawn.  It needs distinct sets,
-        which a catalog's are.
+        fewer customers: ``_set_layers`` yields C a run of one popcount
+        layer at a time, reading F, and each run's F rows are written before
+        the next run is drawn; only F is kept, and the decode rebuilds the B
+        rows it reads.  It needs distinct sets, which a catalog's are.
 
         Returns (value-without-load, stops, bundles, states)."""
         S = self.spots
@@ -206,21 +203,33 @@ class _Searcher:
         d_depot = np.array([D[0, j] for j in S])
         largest = max(s.size for s in self.cat.sets)
 
-        self.B = B = np.empty((size, len(S)))
-        B[0] = [D[j, 0] for j in S]
-        self.F = F = np.empty_like(B)
-        F[0] = B[0]
+        self.F = F = np.empty((size, len(S)))
+        F[0] = [D[j, 0] for j in S]
         for M, c in _set_layers(self.n, self.masks, self.costs, largest, F, False):
-            # qp[m, k]: park at spot k, walk a bundle, complete the rest
-            qp = c + self.park
-            B[M] = b = (self.d_spot + qp[:, None, :]).min(axis=2)
-            F[M] = np.minimum(b, c)
-        # qp of the full mask, the last layer; the value stands even if the
-        # decode ties, and bounds the search below, since the DP allows revisits
-        self.dp_value = opt = float((d_depot + qp).min())
+            F[M] = np.minimum(self._drive_on(c), c)
+        # c is the full mask's row; the value stands even if the decode ties,
+        # and bounds the search below, since the DP allows revisits
+        self.dp_value = opt = float((d_depot + (c + self.park)).min())
 
         stops, bundles = self._dp_reconstruct(d_depot, opt)
         return opt, tuple(stops), tuple(bundles), size * len(S)
+
+    def _drive_on(self, c: np.ndarray) -> np.ndarray:
+        """B rows from C rows: min over k of (C[:, k] + park[k]) + d_spot[j, k], column by column."""
+        qp = c + self.park
+        b = qp[:, :1] + self.d_spot[:, 0]
+        for k in range(1, qp.shape[1]):
+            np.minimum(b, qp[:, k, None] + self.d_spot[:, k], out=b)
+        return b
+
+    def _b_row(self, mask: int) -> np.ndarray:
+        """B[mask] from the fill's operands in the fill's order, so the fill's
+        row bit for bit; memoized for the decode in a dict of rows alone."""
+        if mask not in self._rows:
+            fit = np.flatnonzero((self.masks & ~mask) == 0)
+            c = np.min(self.costs[fit] + self.F[mask ^ self.masks[fit]], axis=0, initial=np.inf)
+            self._rows[mask] = self._drive_on(c[None])[0]
+        return self._rows[mask]
 
     def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> set[tuple[int, int]]:
         """The distinct (spot column, bundle) pairs that, arriving with the
@@ -250,7 +259,7 @@ class _Searcher:
         attains it.  Memoized on (rest, k) for the whole decode."""
         if (rest, k) not in self._tails:
             f = self.F[rest, k] + _EPS
-            tails = {0} if self.B[rest, k] <= f else set()
+            tails = {0} if self._b_row(rest)[k] <= f else set()
             fit = np.flatnonzero((self.masks & ~rest) == 0)
             sets = self.masks[fit]
             for S in sets[self.costs[fit, k] + self.F[rest ^ sets, k] <= f]:
@@ -263,9 +272,9 @@ class _Searcher:
         value first, then fewest stops, then the lexicographically smallest
         stop sequence (bundles canonicalized by smallest bit mask)."""
         S = self.spots
-        B = self.B
         memo: dict[tuple[int, int], int] = {}
         self._tails = {}
+        self._rows = {0: self.F[0]}
         stops: list[int] = []
         bundles: list[int] = []
         mask = self.full
@@ -288,7 +297,7 @@ class _Searcher:
             mask ^= A
             arrival = self.d_spot[sj]
             if mask:
-                target = float(B[mask, sj])
+                target = float(self._b_row(mask)[sj])
         return stops, bundles
 
     def _fewest_stops(self, mask: int, si: int, memo: dict) -> int:
@@ -301,7 +310,7 @@ class _Searcher:
         if (mask, si) not in memo:
             memo[mask, si] = min(
                 (1 + self._fewest_stops(mask ^ A, sj, memo)
-                 for sj, A in self._dp_transitions(mask, self.d_spot[si], self.B[mask, si])),
+                 for sj, A in self._dp_transitions(mask, self.d_spot[si], self._b_row(mask)[si])),
                 default=len(self.spots) + self.n,
             )
         return memo[mask, si]

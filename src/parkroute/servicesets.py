@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ResourceLimitError, UnsupportedError
 from .instance import Instance
-from .tsp import CHUNK, held_karp_cycle, mask_blocks
+from .tsp import CHUNK, held_karp_cycle, layer_runs
 
 MAX_WALK_SET = 12
 DEFAULT_PAIR_CAP = 20_000_000
@@ -229,55 +229,54 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
 # subset partition
 
 def _small_subsets(bits: int, largest: int, lowest: bool) -> np.ndarray:
-    """A (bits, count) 0/1 array whose columns are the nonempty subsets of
-    at most ``largest`` of ``bits`` positions, smallest subsets first; with
+    """The nonempty subsets of at most ``largest`` of ``bits`` positions,
+    smallest first, as a (min(bits, largest), count) array: column i lists
+    subset i's positions, its last one repeated to fill the column; with
     ``lowest``, only those holding position 0."""
-    sizes = [
-        np.array([s for s in combinations(range(bits), k) if s[0] == 0 or not lowest])
-        for k in range(1, min(bits, largest) + 1)
-    ]
-    pattern = np.zeros((bits, sum(map(len, sizes))), dtype=np.int64)
-    lo = 0
-    for subset in sizes:
-        pattern[subset, np.arange(lo, lo + len(subset))[:, None]] = 1
-        lo += len(subset)
-    return pattern
+    width = min(bits, largest)
+    subsets = [s + s[-1:] * (width - k) for k in range(1, width + 1)
+               for s in combinations(range(bits), k) if s[0] == 0 or not lowest]
+    return np.array(subsets, dtype=np.intp).T
 
 
 def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, table: np.ndarray, lowest: bool):
-    """Yield (M, least) for blocks of the nonempty masks of n bits, one
-    popcount layer at a time from one bit up: ``least[i, s]`` is the least
-    ``costs[j, s] + table[M[i] ^ masks[j], s]`` over the sets j inside M[i],
-    or with ``lowest`` over those holding its lowest bit; inf where none.
+    """Yield (M, least) for runs of the nonempty masks of n bits from
+    ``layer_runs``, one popcount layer at a time from one bit up:
+    ``least[i, s]`` is the least ``costs[j, s] + table[M[i] ^ masks[j], s]``
+    over the sets j inside M[i], or with ``lowest`` over those holding its
+    lowest bit; inf where none.
 
     Sets are distinct and hold at most ``largest`` bits.  A mask reads
     ``table`` only at masks with fewer bits, which the caller has written by
-    then.  Each mask is priced against its subsets of at most ``largest``
-    bits, in blocks of at most ``CHUNK`` (mask, subset) and (mask, column)
-    pairs; a layer with more subsets than that goes one mask at a time, its
-    subsets ``CHUNK`` at a time."""
+    then.  A run holds at most ``CHUNK`` masks.  Each mask is priced against
+    its subsets of at most ``largest`` bits, in blocks of at most
+    ``2 * CHUNK`` (subset, mask) pairs; a layer with more subsets than that
+    goes one mask at a time, its subsets ``2 * CHUNK`` at a time."""
     cols = table.shape[1]
     # walk[row[A]]: the cost of set A; a mask that is no set reads the
     # trailing inf row
     walk = np.vstack((costs, np.full(cols, np.inf)))
-    row = np.full(1 << n, len(masks))
+    row = np.full(1 << n, len(masks), dtype=np.int32)
     row[masks] = np.arange(len(masks))
-    # np.minimum.reduceat takes the minimum over the rows of each block
-    # about three times faster than min(axis=...) on these narrow arrays
-    for bits in range(1, n + 1):
-        # column i picks the bits of the layer's i-th small subset: a mask's
-        # subsets are its row of set-bit values times this pattern
-        pattern = _small_subsets(bits, largest, lowest)
-        subs = pattern.shape[1]
-        for M, pos in mask_blocks(n, bits, max(1, CHUNK // max(subs, cols))):
-            A = np.left_shift(1, pos) @ pattern
-            for lo in range(0, subs, CHUNK):  # one pass unless the block is one mask
-                a = A[:, lo:lo + CHUNK]
+    bits = 0
+    for M, pos in layer_runs(n, range(1, n + 1), CHUNK):
+        if pos.shape[1] != bits:  # a new layer
+            bits = pos.shape[1]
+            subsets = _small_subsets(bits, largest, lowest)
+            step = max(1, 2 * CHUNK // subsets.shape[1])
+        least = np.empty((len(M), cols))
+        for i in range(0, len(M), step):
+            m = M[i:i + step]
+            # A[k, j]: the k-th small subset of m[j], the OR of its set bits
+            A = np.bitwise_or.reduce(np.left_shift(1, pos[i:i + step].T[subsets]), axis=0)
+            for lo in range(0, len(A), 2 * CHUNK):  # one pass unless the block is one mask
+                a = A[lo:lo + 2 * CHUNK]
                 v = np.take(walk, np.take(row, a.ravel()), axis=0)
-                v += np.take(table, (M[:, None] ^ a).ravel(), axis=0)
-                least = np.minimum.reduceat(v, np.arange(0, len(v), a.shape[1]))
-                c = least if lo == 0 else np.minimum(c, least)
-            yield M, c
+                v += np.take(table, (m ^ a).ravel(), axis=0)
+                # subset by subset: the least is over contiguous slabs
+                c = v.reshape(len(a), len(m), cols).min(axis=0)
+                least[i:i + step] = c if lo == 0 else np.minimum(least[i:i + step], c)
+        yield M, least
 
 
 class PartitionTable:

@@ -5,18 +5,16 @@ fixed start/end of the cycle.  Ties are broken toward the lexicographically
 smallest node order so downstream output is reproducible.
 
 No routine loops over masks or moves in Python.  Held-Karp fills a dense
-table one popcount layer at a time, in blocks from ``mask_blocks``, the
-block generator the exact DP shares.  2-opt and Or-opt price a block of
-moves at once, at most ``CHUNK`` of them, and apply the first improving
-move in the order a scalar double loop over the moves meets it.  Each
+table one popcount layer at a time, in runs of masks from ``layer_runs``,
+the mask walker the exact DP's subset fill shares.  2-opt and Or-opt price
+a block of moves at once, at most ``CHUNK`` of them, and apply the first
+improving move in the order a scalar double loop over the moves meets it.  Each
 priced entry adds the operands that loop adds, in the same order, and a
 minimum is exact, so tours and costs are bit-identical to the loops
 (``tests/brutes.py`` keeps them as references).
 """
 
 from __future__ import annotations
-
-from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -25,15 +23,25 @@ from .errors import ResourceLimitError
 _EPS = 1e-9
 
 HELD_KARP_MAX_NODES = 14
-CHUNK = 1024  # pairs (mask and submask or bit, or tour move) priced per vectorised step; bounds its temporaries
+CHUNK = 1024  # masks per layer run, or pairs (mask and bit, tour move) priced per vectorised step
+# each byte's set-bit count, and its set-bit positions, lowest first, padded with zeros
+_POPCOUNT8 = np.array([bin(m).count("1") for m in range(256)], dtype=np.int8)
+_POSITIONS8 = np.array([[b for b in range(8) if m >> b & 1] + [0] * (8 - bin(m).count("1")) for m in range(256)])
 
 
-def mask_blocks(n: int, bits: int, step: int):
-    """Yield the masks with ``bits`` of n bits set, ``step`` at a time, each
-    block with a (masks, bits) array of the masks' set-bit positions."""
-    positions = chain.from_iterable(combinations(range(n), bits))
-    while len(pos := np.fromiter(islice(positions, step * bits), np.int64).reshape(-1, bits)):
-        yield np.left_shift(1, pos).sum(axis=1), pos
+def layer_runs(n: int, layers: range, step: int):
+    """Yield (M, pos) for the masks of n bits with a popcount in ``layers``,
+    a layer at a time in runs of at most ``step`` increasing masks M, with
+    ``pos`` the (len(M), bits) array of their set-bit positions, lowest first."""
+    count = _POPCOUNT8[:1 << min(n, 8)]
+    for _ in range(8, n):  # count[M], the bits of M: each bit doubles the range
+        count = np.concatenate((count, count + 1))
+    for bits in layers:
+        layer = np.flatnonzero(count == bits)
+        for lo in range(0, len(layer), step):
+            M = layer[lo:lo + step]
+            yield M, (_POSITIONS8[M, :bits] if n <= 8
+                      else np.nonzero(M[:, None] >> np.arange(n) & 1)[1].reshape(-1, bits))
 
 
 def tour_cost(dist: np.ndarray, order: list[int]) -> float:
@@ -52,8 +60,8 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     Returns (cost, order) with order excluding node 0.  Supports asymmetric
     matrices.  The table ``tail[mask, u]`` over the k = m - 1 other nodes is
     filled one popcount layer at a time, since a mask reads only masks with
-    one bit fewer, in blocks of at most ``CHUNK`` (mask, bit) pairs.  The
-    full mask's row is never read, so its layer is skipped.  Among optimal
+    one bit fewer, in runs of at most ``CHUNK // k`` masks.  The full
+    mask's row is never read, so its layer is skipped.  Among optimal
     orders the lexicographically smallest is decoded.  Exponential state
     space; refuses more than HELD_KARP_MAX_NODES nodes.
     """
@@ -73,13 +81,12 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     tail = np.empty((full + 1, k))
     tail[0] = dist[1:, 0]
     tail[np.left_shift(1, np.arange(k))] = leg + tail[0][:, None]
-    for bits in range(2, k):
-        for M, pos in mask_blocks(k, bits, CHUNK // bits):
-            # cand[a, b, u]: leave node u + 1 for the b-th bit v of mask a,
-            # then finish mask a without v
-            cand = leg[pos]
-            cand += tail[M[:, None] ^ np.left_shift(1, pos), pos][:, :, None]
-            tail[M] = cand.min(axis=1)
+    for M, pos in layer_runs(k, range(2, k), max(1, CHUNK // k)):
+        # cand[a, b, u]: leave node u + 1 for the b-th bit v of mask a, then
+        # finish mask a without v
+        cand = leg[pos]
+        cand += tail[M[:, None] ^ np.left_shift(1, pos), pos][:, :, None]
+        tail[M] = cand.min(axis=1)
 
     # lexicographically smallest optimal order via greedy front construction:
     # the first v whose step is within 1e-12 of the cheapest step

@@ -325,13 +325,13 @@ def loop_completion_table(bundle, drive, park_time, spots):
 
 
 def loop_set_completion_table(candidates, costs, drive, park_time, spots):
-    """The exact DP's completion table ``B[mask, j]`` one mask at a time, in
-    increasing order, one catalog set per transition: ``F[mask, k]`` is the
-    least of ``B[mask, k]`` and ``C[mask, k]``, the least walk cost of a set
-    S within the mask from spot k plus ``F[mask ^ S, k]``.  Parking at k
-    costs ``C + park``.  ``candidates`` lists the sets' member tuples,
-    ``costs`` their walk costs per spot column; bit b of a mask is customer
-    b + 1."""
+    """The exact DP's tables ``(B, F)`` one mask at a time, in increasing
+    order, one catalog set per transition: ``B[mask, j]`` completes the mask
+    parked at spot j, and ``F[mask, k]`` is the least of ``B[mask, k]`` and
+    ``C[mask, k]``, the least walk cost of a set S within the mask from spot
+    k plus ``F[mask ^ S, k]``.  Parking at k costs ``C + park``.
+    ``candidates`` lists the sets' member tuples, ``costs`` their walk costs
+    per spot column; bit b of a mask is customer b + 1."""
     S = list(spots)
     d_spot = drive[np.ix_(S, S)]
     park = np.array([float(park_time[j]) for j in S])
@@ -345,11 +345,12 @@ def loop_set_completion_table(candidates, costs, drive, park_time, spots):
         qp = c + park
         B[mask] = (d_spot + qp[None, :]).min(axis=1)
         F[mask] = np.minimum(B[mask], c)
-    return B
+    return B, F
 
 
-def dense_table_decode(searcher, target):
-    """The exact DP's decode over the dense partition table, after a filled
+def dense_table_decode(searcher, target, B):
+    """The exact DP's decode over the dense partition table and the whole
+    completion table ``B`` (``loop_set_completion_table``'s), after a filled
     ``searcher.solve_dp()``: from each remaining mask, every nonempty submask
     A priced as a bundle, ``(arrival + park + bundle[A]) + B[mask ^ A]``,
     against the target within 1e-9; the canonical choice is the fewest
@@ -362,7 +363,7 @@ def dense_table_decode(searcher, target):
     inst = searcher.inst
     S = list(searcher.spots)
     part = PartitionTable(inst.customers, [s.members for s in searcher.cat.sets], searcher.costs)
-    B, d_spot = searcher.B, searcher.d_spot
+    d_spot = searcher.d_spot
     park = np.array([float(inst.park_time[j]) for j in S])
 
     def transitions(mask, arrival, target):

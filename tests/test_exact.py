@@ -1,5 +1,6 @@
 import gc
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -417,12 +418,17 @@ _CASES = [
 ] + [("geo-n12", False)]
 
 
+def _assert_decode_rows(searcher, B):
+    # every B row the decode rebuilt from F is the loop's row, bit for bit
+    assert all(np.array_equal(row, B[mask]) for mask, row in searcher._rows.items())
+
+
 @pytest.mark.parametrize("case, reduced", _CASES, ids=[f"{case}-{reduced}-False" for case, reduced in _CASES])
 def test_layered_tables_equal_the_per_mask_loops(case, reduced):
-    # the walk costs, the partition table and the completion table, bit for
-    # bit against the loops that add the same operands in the same order;
-    # the bundle-form completion loop adds them in another order, so it
-    # agrees to within the decode's tolerance
+    # the walk costs, the partition table, the completion table F and every
+    # rebuilt B row, bit for bit against the loops that add the same operands
+    # in the same order; the bundle-form completion loop adds them in another
+    # order, so it agrees to within the decode's tolerance
     inst = _identity_case(case)
     cat = enumerate_catalog(inst)
     if reduced:
@@ -433,28 +439,35 @@ def test_layered_tables_equal_the_per_mask_loops(case, reduced):
     costs = loop_walk_costs(cat)
     assert np.array_equal(part.costs, costs)
     assert np.array_equal(part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
-    assert np.array_equal(searcher.B, loop_set_completion_table(
-        [s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots))
+    B, F = loop_set_completion_table([s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots)
+    assert np.array_equal(searcher.F, F)
+    _assert_decode_rows(searcher, B)
+    rebuilt = np.array([searcher._b_row(mask) for mask in range(len(F))])
+    assert np.array_equal(rebuilt, B)
     per_mask = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
-    assert np.allclose(searcher.B, per_mask, atol=1e-9, rtol=0)
+    assert np.allclose(rebuilt, per_mask, atol=1e-9, rtol=0)
 
 
 @pytest.mark.parametrize("case", ["geo-n6", "weight-volume", "grid-4x4-first-9", "geo-n11-q6"],
                          ids=lambda case: f"False-{case}")
 def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
-    # a layer with more than CHUNK small subsets goes one mask at a time, its
-    # subsets CHUNK at a time: a small CHUNK sends the toy cases there, and
-    # sets of up to six send the full mask at n = 11 there (1,485 subsets)
+    # a layer with more than 2 * CHUNK small subsets goes one mask at a time,
+    # its subsets 2 * CHUNK at a time: a CHUNK of 16 sends the toy cases
+    # there, and half the default CHUNK sends the full mask at n = 11 with
+    # sets of up to six there (1,485 subsets)
     if case == "geo-n11-q6":
         inst = gen_geo_instance(11, 4, p=5.0, q=6)
+        monkeypatch.setattr(servicesets, "CHUNK", 512)
     else:
         inst = _identity_case(case)
         monkeypatch.setattr(servicesets, "CHUNK", 16)
     cat = enumerate_catalog(inst)
     searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()
-    assert np.array_equal(searcher.B, loop_set_completion_table(
-        [s.members for s in cat.sets], searcher.costs, inst.drive, inst.park_time, inst.spots))
+    B, F = loop_set_completion_table([s.members for s in cat.sets], searcher.costs, inst.drive, inst.park_time,
+                                     inst.spots)
+    assert np.array_equal(searcher.F, F)
+    _assert_decode_rows(searcher, B)
     monkeypatch.undo()
     plain = _Searcher(inst, cat)
     assert plain.solve_dp()[1:3] == (stops, bundles)
@@ -465,14 +478,18 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
 def test_decode_reads_the_same_solution_from_the_per_mask_table(case):
     # the per-set fill and the bundle-form loop differ in their last bits;
     # the decode, which compares within 1e-9, must not see the difference
+    # when it reads its B rows from the bundle-form table
     inst = _identity_case(case)
     cat = enumerate_catalog(inst)
     searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()
     part = PartitionTable(inst.customers, [s.members for s in cat.sets], searcher.costs)
-    searcher.B = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
+    per_mask = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
+    read = []
+    searcher._b_row = lambda mask: read.append(mask) or per_mask[mask]
     d_depot = inst.drive[0, list(inst.spots)]
     assert searcher._dp_reconstruct(d_depot, value) == (list(stops), list(bundles))
+    assert read
 
 
 def _decode_cases():
@@ -502,7 +519,11 @@ def test_decode_matches_the_dense_table_decode(case, reduced):
         cat = reduce_catalog(cat)
     searcher = _Searcher(inst, cat)
     value, stops, bundles, _ = searcher.solve_dp()
-    ref_stops, ref_bundles, ref_served = dense_table_decode(searcher, value)
+    B, F = loop_set_completion_table([s.members for s in cat.sets], searcher.costs, inst.drive, inst.park_time,
+                                     inst.spots)
+    assert np.array_equal(searcher.F, F)
+    _assert_decode_rows(searcher, B)
+    ref_stops, ref_bundles, ref_served = dense_table_decode(searcher, value, B)
     assert (stops, bundles) == (tuple(ref_stops), tuple(ref_bundles))
     assert searcher.materialize(stops, bundles).served == tuple(ref_served)
 
@@ -532,3 +553,21 @@ def test_solve_exact_frees_its_searcher(monkeypatch, skew):
         gc.enable()
     assert res.status == "optimal"
     assert alive == [False]
+
+
+def test_the_dp_keeps_one_table_of_2_to_the_n_rows():
+    # F, the one (2^n, spots) table, takes 1.8 MB at n = 14, and a stored B
+    # table would take as much again.  Besides F the fill holds a few
+    # run-sized arrays (CHUNK rows of one float per spot): the run being
+    # priced, the one before it and its drive-on step, and two gathered
+    # blocks of 2 * CHUNK (subset, mask) pairs; the decode keeps a few rows
+    inst = gen_geo_instance(14, 1, p=5.0, q=3)
+    searcher = _Searcher(inst, enumerate_catalog(inst))
+    tracemalloc.start()
+    try:
+        searcher.solve_dp()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    run = servicesets.CHUNK * len(inst.spots) * 8
+    assert peak <= searcher.F.nbytes + 12 * run

@@ -229,8 +229,8 @@ def test_partition_table_in_small_chunks(monkeypatch, chunk):
 
 
 def test_partition_table_with_more_spot_columns_than_subsets():
-    # 300 columns, integer costs with ties and inf entries: blocks hold at
-    # most CHUNK // 300 masks
+    # 300 columns, integer costs with ties and inf entries: more columns
+    # than any layer has subsets
     customers = (2, 3, 5, 7, 11, 13)
     candidates = [m for size in (1, 2, 3) for m in combinations(customers, size)]
     rng = np.random.default_rng(3)

@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from brutes import loop_held_karp_cycle, loop_nearest_neighbor_cycle, loop_or_op
 from parkroute.errors import ResourceLimitError
 from parkroute.tsp import (
     held_karp_cycle,
+    layer_runs,
     nearest_neighbor_cycle,
     or_opt,
     solve_tsp,
@@ -20,6 +21,22 @@ def _random_metric(rng, m):
     pts = rng.random((m, 2))
     d = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
     return d
+
+
+@pytest.mark.parametrize("n, layers", [(1, range(1, 2)), (5, range(1, 6)), (8, range(2, 8)), (9, range(1, 10)),
+                                       (12, range(3, 7))])
+def test_layer_runs_walk_each_layer_once_in_increasing_order(n, layers):
+    # byte-table positions up to 8 bits and shifted ones above: every mask
+    # of each chosen layer once, in runs of at most 7 masks, with the
+    # positions of its set bits, lowest first
+    runs = list(layer_runs(n, layers, 7))
+    masks = np.concatenate([M for M, _ in runs])
+    want = [sum(1 << b for b in c) for bits in layers for c in combinations(range(n), bits)]
+    want.sort(key=lambda m: (bin(m).count("1"), m))
+    assert masks.tolist() == want
+    for M, pos in runs:
+        assert 1 <= len(M) <= 7
+        assert pos.tolist() == [[b for b in range(n) if m >> b & 1] for m in M.tolist()]
 
 
 def _brute_cycle(dist):

@@ -259,7 +259,7 @@ def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, tabl
     row = np.full(1 << n, len(masks), dtype=np.int32)
     row[masks] = np.arange(len(masks))
     bits = 0
-    for M, pos in layer_runs(n, range(1, n + 1), CHUNK):
+    for M, pos in layer_runs(n, range(1, n + 1), lambda _: CHUNK):
         if pos.shape[1] != bits:  # a new layer
             bits = pos.shape[1]
             subsets = _small_subsets(bits, largest, lowest)

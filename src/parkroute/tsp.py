@@ -24,24 +24,24 @@ _EPS = 1e-9
 
 HELD_KARP_MAX_NODES = 14
 CHUNK = 1024  # masks per layer run, or pairs (mask and bit, tour move) priced per vectorised step
-# each byte's set-bit count, and its set-bit positions, lowest first, padded with zeros
-_POPCOUNT8 = np.array([bin(m).count("1") for m in range(256)], dtype=np.int8)
-_POSITIONS8 = np.array([[b for b in range(8) if m >> b & 1] + [0] * (8 - bin(m).count("1")) for m in range(256)])
+_LAYERS: dict[int, list[np.ndarray]] = {}  # n: masks of n bits by popcount, each layer increasing, read-only
 
 
-def layer_runs(n: int, layers: range, step: int):
-    """Yield (M, pos) for the masks of n bits with a popcount in ``layers``,
-    a layer at a time in runs of at most ``step`` increasing masks M, with
-    ``pos`` the (len(M), bits) array of their set-bit positions, lowest first."""
-    count = _POPCOUNT8[:1 << min(n, 8)]
-    for _ in range(8, n):  # count[M], the bits of M: each bit doubles the range
-        count = np.concatenate((count, count + 1))
+def layer_runs(n: int, layers: range, step):
+    """Yield (M, pos) for the masks of n bits with a popcount in ``layers``, a layer at a time in
+    runs of at most ``step(bits)`` increasing masks M; ``pos[i]`` lists M[i]'s set bits, lowest first."""
+    if n not in _LAYERS:
+        count = np.zeros(1, dtype=np.int8)
+        for _ in range(n):  # count[M], the bits of M: each bit doubles the range
+            count = np.concatenate((count, count + 1))
+        order = np.argsort(count, kind="stable")
+        order.flags.writeable = False
+        _LAYERS[n] = np.split(order, np.cumsum(np.bincount(count))[:-1])
     for bits in layers:
-        layer = np.flatnonzero(count == bits)
-        for lo in range(0, len(layer), step):
-            M = layer[lo:lo + step]
-            yield M, (_POSITIONS8[M, :bits] if n <= 8
-                      else np.nonzero(M[:, None] >> np.arange(n) & 1)[1].reshape(-1, bits))
+        layer, size = _LAYERS[n][bits], step(bits)
+        for lo in range(0, len(layer), size):
+            M = layer[lo:lo + size]
+            yield M, np.nonzero(M[:, None] >> np.arange(n) & 1)[1].reshape(-1, bits)
 
 
 def tour_cost(dist: np.ndarray, order: list[int]) -> float:
@@ -60,7 +60,7 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     Returns (cost, order) with order excluding node 0.  Supports asymmetric
     matrices.  The table ``tail[mask, u]`` over the k = m - 1 other nodes is
     filled one popcount layer at a time, since a mask reads only masks with
-    one bit fewer, in runs of at most ``CHUNK // k`` masks.  The full
+    one bit fewer, in runs of at most ``CHUNK`` (mask, bit) pairs.  The full
     mask's row is never read, so its layer is skipped.  Among optimal
     orders the lexicographically smallest is decoded.  Exponential state
     space; refuses more than HELD_KARP_MAX_NODES nodes.
@@ -81,7 +81,7 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     tail = np.empty((full + 1, k))
     tail[0] = dist[1:, 0]
     tail[np.left_shift(1, np.arange(k))] = leg + tail[0][:, None]
-    for M, pos in layer_runs(k, range(2, k), max(1, CHUNK // k)):
+    for M, pos in layer_runs(k, range(2, k), lambda bits: CHUNK // bits):
         # cand[a, b, u]: leave node u + 1 for the b-th bit v of mask a, then
         # finish mask a without v
         cand = leg[pos]

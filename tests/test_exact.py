@@ -454,7 +454,8 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
     # a layer with more than 2 * CHUNK small subsets goes one mask at a time,
     # its subsets 2 * CHUNK at a time: a CHUNK of 16 sends the toy cases
     # there, and half the default CHUNK sends the full mask at n = 11 with
-    # sets of up to six there (1,485 subsets)
+    # sets of up to six there (1,485 subsets); at n = 11 the default CHUNK's
+    # F is checked against the same loop
     if case == "geo-n11-q6":
         inst = gen_geo_instance(11, 4, p=5.0, q=6)
         monkeypatch.setattr(servicesets, "CHUNK", 512)
@@ -471,6 +472,7 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
     monkeypatch.undo()
     plain = _Searcher(inst, cat)
     assert plain.solve_dp()[1:3] == (stops, bundles)
+    assert np.array_equal(plain.F, F)
 
 
 @pytest.mark.parametrize("case", ["geo-n6", "geo-n12", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"],

@@ -25,17 +25,17 @@ def _random_metric(rng, m):
 
 @pytest.mark.parametrize("n, layers", [(1, range(1, 2)), (5, range(1, 6)), (8, range(2, 8)), (9, range(1, 10)),
                                        (12, range(3, 7))])
-def test_layer_runs_walk_each_layer_once_in_increasing_order(n, layers):
-    # byte-table positions up to 8 bits and shifted ones above: every mask
-    # of each chosen layer once, in runs of at most 7 masks, with the
-    # positions of its set bits, lowest first
-    runs = list(layer_runs(n, layers, 7))
+@pytest.mark.parametrize("step", [lambda bits: 7, lambda bits: 21 // bits], ids=["7-masks", "21-pairs"])
+def test_layer_runs_walk_each_layer_once_in_increasing_order(n, layers, step):
+    # every mask of each chosen layer once, in runs of at most step(bits)
+    # masks, with the positions of its set bits, lowest first
+    runs = list(layer_runs(n, layers, step))
     masks = np.concatenate([M for M, _ in runs])
     want = [sum(1 << b for b in c) for bits in layers for c in combinations(range(n), bits)]
     want.sort(key=lambda m: (bin(m).count("1"), m))
     assert masks.tolist() == want
     for M, pos in runs:
-        assert 1 <= len(M) <= 7
+        assert 1 <= len(M) <= step(pos.shape[1])
         assert pos.tolist() == [[b for b in range(n) if m >> b & 1] for m in M.tolist()]
 
 

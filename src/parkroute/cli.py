@@ -171,6 +171,8 @@ def _bench_one(path: str, models: list[str], budget: SearchBudget, with_optimum:
 
 
 def _cmd_benchmark(args) -> int:
+    if args.jobs < 1:
+        raise ParkrouteError(f"--jobs must be at least 1, got {args.jobs}")
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     bm.parse_models(models)  # a bad name fails before any model is solved
     budget = _budget(args)

@@ -201,6 +201,8 @@ class GridParams:
     capacity: int = 3
 
     def __post_init__(self):
+        for name in ("block_len", "drive_rate", "walk_rate"):
+            _number(name, getattr(self, name))  # before numpy warns on inf times the zero diagonal
         if self.sqrt_n < 2 or self.sqrt_n % 2 != 0:
             raise UnsupportedError(f"grid analysis requires an even sqrt_n >= 2, got {self.sqrt_n}")
         if self.drive_rate > self.walk_rate:
@@ -430,6 +432,8 @@ def gen_geo_instance(
     Deterministic for a fixed seed."""
     if n < 1:
         raise InstanceFormatError("n must be >= 1")
+    for name, value in (("drive_factor", drive_factor), ("walk_factor", walk_factor)):
+        _number(name, value)  # before numpy warns on inf times the zero diagonal
     if walk_factor < drive_factor:
         raise UnsupportedError("walking must not be faster than driving (walk_factor >= drive_factor)")
     rng = np.random.default_rng(seed)

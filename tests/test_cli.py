@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,19 @@ def test_benchmark_jobs_write_the_same_csv(tmp_path):
         out = tmp_path / f"jobs{jobs}.csv"
         assert main(["benchmark", "--models", "npt,mtsp", "--jobs", jobs, *paths, "-o", str(out)]) == 0
     assert (tmp_path / "jobs1.csv").read_text() == (tmp_path / "jobs2.csv").read_text()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_benchmark_refuses_fewer_than_one_job(tmp_path, capsys, jobs):
+    paths = []
+    for seed in (1, 2):
+        paths.append(str(tmp_path / f"inst{seed}.json"))
+        main(["gen", "--geo", "-n", "4", "--seed", str(seed), "-o", paths[-1]])
+    out_csv = tmp_path / "bench.csv"
+    capsys.readouterr()
+    assert main(["benchmark", "--models", "npt", "--jobs", jobs, *paths, "-o", str(out_csv)]) == 1
+    assert capsys.readouterr().err.startswith("error: --jobs must be at least 1")
+    assert not out_csv.exists()
 
 
 _GOOD = {"n": 2, "drive": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "walk": [[0, 1], [1, 0]], "park_time": [1, 1], "q": 2}
@@ -317,6 +331,28 @@ def test_non_finite_instance_is_an_error(tmp_path, capsys):
     path.write_text('{"n": 1, "drive": [[0, NaN], [2, 0]], "walk": [[0]], "park_time": [1], "q": 1}')
     assert main(["solve", str(path)]) == 1
     assert "non-finite value in drive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--geo", "--walk-factor", "inf"],
+    ["gen", "--geo", "--drive-factor", "inf", "--walk-factor", "inf"],
+    ["gen", "--geo", "--drive-factor", "nan"],
+    ["gen", "--grid", "--walk-rate", "inf"],
+    ["gen", "--grid", "--block-len", "inf"],
+    ["gen", "--grid", "--drive-rate", "nan"],
+    ["grid", "--q", "2", "--sqrt-n", "2", "--sweep", "p=0:1:2", "--block-len", "inf"],
+    ["grid", "--q", "2", "--sqrt-n", "2", "--sweep", "p=0:1:2", "--walk-rate", "inf"],
+], ids=" ".join)
+def test_non_finite_generator_number_is_refused_before_any_arithmetic(tmp_path, capsys, argv):
+    # an infinite rate times the zero diagonal used to print numpy's
+    # "invalid value encountered in multiply" before the clean error
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite "), err
+    assert not out.exists()
 
 
 def test_gen_grid_records_seed_and_loads(tmp_path):

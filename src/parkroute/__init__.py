@@ -16,7 +16,7 @@ _EXPORTS = {
         "benchmarks": "BenchmarkResult modified_tsp no_parking_benchmark relaxed_ms run_benchmarks",
         "errors": "InfeasibleInstanceError InfeasibleSolutionError InstanceFormatError ParkrouteError "
         "ResourceLimitError UnsupportedError",
-        "exact": "ExactResult SearchBudget check_feasible solve_exact",
+        "exact": "ExactResult check_feasible solve_exact",
         "gridlab": "ThresholdReport construct_q2 construct_q3 threshold_p tsp_park_all_solution "
         "tsp_park_all_value verify_claims",
         "heuristic": "ParkingAssignment TwoEchelonResult heuristic_solve heuristic_solve_full route_parking "

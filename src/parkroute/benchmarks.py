@@ -40,18 +40,18 @@ class BenchmarkResult:
     degenerate: bool = False
 
 
-def _solve_variant(variant: Instance, budget):
+def _solve_variant(variant: Instance):
     """Inner solve on a modified instance: ``solve_exact`` up to the exact
     limit ``DP_MAX_CUSTOMERS``, the two-echelon heuristic beyond.  The DP
     proves a metric variant, and mostly a non-metric one too, through the
-    closure of its drive matrix; otherwise the budgeted branch-and-bound
-    starts from the DP's solution, and an incumbent it cannot prove within
-    the budget is flagged not exact."""
+    closure of its drive matrix; otherwise the branch-and-bound starts from
+    the DP's solution, and an incumbent it cannot prove within
+    ``exact.SEARCH_LIMIT`` is flagged not exact."""
     from .exact import DP_MAX_CUSTOMERS, solve_exact
 
     if variant.n <= DP_MAX_CUSTOMERS:
         cat = enumerate_catalog(variant)
-        res = solve_exact(variant, cat, budget=budget)
+        res = solve_exact(variant, cat)
         if res.solution is None:
             raise ParkrouteError("benchmark inner solve returned no incumbent")
         return res.solution, "exact", res.status == "optimal"
@@ -61,13 +61,13 @@ def _solve_variant(variant: Instance, budget):
     return out.solution, "heuristic", False
 
 
-def no_parking_benchmark(inst: Instance, budget=None) -> BenchmarkResult:
+def no_parking_benchmark(inst: Instance) -> BenchmarkResult:
     """Solve with all search times forced to zero, then re-cost the resulting
     structure with the true parking times (completion = v + sum of p over the
     stops actually used)."""
     n = inst.n
     variant = replace(inst, park_time=np.zeros(n + 1))
-    sol0, solver, exact = _solve_variant(variant, budget)
+    sol0, solver, exact = _solve_variant(variant)
     recosted = assemble_solution(inst, sol0.stops, sol0.served)
     return BenchmarkResult(
         name="no-parking-time",
@@ -80,7 +80,7 @@ def no_parking_benchmark(inst: Instance, budget=None) -> BenchmarkResult:
     )
 
 
-def relaxed_ms(inst: Instance, alpha: float = 0.6, budget=None) -> BenchmarkResult:
+def relaxed_ms(inst: Instance, alpha: float = 0.6) -> BenchmarkResult:
     """Optimize alpha*drive + (1-alpha)*walk (parking search time absent from
     the objective, loading constant added), multiple sets per spot allowed;
     completion is recomputed with the true parking times."""
@@ -94,7 +94,7 @@ def relaxed_ms(inst: Instance, alpha: float = 0.6, budget=None) -> BenchmarkResu
         park_time=np.zeros(n + 1),
         load_per_package=0.0,
     )
-    sol0, solver, exact = _solve_variant(variant, budget)
+    sol0, solver, exact = _solve_variant(variant)
     recosted = assemble_solution(inst, sol0.stops, sol0.served)
     bd = recosted.breakdown
     objective = alpha * bd.drive_min + (1.0 - alpha) * bd.walk_min + bd.load_min
@@ -238,17 +238,17 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
     )
 
 
-def run_benchmarks(inst: Instance, models, budget=None) -> list[BenchmarkResult]:
+def run_benchmarks(inst: Instance, models) -> list[BenchmarkResult]:
     """Run benchmarks named 'npt', 'mtsp', or 'ms:<alpha>'; every name is
     checked by ``parse_models`` before the first model runs."""
     results = []
     for name, alpha in parse_models(models):
         if name == "npt":
-            results.append(no_parking_benchmark(inst, budget))
+            results.append(no_parking_benchmark(inst))
         elif name == "mtsp":
             results.append(modified_tsp(inst))
         else:
-            results.append(relaxed_ms(inst, alpha, budget))
+            results.append(relaxed_ms(inst, alpha))
     return results
 
 

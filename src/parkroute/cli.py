@@ -5,8 +5,10 @@ reproducible: JSON is key-sorted, CSV floats are printed with six decimals,
 and the generator seed is recorded in everything derived from it.
 
 Exit codes follow the solver statuses: 0 optimal/success, 2 feasible without
-proof, 3 infeasible, 4 timeout without an incumbent; 1 for I/O or usage
-errors raised at runtime.
+proof, 3 infeasible, 4 timeout without an incumbent; 1 for usage errors,
+whether the command line cannot be parsed or its values are refused at
+runtime, and for I/O errors.  The exact solver's search limit is fixed, so
+the same input gives the same output on every machine.
 """
 
 from __future__ import annotations
@@ -17,13 +19,12 @@ import functools
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
 from . import benchmarks as bm
 from .errors import InfeasibleInstanceError, ParkrouteError
-from .exact import DP_MAX_CUSTOMERS, SearchBudget, solve_exact
+from .exact import DP_MAX_CUSTOMERS, solve_exact
 from .gridlab import grid_sweep
 from .heuristic import heuristic_solve_full
 from .instance import (
@@ -35,20 +36,6 @@ from .instance import (
 )
 from .model import ModelOptions, build_model, export_lp
 from .servicesets import enumerate_catalog, reduce_catalog
-
-DEFAULT_BUDGET_SECONDS = 300.0
-
-
-def _budget(args) -> SearchBudget:
-    seconds = args.budget_seconds
-    if seconds is None:
-        text = os.environ.get("PARKROUTE_BUDGET_SECONDS", str(DEFAULT_BUDGET_SECONDS))
-        try:
-            seconds = float(text)
-        except ValueError as exc:
-            raise ParkrouteError(f"PARKROUTE_BUDGET_SECONDS must be a number, got {text!r}") from exc
-    return SearchBudget(max_seconds=seconds)
-
 
 def _fmt6(x: float) -> str:
     return f"{x:.6f}"
@@ -95,21 +82,21 @@ def _solution_doc(sol, status: str, config: dict) -> dict:
 
 
 def _cmd_solve(args) -> int:
+    if args.reduced and args.method != "exact":
+        raise ParkrouteError("--reduced applies to --method exact only: the heuristic reads no catalog")
     inst = load_instance(args.instance)
-    budget = _budget(args)
     config = {
         "command": "solve",
         "method": args.method,
         "instance": str(args.instance),
         "seed": inst.meta.get("seed"),
-        "budget_seconds": budget.max_seconds,
         "reduced_catalog": args.reduced,
     }
     if args.method == "exact":
         cat = enumerate_catalog(inst)
         if args.reduced:
             cat = reduce_catalog(cat)
-        res = solve_exact(inst, cat, budget=budget)
+        res = solve_exact(inst, cat)
         if res.solution is None:
             print(f"no incumbent found (bound {_fmt6(res.bound)})", file=sys.stderr)
             return 4
@@ -145,15 +132,15 @@ _BENCH_HEADER = [
 ]
 
 
-def _bench_one(path: str, models: list[str], budget: SearchBudget, with_optimum: bool) -> list[dict]:
+def _bench_one(path: str, models: list[str], with_optimum: bool) -> list[dict]:
     inst = load_instance(path)
     optimum = ""  # left empty above the exact limit and where no proof came
     if with_optimum and inst.n <= DP_MAX_CUSTOMERS:
-        res = solve_exact(inst, enumerate_catalog(inst), budget=budget)
+        res = solve_exact(inst, enumerate_catalog(inst))
         if res.status == "optimal":
             optimum = _fmt6(res.value)
     rows = []
-    for result in bm.run_benchmarks(inst, models, budget=budget):
+    for result in bm.run_benchmarks(inst, models):
         bd = result.solution.breakdown
         rows.append({
             "instance": path,
@@ -175,21 +162,20 @@ def _cmd_benchmark(args) -> int:
         raise ParkrouteError(f"--jobs must be at least 1, got {args.jobs}")
     models = [m.strip() for m in args.models.split(",") if m.strip()]
     bm.parse_models(models)  # a bad name fails before any model is solved
-    budget = _budget(args)
     rows: list[dict] = []
     if args.jobs > 1 and len(args.instances) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             futures = [
-                pool.submit(_bench_one, path, models, budget, args.with_optimum)
+                pool.submit(_bench_one, path, models, args.with_optimum)
                 for path in args.instances
             ]
             for fut in futures:
                 rows.extend(fut.result())
     else:
         for path in args.instances:
-            rows.extend(_bench_one(path, models, budget, args.with_optimum))
+            rows.extend(_bench_one(path, models, args.with_optimum))
     _emit_csv(rows, args.output, _BENCH_HEADER)
     return 0
 
@@ -312,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("instance")
     s.add_argument("--method", choices=["exact", "heuristic"], default="exact")
     s.add_argument("--reduced", action="store_true", help="use the reduced catalog")
-    s.add_argument("--budget-seconds", type=float, default=None)
     s.add_argument("-o", "--output", default=None)
     s.set_defaults(func=_cmd_solve)
 
@@ -321,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--models", default="npt,mtsp,ms:0.6,ms:0.8")
     b.add_argument("--jobs", type=int, default=1)
     b.add_argument("--with-optimum", action="store_true")
-    b.add_argument("--budget-seconds", type=float, default=None)
     b.add_argument("-o", "--output", default=None)
     b.set_defaults(func=_cmd_benchmark)
 
@@ -355,8 +339,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage error (or --help) and exits 2 on an
+        # error, which would read as "feasible without proof"
+        return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
     except InfeasibleInstanceError as exc:

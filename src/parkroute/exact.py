@@ -25,7 +25,13 @@ increment, which stays admissible on any input, and it allows pass-through
 stops exactly when the drive matrix breaks the triangle inequality.  Either
 path accepts at most ``DP_MAX_CUSTOMERS`` = 18 customers: the DP's one
 table holds 2^n rows per spot, and the branch-and-bound proves nothing that
-large within its default budget.
+large within ``SEARCH_LIMIT``.
+
+The search stops on a count of work, not on a clock: each node adds its
+candidate (spot, bundle) pairs, its unvisited spots times the 2^|unserved|
+subsets of its unserved customers, and the search stops once the total
+reaches ``SEARCH_LIMIT``.  A stopped search thus ends at the same node on
+every machine, and the solve's output depends on its input alone.
 
 The branch-and-bound prices bundles from one dense
 ``servicesets.PartitionTable`` over all customers and spots, built only when
@@ -36,13 +42,11 @@ own bundle, which gives the same split as the dense table.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedError
+from .errors import InfeasibleInstanceError, ResourceLimitError
 from .heuristic import solve_ssa
 from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
@@ -51,6 +55,11 @@ from .servicesets import PartitionTable, ServiceSetCatalog, _set_layers
 _EPS = 1e-9
 
 DP_MAX_CUSTOMERS = 18
+
+# candidate (spot, bundle) pairs the branch-and-bound prices before it stops:
+# searches stopped by it price 0.86-1.07e6 pairs a second at n = 8-10 on a
+# 2-vCPU x86-64 host, so it stands for about 280-350 s there
+SEARCH_LIMIT = 300_000_000
 
 
 def _closure(drive: np.ndarray) -> np.ndarray:
@@ -67,18 +76,6 @@ class _ReconstructionTie(Exception):
     revisit-free continuation; the solver then reruns as a sequence search."""
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    max_nodes: int = 10_000_000
-    max_seconds: float = 300.0
-
-    def __post_init__(self):
-        for name in ("max_nodes", "max_seconds"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:  # NaN fails the comparison too
-                raise UnsupportedError(f"budget {name} must be positive and finite, got {value}")
-
-
 @dataclass
 class ExactResult:
     solution: Solution | None
@@ -93,21 +90,20 @@ class ExactResult:
 
 
 class _Control:
-    def __init__(self, budget: SearchBudget):
-        self.max_nodes = budget.max_nodes
-        self.deadline = time.monotonic() + budget.max_seconds
+    def __init__(self):
         self.nodes = 0
+        self.work = 0
         self.stopped = False
         self.abandoned_lb = float("inf")
         self.best_value = float("inf")
         self.best_key: tuple | None = None
         self.best_state: tuple | None = None  # (stops, bundles)
 
-    def tick(self) -> bool:
+    def tick(self, candidates: int) -> bool:
+        """Count a node and its candidates; True once the search must stop."""
         self.nodes += 1
-        if self.nodes >= self.max_nodes:
-            self.stopped = True
-        elif self.nodes % 256 == 0 and time.monotonic() > self.deadline:
+        self.work += candidates
+        if self.work >= SEARCH_LIMIT:
             self.stopped = True
         return self.stopped
 
@@ -319,10 +315,10 @@ class _Searcher:
 
     def expand(self, ctl: _Control, served: int, visited: int, loc: int, g: float,
                stops: list[int], bundles: list[int], node_lb: float):
-        if ctl.stopped or ctl.tick():
+        U = self.full & ~served
+        if ctl.stopped or ctl.tick((len(self.spots) - visited.bit_count()) << U.bit_count()):
             ctl.abandon(node_lb)
             return
-        U = self.full & ~served
         D = self.D
         kids = []
         for bi, i in enumerate(self.spots):
@@ -383,23 +379,19 @@ class _Searcher:
         return assemble_solution(self.inst, stops, served)
 
 
-def solve_exact(
-    inst: Instance,
-    cat: ServiceSetCatalog,
-    budget: SearchBudget | None = None,
-) -> ExactResult:
-    """Solve to proven optimality within the budget.
+def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
+    """Solve to proven optimality within ``SEARCH_LIMIT``.
 
     Returns the solution, a status, and a lower bound valid in every status.
-    Deterministic: cost ties resolve the same way on every run.  The DP runs
-    first and ignores the budget: on the drive matrix itself when it is
-    metric, else on its closure, whose value is a proven floor.  Its decoded
-    solution, costed on the true drive matrix, is optimal when it meets the
-    floor, which always holds on a metric matrix.  Otherwise it is the
-    budgeted branch-and-bound's incumbent and the floor its root bound; after
-    a decode tie the search starts with the floor alone.
+    Deterministic: cost ties resolve the same way on every run, and the
+    search limit counts work, so a stopped search stops at the same node.
+    The DP runs first and has no limit: on the drive matrix itself when it
+    is metric, else on its closure, whose value is a proven floor.  Its
+    decoded solution, costed on the true drive matrix, is optimal when it
+    meets the floor, which always holds on a metric matrix.  Otherwise it is
+    the branch-and-bound's incumbent and the floor its root bound; after a
+    decode tie the search starts with the floor alone.
     """
-    budget = budget or SearchBudget()
     searcher = _Searcher(inst, cat)
 
     load = inst.n * inst.load_per_package
@@ -414,7 +406,7 @@ def solve_exact(
         return ExactResult(solution=sol, status="optimal", bound=floor, value=sol.total, nodes=states)
 
     searcher.setup_search()
-    ctl = _Control(budget)
+    ctl = _Control()
     if sol is not None:
         ctl.offer(sol.total, stops, bundles)
     # search in completion-time space: the constant loading term is folded in

@@ -3,7 +3,8 @@ time thresholds where that solution stops being optimal, the constructed
 witness solutions that beat it, and empirical certification against the exact
 oracle, ``exact.solve_exact``, on grids of at most ``exact.DP_MAX_CUSTOMERS``
 customers.  Larger grids get no oracle value.  Grid drive matrices are
-rectilinear, hence metric, so the DP proves each oracle solve without a budget.
+rectilinear, hence metric, so the DP proves each oracle solve and the
+branch-and-bound never runs.
 """
 
 from __future__ import annotations

@@ -91,8 +91,10 @@ class Instance:
             raise InstanceFormatError("park_time is required")
         for name in ("load_per_package", "capacity_count", "capacity_weight", "capacity_volume"):
             value = getattr(self, name)
-            if value is not None:
+            if value is not None or name == "load_per_package":  # the one number that is never optional
                 object.__setattr__(self, name, _number(name, value, integral=name == "capacity_count"))
+        if self.load_per_package < 0:
+            raise InstanceFormatError(f"negative load_per_package: {self.load_per_package}")
         for name, mat in (("drive", drive), ("walk", walk)):
             if np.any(mat < 0):
                 raise InstanceFormatError(f"negative time in {name} matrix")
@@ -101,6 +103,9 @@ class Instance:
 
         weights = self._pad_vector(self.weights, n, "weights")
         volumes = self._pad_vector(self.volumes, n, "volumes")
+        for kind, per_package in (("weight", weights), ("volume", volumes)):
+            if getattr(self, f"capacity_{kind}") is not None and per_package is None:
+                raise InstanceFormatError(f"a {kind} capacity needs per-package {kind}s")
 
         spots = tuple(sorted(
             _number("parking location", s, integral=True) for s in self.parking_locations or range(1, n + 1)
@@ -154,10 +159,10 @@ class Instance:
         over = []
         if self.capacity_count is not None and len(members) > self.capacity_count:
             over.append("package")
-        if self.capacity_weight is not None and self.weights is not None:
+        if self.capacity_weight is not None:
             if sum(self.weights[c] for c in members) > self.capacity_weight + 1e-9:
                 over.append("weight")
-        if self.capacity_volume is not None and self.volumes is not None:
+        if self.capacity_volume is not None:
             if sum(self.volumes[c] for c in members) > self.capacity_volume + 1e-9:
                 over.append("volume")
         return over

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import parkroute.cli
+from parkroute import exact
 from parkroute.benchmarks import no_parking_benchmark
 from parkroute.cli import build_parser, main
-from parkroute.exact import SearchBudget
 from parkroute.instance import gen_geo_instance, load_instance, save_instance
 from parkroute.model import parse_lp
 
@@ -76,13 +76,13 @@ def test_the_parser_is_built_once_and_parses_each_line_afresh():
 
 def test_benchmark_leaves_an_unproven_optimum_empty(tmp_path, monkeypatch):
     # free parking on a skewed drive matrix: the closure DP's solution misses
-    # its floor, and a small node budget stops the branch-and-bound with that
+    # its floor, and a small search limit stops the branch-and-bound with that
     # solution unproven
     base = gen_geo_instance(9, 1, p=0.0, q=3)
     skew = np.random.default_rng(9).uniform(1.0, 1.6, size=base.drive.shape)
     inst_path = tmp_path / "inst.json"
     save_instance(replace(base, drive=base.drive * skew), inst_path)
-    monkeypatch.setattr(parkroute.cli, "SearchBudget", lambda max_seconds: SearchBudget(200, max_seconds))
+    monkeypatch.setattr(exact, "SEARCH_LIMIT", 20_000)
     out_csv = tmp_path / "bench.csv"
     assert main(["benchmark", "--models", "mtsp", "--with-optimum", str(inst_path), "-o", str(out_csv)]) == 0
     assert [r["optimum"] for r in _read_csv(out_csv)] == [""]
@@ -212,22 +212,6 @@ def test_grid_sweep_with_a_non_finite_number_is_an_error(tmp_path, capsys, monke
     assert main(["grid", "--q", "2", "--sqrt-n", "2", "--sweep", sweep, "-o", str(out_csv)]) == 1
     assert capsys.readouterr().err.startswith("error: sweep numbers must be finite")
     assert not out_csv.exists()
-
-
-@pytest.mark.parametrize("flag, env", [
-    ("0", None), ("-1", None), ("nan", None), ("inf", None), (None, "abc"), (None, "nan"), (None, "0"),
-], ids=str)
-def test_malformed_budget_is_an_error(tmp_path, capsys, monkeypatch, flag, env):
-    inst_path = tmp_path / "inst.json"
-    main(["gen", "--geo", "-n", "4", "--seed", "1", "-o", str(inst_path)])
-    if env is not None:
-        monkeypatch.setenv("PARKROUTE_BUDGET_SECONDS", env)
-    extra = [] if flag is None else ["--budget-seconds", flag]
-    sol_path = tmp_path / "sol.json"
-    capsys.readouterr()
-    assert main(["solve", str(inst_path), *extra, "-o", str(sol_path)]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not sol_path.exists()
 
 
 def test_export_lp_round_trips(tmp_path):
@@ -367,11 +351,38 @@ def test_gen_grid_records_seed_and_loads(tmp_path):
     assert inst.meta["min_distance"] == 2.0
 
 
-def test_budget_env_override(tmp_path, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    ["solve", "x.json", "--budget-seconds", "5"],
+    ["benchmark", "x.json", "--budget-seconds", "5"],
+    ["solve", "x.json", "--method", "exactt"],
+    ["solvee", "x.json"],
+], ids=["solve-budget-seconds", "benchmark-budget-seconds", "bad-method", "unknown-subcommand"])
+def test_a_usage_error_exits_1_not_the_feasible_code(capsys, argv):
+    # argparse's own exit code, 2, is the code of a feasible solve without proof
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: parkroute") and "error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]], ids=["top", "solve"])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: parkroute")
+
+
+def test_solve_refuses_the_reduced_catalog_for_the_heuristic(tmp_path, capsys):
+    # the heuristic reads no catalog, so the flag would be recorded but unused
     inst_path = tmp_path / "inst.json"
-    main(["gen", "--geo", "-n", "5", "--seed", "2", "-o", str(inst_path)])
-    monkeypatch.setenv("PARKROUTE_BUDGET_SECONDS", "120")
+    main(["gen", "--geo", "-n", "5", "--seed", "1", "-o", str(inst_path)])
     sol_path = tmp_path / "sol.json"
-    main(["solve", str(inst_path), "-o", str(sol_path)])
-    doc = json.loads(sol_path.read_text())
-    assert doc["config"]["budget_seconds"] == 120.0
+    capsys.readouterr()
+    assert main(["solve", str(inst_path), "--method", "heuristic", "--reduced", "-o", str(sol_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: --reduced")
+    assert not sol_path.exists()
+
+
+def test_gen_refuses_a_negative_load(tmp_path, capsys):
+    out = tmp_path / "inst.json"
+    assert main(["gen", "--geo", "-n", "5", "-f", "-2", "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: negative load_per_package")
+    assert not out.exists()

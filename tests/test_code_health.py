@@ -10,7 +10,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "parkroute"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
 
 # defaulted parameters of public functions and methods, plus the CLI's flags
-OPTIONS = 53
+OPTIONS = 47
 
 
 def _tree(path: Path) -> ast.Module:

@@ -15,7 +15,7 @@ from brutes import (
 from parkroute.benchmarks import modified_tsp
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
 from parkroute import exact, servicesets
-from parkroute.exact import SearchBudget, _Searcher, check_feasible, solve_exact
+from parkroute.exact import _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.heuristic import heuristic_solve
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
@@ -125,7 +125,8 @@ def test_the_dp_builds_no_partition_table_over_all_customers(monkeypatch):
     # the true drive, misses the DP's floor, so the search runs
     counts.clear()
     skewed = _skew(gen_geo_instance(12, 0, p=0.0, q=3), 0)
-    solve_exact(skewed, enumerate_catalog(skewed), SearchBudget(max_nodes=50))
+    monkeypatch.setattr(exact, "SEARCH_LIMIT", 100_000)
+    solve_exact(skewed, enumerate_catalog(skewed))
     assert inst.n in counts
 
 
@@ -211,14 +212,15 @@ def test_a_decode_tie_falls_back_to_the_search(monkeypatch):
     assert searched.bound == pytest.approx(searched.value, abs=1e-9)
     assert check_feasible(inst, cat, searched.solution) == []
 
-    # a search cut short by its node budget keeps the DP's proven value as
-    # its bound (the search's own bound is far lower here)
+    # a search cut short by its limit keeps the DP's proven value as its
+    # bound (the search's own bound is far lower here)
     inst = gen_geo_instance(12, 1, p=5, q=3)
     cat = enumerate_catalog(inst)
     monkeypatch.undo()
     dp = solve_exact(inst, cat)
     monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
-    cut = solve_exact(inst, cat, SearchBudget(max_nodes=200))
+    monkeypatch.setattr(exact, "SEARCH_LIMIT", 200_000)
+    cut = solve_exact(inst, cat)
     assert cut.status == "feasible"
     assert dp.bound - 1e-9 <= cut.bound <= cut.value
     assert check_feasible(inst, cat, cut.solution) == []
@@ -278,16 +280,42 @@ def test_determinism_two_runs():
     assert a.solution.served == b.solution.served
 
 
-def test_budget_exhaustion_keeps_valid_bound():
+def test_budget_exhaustion_keeps_valid_bound(monkeypatch):
     # a skewed drive whose closure DP solution misses its floor, so the
-    # budgeted search runs
+    # search runs.  The root prices 4 spots << 4 customers = 64 candidates
+    # and any child at least 3 spots << 1 customer, so a limit of 65 stops
+    # the search at its second node
     inst = _skew(gen_geo_instance(4, 7, p=0.5, q=3), 7)
     cat = enumerate_catalog(inst)
     full = solve_exact(inst, cat)
-    capped = solve_exact(inst, cat, budget=SearchBudget(max_nodes=2))
+    monkeypatch.setattr(exact, "SEARCH_LIMIT", 65)
+    capped = solve_exact(inst, cat)
+    assert capped.nodes == 2
     assert capped.status == "feasible"
     assert capped.bound <= full.value + 1e-9
     assert capped.value >= full.value - 1e-9
+
+
+def test_a_stopped_search_stops_at_the_same_node_whatever_the_clock_says(monkeypatch):
+    # the search limit counts work, so a stopped search's result is a
+    # function of its input: the same on a second run, and the same when
+    # every clock read jumps an hour
+    inst = _skew(gen_geo_instance(10, 1, p=5, q=3), 1)
+    cat = enumerate_catalog(inst)
+    monkeypatch.setattr(exact, "SEARCH_LIMIT", 2_000_000)
+
+    def outcome():
+        res = solve_exact(inst, cat)
+        return res.status, res.value, res.bound, res.nodes
+
+    first = outcome()
+    assert first[0] == "feasible"
+    assert first[2] <= first[1]
+    assert outcome() == first
+    for name in ("monotonic", "perf_counter"):
+        ticks = iter(range(0, 10**9, 3600))
+        monkeypatch.setattr(time, name, lambda ticks=ticks: float(next(ticks)))
+    assert outcome() == first
 
 
 def test_restricted_parking_and_empty_coverage():

@@ -190,7 +190,7 @@ def test_grid_sweep_regime_flip():
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_grid_oracle_proves_every_row_without_the_search(monkeypatch, q, sqrt_n):
     # grid drive matrices are metric, so each oracle solve is proven by the
-    # DP alone: the branch-and-bound, the one reader of a budget, never runs
+    # DP alone: the branch-and-bound, the one part with a search limit, never runs
     def no_search(self):
         raise AssertionError("the oracle reached the branch-and-bound")
 

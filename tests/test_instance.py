@@ -68,6 +68,20 @@ def test_non_finite_number_rejected(field, bad):
         Instance(**kwargs)
 
 
+@pytest.mark.parametrize("change, message", [
+    (dict(load_per_package=-2.0), "negative load_per_package"),
+    (dict(load_per_package=None), "load_per_package must be a number"),
+    (dict(weights=None), "a weight capacity needs per-package weights"),
+    (dict(volumes=None), "a volume capacity needs per-package volumes"),
+], ids=["negative-load", "null-load", "weight-capacity-without-weights", "volume-capacity-without-volumes"])
+def test_malformed_load_or_capacity_rejected(change, message):
+    # a negative load would lower every completion time, and a capacity
+    # without its per-package amounts would never be applied
+    Instance(**_FINITE)
+    with pytest.raises(InstanceFormatError, match=message):
+        Instance(**{**_FINITE, **change})
+
+
 @pytest.mark.parametrize("field, literal", [("drive", "[[0, NaN], [2, 0]]"), ("park_time", "[Infinity]"), ("q", "NaN")])
 def test_non_finite_json_literal_rejected(tmp_path, field, literal):
     doc = {"n": 1, "drive": "[[0, 2], [2, 0]]", "walk": "[[0]]", "park_time": "[1]", "q": "1"}

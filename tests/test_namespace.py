@@ -41,7 +41,7 @@ def test_star_import_and_dir_list_every_exported_name():
         "import json, parkroute; listed = dir(parkroute); from parkroute import *; "
         "print(json.dumps([parkroute.__all__, [n for n in parkroute.__all__ if n not in globals()], listed]))"
     )
-    assert len(names) == 51  # the names the package's eager imports used to bind
+    assert len(names) == 50  # every public name the package exports
     assert unbound == []
     assert set(names) <= set(listed)
 

@@ -7,6 +7,7 @@ trips on the same instances."""
 import json
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 
 from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost, milp_optimum
 from parkroute.benchmarks import modified_tsp
-from parkroute.exact import SearchBudget, _ReconstructionTie, _Searcher, check_feasible, solve_exact
+from parkroute import exact
+from parkroute.exact import _ReconstructionTie, _Searcher, check_feasible, solve_exact
 from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, heuristic_solve, solve_par
 from parkroute.instance import (
     GridParams,
@@ -128,18 +130,29 @@ def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
 
 
 @SETTINGS
-@given(instances(min_n=2), st.integers(0, 10_000), st.integers(1, 60))
-def test_budgeted_search_keeps_its_warm_start(inst, skew_seed, max_nodes):
+@given(instances(min_n=2), st.integers(0, 10_000), st.integers(1, 2_000))
+def test_budgeted_search_keeps_its_warm_start(inst, skew_seed, limit):
     # the closure DP's solution proves itself or is the search's incumbent
-    # from the first node on
+    # from the first node on; a search stops exactly when its candidates
+    # reach the limit
     inst = _skewed(inst, skew_seed)
     cat = enumerate_catalog(inst)
-    res = solve_exact(inst, cat, budget=SearchBudget(max_nodes=max_nodes))
+    controls = []
+
+    class Recorded(exact._Control):
+        def __init__(self):
+            super().__init__()
+            controls.append(self)
+
+    with mock.patch.object(exact, "SEARCH_LIMIT", limit), mock.patch.object(exact, "_Control", Recorded):
+        res = solve_exact(inst, cat)
     assert res.status in ("optimal", "feasible")
     if res.status == "optimal":
         assert res.bound == pytest.approx(res.value, abs=1e-9)
+        assert all(ctl.work < limit for ctl in controls)
     else:
-        assert res.nodes == max_nodes
+        (ctl,) = controls
+        assert ctl.work >= limit and res.nodes == ctl.nodes
     best = brute_optimum(inst)
     assert res.bound <= best + 1e-9
     if res.solution is None:

@@ -50,7 +50,7 @@ from .errors import InfeasibleInstanceError, ResourceLimitError
 from .heuristic import solve_ssa
 from .instance import Instance, _triangle_stats
 from .model import Solution, assemble_solution, structural_violations
-from .servicesets import PartitionTable, ServiceSetCatalog, _set_layers
+from .servicesets import PartitionTable, ServiceSetCatalog, _set_layers, check_catalog
 
 _EPS = 1e-9
 
@@ -392,6 +392,7 @@ def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
     the branch-and-bound's incumbent and the floor its root bound; after a
     decode tie the search starts with the floor alone.
     """
+    check_catalog(inst, cat)
     searcher = _Searcher(inst, cat)
 
     load = inst.n * inst.load_per_package
@@ -429,6 +430,7 @@ def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
 def check_feasible(inst: Instance, cat: ServiceSetCatalog, sol: Solution) -> list[str]:
     """Coverage, capacity, stop-structure, and catalog-admissibility checks.
     Returns an empty list when the solution is feasible."""
+    check_catalog(inst, cat)
     violations = structural_violations(inst, sol.stops, sol.served)
     for s, stop_sets in zip(sol.stops, sol.served):
         for order in stop_sets:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InfeasibleInstanceError
 from .instance import Instance
 from .model import Solution, assemble_solution
-from .servicesets import MAX_WALK_SET, PartitionTable, ServiceSetCatalog, walk_tour
+from .servicesets import MAX_WALK_SET, PartitionTable, ServiceSetCatalog, check_catalog, walk_tour
 from .tsp import solve_tsp
 
 _EPS = 1e-9
@@ -264,13 +264,15 @@ def solve_ssa(
 ) -> tuple[list[tuple[int, ...]], float, bool]:
     """Cheapest partition of ``customers`` into admissible walking sets from
     ``spot`` (exact up to 20 customers, read from a ``PartitionTable``; a
-    flagged greedy split beyond).
+    flagged greedy split beyond, and where a candidate set holds more than
+    ``MAX_WALK_SET`` customers).
 
     Returns (walking orders, walk minutes, exact flag).  A catalog, if given,
     only filters the candidate sets (membership and any reduction); without
     one, capacity limits are read from the instance.  ``walk_tour`` prices
     every candidate: a spot's few customers do not pay for a numpy table.
     """
+    check_catalog(inst, cat)
     K = tuple(sorted(customers))
     k = len(K)
     if k == 0:
@@ -280,7 +282,6 @@ def solve_ssa(
 
     q = inst.capacity_count if inst.capacity_count is not None else k
     cands: list[tuple[int, ...]] = []
-    tours: list[tuple[float, tuple[int, ...]]] = []
     for size in range(1, min(q, k) + 1):
         for members in combinations(K, size):
             if cat is None:
@@ -294,8 +295,10 @@ def solve_ssa(
                 if not cat.admissible(spot, j):
                     continue
             cands.append(members)
-            tours.append(walk_tour(inst, spot, members))
+    if cands and len(cands[-1]) > MAX_WALK_SET:  # the largest comes last
+        return _greedy_ssa(inst, spot, K)
 
+    tours = [walk_tour(inst, spot, members) for members in cands]
     if cands == [K]:  # the group is its only candidate, as a lone customer's singleton
         return [tours[0][1]], float(tours[0][0]), True
     part = PartitionTable(K, cands, np.array([cost for cost, _ in tours], dtype=float)[:, None])
@@ -342,6 +345,7 @@ def heuristic_solve_full(
     cat: ServiceSetCatalog | None = None,
 ) -> TwoEchelonResult:
     """Run PA-R, route the opened spots, then split each spot's customers."""
+    check_catalog(inst, cat)
     pa = solve_par(inst)
     stops, _, routing_exact = route_parking(inst, pa.opened)
     assigned: dict[int, list[int]] = {s: [] for s in stops}

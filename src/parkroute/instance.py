@@ -54,7 +54,8 @@ class Instance:
 
     The constructor normalizes shapes: ``walk`` may be given as n x n (customers
     only) and ``park_time``/``weights``/``volumes`` as length-n vectors; all are
-    padded so index 0 (the depot) exists but is unused.
+    padded so index 0 (the depot) exists but is unused.  Both diagonals are
+    stored as exact zeros, in copies of the given arrays.
     """
 
     drive: np.ndarray
@@ -100,6 +101,10 @@ class Instance:
                 raise InstanceFormatError(f"negative time in {name} matrix")
             if np.any(np.abs(np.diag(mat)) > 1e-9):
                 raise InstanceFormatError(f"{name} matrix diagonal must be zero")
+        # exact zeros, so a customer walked from its own spot costs 0 in every pricer
+        drive, walk = drive.copy(), walk.copy()
+        np.fill_diagonal(drive, 0.0)
+        np.fill_diagonal(walk, 0.0)
 
         weights = self._pad_vector(self.weights, n, "weights")
         volumes = self._pad_vector(self.volumes, n, "volumes")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleSolutionError, ResourceLimitError, UnsupportedError
 from .instance import Instance, validate_instance
-from .servicesets import ServiceSetCatalog, reduce_catalog
+from .servicesets import ServiceSetCatalog, check_catalog, reduce_catalog
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +232,7 @@ def build_model(inst: Instance, cat: ServiceSetCatalog, options: ModelOptions | 
     the same argmin, which is how the exact solver handles loading.
     """
     options = options or ModelOptions()
-    if cat.inst is not inst:
-        raise UnsupportedError("catalog was enumerated for a different instance")
+    check_catalog(inst, cat)
     if options.var_reduction and not cat.reduced:
         cat = reduce_catalog(cat)
     all_customers = tuple(inst.customers)

@@ -3,21 +3,23 @@ parked-customer variable reduction, and the subset-partition table.
 
 A service set is a group of customers served in one walking loop from a parked
 vehicle.  The catalog enumerates every set that fits the carrier capacity
-(count, weight, volume).  ``walk_cost_table`` prices every set from every spot
-once per catalog, in one table that every reader shares: sets of up to three
-customers in one numpy pass, larger ones through ``walk_tour``.  That is the
-one scalar pricer; it also returns the walking order.  ``PartitionTable``
-splits every subset of a customer group into candidate walking sets at least
-cost, per parking spot; the exact solver and the heuristic's set assignment
-both read their splits from it.  It fills its table with ``_set_layers``,
-the one subset fill, which the exact DP's completion step reads too.
+(count, weight, volume).  ``_order_costs`` is the one loop over the orders of
+a set of up to ``ORDER_LOOP_MAX`` customers; Held-Karp prices larger sets.
+``walk_tour``, the one scalar pricer, runs it on one (spot, set) pair and
+returns the walking order too; ``walk_cost_table`` runs it in numpy over all
+pairs of a size class, once per catalog, in one table every reader shares.
+``PartitionTable`` splits every subset of a customer group into candidate
+walking sets at least cost, per parking spot; the exact solver and the
+heuristic's set assignment both read their splits from it.  It fills its
+table with ``_set_layers``, the one subset fill, which the exact DP's
+completion step reads too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations, pairwise, permutations
 
 import numpy as np
 
@@ -26,6 +28,7 @@ from .instance import Instance
 from .tsp import CHUNK, held_karp_cycle, layer_runs
 
 MAX_WALK_SET = 12
+ORDER_LOOP_MAX = 4  # larger sets go through Held-Karp, faster from five customers on
 DEFAULT_PAIR_CAP = 20_000_000
 
 
@@ -50,18 +53,17 @@ class ServiceSetCatalog:
     inst: Instance
     sets: tuple[ServiceSet, ...]
     reduced: bool = False
-    _index: dict[tuple[int, ...], int] = field(default_factory=dict, repr=False)
-    _member_sets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False)
+    _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
+    _member_sets: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self._index:
-            self._index = {s.members: j for j, s in enumerate(self.sets)}
-            by_member: dict[int, list[int]] = {}
-            for j, s in enumerate(self.sets):
-                for c in s.members:
-                    by_member.setdefault(c, []).append(j)
-            self._member_sets = {c: tuple(js) for c, js in by_member.items()}
+        self._index = {s.members: j for j, s in enumerate(self.sets)}
+        by_member: dict[int, list[int]] = {}
+        for j, s in enumerate(self.sets):
+            for c in s.members:
+                by_member.setdefault(c, []).append(j)
+        self._member_sets = {c: tuple(js) for c, js in by_member.items()}
 
     def index_of(self, members) -> int:
         return self._index[tuple(sorted(members))]
@@ -70,10 +72,7 @@ class ServiceSetCatalog:
         return self._member_sets.get(customer, ())
 
     def admissible(self, parking: int, j: int) -> bool:
-        if not self.reduced:
-            return True
-        s = self.sets[j]
-        return not (s.size >= 2 and parking in s.members)
+        return not (self.reduced and self.sets[j].size >= 2 and parking in self.sets[j].members)
 
     def pair_count(self) -> int:
         return len(self.inst.spots) * len(self.sets)
@@ -82,16 +81,8 @@ class ServiceSetCatalog:
         return self.pair_count() - self.removed_pair_count()
 
     def removed_pair_count(self) -> int:
-        if not self.reduced:
-            return 0
-        spots = set(self.inst.spots)
-        return sum(
-            1
-            for s in self.sets
-            if s.size >= 2
-            for c in s.members
-            if c in spots
-        )
+        spots = set(self.inst.spots)  # admissible refuses only a spot inside the set
+        return sum(not self.admissible(c, j) for j, s in enumerate(self.sets) for c in s.members if c in spots)
 
     def precompute_walk_costs(self) -> None:
         """Fill the walk-cost table that ``walk_cost_table`` returns."""
@@ -101,9 +92,9 @@ class ServiceSetCatalog:
         """``table[j, s]``: the walk cost of set j from spot ``inst.spots[s]``,
         inf where the pair is inadmissible.  Filled on the first call and
         returned, read-only, by every later one.  Bit for bit what
-        ``walk_tour`` returns: sets of up to three customers take its sums,
-        left to right, and its tie rules in one numpy pass; larger sets call
-        it."""
+        ``walk_tour`` returns: sets of up to ``ORDER_LOOP_MAX`` customers run
+        its order loop in numpy, one size class at a time over all its
+        (set, spot) pairs; larger sets call it once per admissible pair."""
         if self._table is not None:
             return self._table
         W = self.inst.walk
@@ -113,18 +104,9 @@ class ServiceSetCatalog:
         for size in sorted(set(sizes.tolist())):
             rows = np.flatnonzero(sizes == size)
             members = np.array([self.sets[j].members for j in rows])
-            if size == 1:
-                c = members[:, :1]
-                table[rows] = np.where(c == p, 0.0, W[p, c] + W[c, p])
-            elif size == 2:
-                a, b = members[:, :1], members[:, 1:]
-                c1 = W[p, a] + W[a, b] + W[b, p]
-                c2 = W[p, b] + W[b, a] + W[a, p]
-                table[rows] = np.where(c1 <= c2 + 1e-12, c1, c2)
-            elif size == 3:
+            if size <= ORDER_LOOP_MAX:
                 best = None
-                for x, y, z in permutations(members.T[:, :, None]):
-                    cost = W[p, x] + W[x, y] + W[y, z] + W[z, p]
+                for _, cost in _order_costs(lambda a, b: W[a, b], p, tuple(members.T[:, :, None])):
                     best = cost if best is None else np.where(cost < best - 1e-12, cost, best)
                 table[rows] = best
             else:
@@ -135,6 +117,12 @@ class ServiceSetCatalog:
         table.flags.writeable = False
         self._table = table
         return table
+
+
+def check_catalog(inst: Instance, cat: ServiceSetCatalog | None) -> None:
+    """Refuse a catalog enumerated for another instance, whose sets and costs it holds."""
+    if cat is not None and cat.inst is not inst:
+        raise UnsupportedError("catalog was enumerated for a different instance")
 
 
 def enumerate_catalog(inst: Instance) -> ServiceSetCatalog:
@@ -191,8 +179,9 @@ def walk_time(inst: Instance, parking: int, members) -> float:
 def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, ...]]:
     """Exact minimum walking loop plus its service order.
 
-    Ties break toward the lexicographically smallest customer sequence so that
-    decoded solutions are deterministic.
+    Up to ``ORDER_LOOP_MAX`` customers the order loop decides: of the orders
+    within 1e-12 of the cheapest, the first in lexicographic order wins, so
+    decoded solutions are deterministic.  Larger sets go through Held-Karp.
     """
     ms = tuple(sorted(members))
     m = len(ms)
@@ -201,28 +190,26 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
     if m > MAX_WALK_SET:
         raise UnsupportedError(f"walking sets larger than {MAX_WALK_SET} are unsupported, got {m}")
     W = inst.walk
-    if m == 1:
-        c = ms[0]
-        cost = 0.0 if c == parking else float(W[parking, c] + W[c, parking])
-        return cost, ms
-    if m == 2:
-        a, b = ms
-        c1 = float(W[parking, a] + W[a, b] + W[b, parking])
-        c2 = float(W[parking, b] + W[b, a] + W[a, parking])
-        return (c1, ms) if c1 <= c2 + 1e-12 else (c2, (b, a))
-    if m == 3:
+    if m <= ORDER_LOOP_MAX:
         best = None
-        for perm in permutations(ms):
-            cost = float(W[parking, perm[0]] + W[perm[0], perm[1]] + W[perm[1], perm[2]] + W[perm[2], parking])
+        for order, cost in _order_costs(W.item, parking, ms):
             if best is None or cost < best[0] - 1e-12:
-                best = (cost, perm)
+                best = (cost, order)
         return best
-    local = np.empty((m + 1, m + 1))
     ids = (parking,) + ms
-    for a in range(m + 1):
-        local[a] = W[ids[a], list(ids)]
-    cost, order = held_karp_cycle(local)
+    cost, order = held_karp_cycle(W[np.ix_(ids, ids)])
     return cost, tuple(ms[v - 1] for v in order)
+
+
+def _order_costs(leg, parking, members):
+    """Yield (order, loop cost from ``parking``) for the orders of ``members``
+    in lexicographic order, legs ``leg(a, b)`` summed left to right: on ids
+    one pair, on index arrays that broadcast every pair of a size class."""
+    for order in permutations(members):
+        cost = leg(parking, order[0])
+        for a, b in pairwise(order):
+            cost = cost + leg(a, b)
+        yield order, cost + leg(order[-1], parking)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,11 @@ from brutes import (
     loop_walk_costs, milp_optimum, ring_walk_instance, self_singleton_form,
 )
 from parkroute.benchmarks import modified_tsp
-from parkroute.errors import InfeasibleInstanceError, ResourceLimitError
+from parkroute.errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedError
 from parkroute import exact, servicesets
 from parkroute.exact import _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
-from parkroute.heuristic import heuristic_solve
+from parkroute.heuristic import heuristic_solve, heuristic_solve_full, solve_ssa
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model, evaluate_solution
 from parkroute.servicesets import (
@@ -601,3 +601,17 @@ def test_the_dp_keeps_one_table_of_2_to_the_n_rows():
         tracemalloc.stop()
     run = servicesets.CHUNK * len(inst.spots) * 8
     assert peak <= searcher.F.nbytes + 12 * run
+
+
+@pytest.mark.parametrize("entry", [
+    lambda inst, cat: build_model(inst, cat),
+    solve_exact,
+    lambda inst, cat: check_feasible(inst, cat, heuristic_solve(inst)),
+    heuristic_solve_full,
+    lambda inst, cat: solve_ssa(inst, cat, 1, [1, 2]),
+], ids=["build_model", "solve_exact", "check_feasible", "heuristic_solve_full", "solve_ssa"])
+def test_a_catalog_of_another_instance_is_refused(entry):
+    # unchecked, seed 2's catalog makes seed 1 "optimal" at 90.70, above its true optimum 69.47
+    a = gen_geo_instance(8, 1, p=5, q=3)
+    with pytest.raises(UnsupportedError, match="different instance"):
+        entry(a, enumerate_catalog(gen_geo_instance(8, 2, p=5, q=3)))

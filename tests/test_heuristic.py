@@ -6,6 +6,7 @@ import pytest
 
 import parkroute.heuristic
 from brutes import all_partitions, brute_par, brute_walk, loop_local_search
+from parkroute.cli import main
 from parkroute.errors import InfeasibleInstanceError
 from parkroute.exact import check_feasible, solve_exact
 from parkroute.heuristic import (
@@ -18,7 +19,8 @@ from parkroute.heuristic import (
     solve_par,
     solve_ssa,
 )
-from parkroute.instance import Instance, gen_geo_instance
+from parkroute.instance import Instance, gen_geo_instance, save_instance
+from parkroute.model import structural_violations
 from parkroute.servicesets import PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, walk_tour
 from parkroute.tsp import solve_tsp
 
@@ -262,6 +264,19 @@ def test_ssa_size_cap_and_greedy_fallback():
     orders, walk, exact = solve_ssa(inst, None, 1, members)
     assert not exact
     assert sorted(c for o in orders for c in o) == members
+
+
+def test_a_group_above_the_walk_set_cap_takes_the_greedy_split(tmp_path):
+    # no count capacity and a weight capacity every set fits: the one opened
+    # spot's group of 14 has candidate sets above MAX_WALK_SET
+    inst = replace(gen_geo_instance(14, 1, p=500, q=None), capacity_weight=100.0, weights=np.ones(14))
+    res = heuristic_solve_full(inst)
+    assert not res.ssa_exact
+    assert structural_violations(inst, res.solution.stops, res.solution.served) == []
+    save_instance(inst, tmp_path / "inst.json")
+    assert main(["solve", "--method", "heuristic", str(tmp_path / "inst.json"), "-o", str(tmp_path / "h.json")]) == 2
+    # a weight capacity of 3 keeps every candidate set within the cap: still exact
+    assert heuristic_solve_full(replace(inst, capacity_weight=3.0)).ssa_exact
 
 
 def test_heuristic_single_customer_equals_exact():

@@ -1,5 +1,5 @@
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -89,6 +89,18 @@ def test_walk_time_zero_at_own_singleton():
     assert walk_time(inst, 2, (2,)) == 0.0
 
 
+def test_a_near_zero_diagonal_is_stored_as_exact_zero():
+    walk = np.array([[5e-10, 2.0, 3.0], [2.0, 5e-10, 1.0], [3.0, 1.0, 5e-10]])
+    drive = np.array([[5e-10, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 1.0, 5e-10]])
+    given = walk.copy(), drive.copy()
+    inst = Instance(drive=drive, walk=walk, park_time=[1, 1, 1], capacity_count=2)
+    for mat in (inst.walk, inst.drive):
+        assert (np.diag(mat) == 0.0).all()
+    for c in inst.customers:
+        assert walk_tour(inst, c, (c,)) == (0.0, (c,))
+    assert np.array_equal(walk, given[0]) and np.array_equal(drive, given[1])
+
+
 def test_walk_time_out_and_back():
     inst = gen_geo_instance(4, seed=3)
     assert walk_time(inst, 1, (3,)) == pytest.approx(2 * inst.W(1, 3))
@@ -111,6 +123,42 @@ def test_walk_time_matches_permutation_brute_force(size):
         assert walk_time(inst, parking, members) == pytest.approx(
             brute_walk(inst, parking, members), abs=1e-9
         )
+    if size > 5:
+        return
+    # every set of this size in a q = 4 or 5 catalog, from every spot, reduced and not
+    cat = enumerate_catalog(gen_geo_instance(7, seed=size, q=max(4, size)))
+    for c in (cat, reduce_catalog(cat)):
+        table = c.walk_cost_table()
+        for j, s in enumerate(c.sets):
+            if s.size != size:
+                continue
+            for col, i in enumerate(c.inst.spots):
+                cost = pytest.approx(brute_walk(c.inst, i, s.members), abs=1e-9)
+                assert walk_time(c.inst, i, s.members) == cost
+                assert table[j, col] == (cost if c.admissible(i, j) else np.inf)
+
+
+def test_walk_tour_takes_the_first_order_within_the_tie_tolerance():
+    # rectilinear walks at a rate of 1.6 tie exactly on many orders of four
+    inst = gen_grid_instance(GridParams(sqrt_n=4, walk_rate=1.6, capacity=4))
+    W = inst.walk
+    p = np.array(inst.spots)
+    members = np.array(list(combinations(inst.customers, 4)))
+    orders = list(permutations(range(4)))
+    # costs[k, set, spot]: order k's loop, legs summed left to right
+    costs = np.array([
+        W[p, members[:, o[0], None]] + W[members[:, o[0]], members[:, o[1]]][:, None]
+        + W[members[:, o[1]], members[:, o[2]]][:, None] + W[members[:, o[2]], members[:, o[3]]][:, None]
+        + W[members[:, o[3], None], p]
+        for o in orders
+    ])
+    near = costs <= costs.min(axis=0) + 1e-12
+    assert (near.sum(axis=0) > 1).any()  # ties do occur
+    first = np.argmax(near, axis=0)
+    for r, ms in enumerate(members.tolist()):
+        for col, i in enumerate(inst.spots):
+            k = first[r, col]
+            assert walk_tour(inst, i, ms) == (costs[k, r, col], tuple(ms[v] for v in orders[k]))
 
 
 def test_walk_tour_ties_break_lexicographically():
@@ -152,21 +200,25 @@ def test_removed_pairs_closed_form_small():
 
 
 def test_walk_cost_table_is_filled_once_and_matches_walk_tour():
-    # sets of up to four customers: the numpy pass and the scalar calls
-    inst = gen_geo_instance(6, seed=12, q=4)
-    cat = enumerate_catalog(inst)
-    assert cat._table is None
-    cat.precompute_walk_costs()
-    table = cat._table
-    assert table is not None
-    assert cat.walk_cost_table() is table
-    assert cat.walk_cost_table() is table
-    assert not table.flags.writeable
-    assert np.array_equal(table, loop_walk_costs(cat))
-    j = cat.index_of((2, 4))
-    cost, order = walk_tour(inst, 1, (2, 4))
-    assert table[j, inst.spots.index(1)] == cost
-    assert sorted(order) == [2, 4]
+    # sets of up to five customers, reduced and not: the order loop in numpy
+    # up to four, scalar Held-Karp calls at five
+    for q, reduced in product((4, 5), (False, True)):
+        inst = gen_geo_instance(7, seed=12, q=q)
+        cat = enumerate_catalog(inst)
+        if reduced:
+            cat = reduce_catalog(cat)
+        assert cat._table is None
+        cat.precompute_walk_costs()
+        table = cat._table
+        assert table is not None
+        assert cat.walk_cost_table() is table
+        assert cat.walk_cost_table() is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, loop_walk_costs(cat))
+        j = cat.index_of((2, 4))
+        cost, order = walk_tour(inst, 1, (2, 4))
+        assert table[j, inst.spots.index(1)] == cost
+        assert sorted(order) == [2, 4]
 
 
 @pytest.mark.parametrize(

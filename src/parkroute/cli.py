@@ -130,6 +130,7 @@ _BENCH_HEADER = [
     "instance", "model", "objective", "completion", "stops",
     "park_min", "drive_min", "walk_min", "load_min", "optimum",
 ]
+MAX_SWEEP_POINTS = 10_000  # a grid sweep solves every point; more is a typo, not a study
 
 
 def _bench_one(path: str, models: list[str], with_optimum: bool) -> list[dict]:
@@ -191,12 +192,10 @@ def _parse_sweep(text: str) -> list[float]:
         raise ParkrouteError(f"sweep numbers must be finite, got {text!r}")
     if step <= 0:
         raise ParkrouteError("sweep step must be positive")
-    values = []
-    k = 0
-    while start + k * step <= stop + 1e-12:
-        values.append(round(start + k * step, 12))
-        k += 1
-    return values
+    span = (stop + 1e-12 - start) / step  # the sweep has floor(span) + 1 points, give or take rounding
+    if span >= MAX_SWEEP_POINTS:
+        raise ParkrouteError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")
+    return [round(start + k * step, 12) for k in range(int(span) + 2) if start + k * step <= stop + 1e-12]
 
 
 def _cmd_grid(args) -> int:
@@ -350,10 +349,7 @@ def main(argv=None) -> int:
     except InfeasibleInstanceError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ParkrouteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParkrouteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

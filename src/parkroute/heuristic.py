@@ -278,25 +278,13 @@ def solve_ssa(
     if k == 0:
         return [], 0.0, True
     if k > 20:
-        return _greedy_ssa(inst, spot, K)
+        return _greedy_ssa(inst, cat, spot, K)
 
     q = inst.capacity_count if inst.capacity_count is not None else k
-    cands: list[tuple[int, ...]] = []
-    for size in range(1, min(q, k) + 1):
-        for members in combinations(K, size):
-            if cat is None:
-                if inst.over_capacity(members):
-                    continue
-            else:
-                try:
-                    j = cat.index_of(members)
-                except KeyError:
-                    continue
-                if not cat.admissible(spot, j):
-                    continue
-            cands.append(members)
+    cands = [members for size in range(1, min(q, k) + 1) for members in combinations(K, size)
+             if _walkable(inst, cat, spot, members)]
     if cands and len(cands[-1]) > MAX_WALK_SET:  # the largest comes last
-        return _greedy_ssa(inst, spot, K)
+        return _greedy_ssa(inst, cat, spot, K)
 
     tours = [walk_tour(inst, spot, members) for members in cands]
     if cands == [K]:  # the group is its only candidate, as a lone customer's singleton
@@ -309,10 +297,20 @@ def solve_ssa(
     return [tours[c][1] for c in part.split(full, 0)], walk, True
 
 
-def _greedy_ssa(inst: Instance, spot: int, K) -> tuple[list[tuple[int, ...]], float, bool]:
-    """Chunk customers by walking distance from the spot; flagged non-exact."""
-    q = inst.capacity_count if inst.capacity_count is not None else len(K)
-    q = min(q, MAX_WALK_SET)
+def _walkable(inst: Instance, cat, spot: int, members) -> bool:
+    """Whether ``members`` may walk from ``spot``: a catalog set admissible
+    there, or without a catalog a group within capacity."""
+    if cat is None:
+        return not inst.over_capacity(members)
+    try:
+        return cat.admissible(spot, cat.index_of(members))
+    except KeyError:
+        return False
+
+
+def _greedy_ssa(inst: Instance, cat, spot: int, K) -> tuple[list[tuple[int, ...]], float, bool]:
+    """Chunk customers by walking distance while each chunk stays ``_walkable``; flagged non-exact."""
+    q = min(len(K) if inst.capacity_count is None else inst.capacity_count, MAX_WALK_SET)
     remaining = sorted(K, key=lambda c: (inst.W(spot, c), c))
     orders = []
     walk = 0.0
@@ -321,9 +319,11 @@ def _greedy_ssa(inst: Instance, spot: int, K) -> tuple[list[tuple[int, ...]], fl
         for c in list(remaining):
             if len(chunk) >= q:
                 break
-            if not inst.over_capacity(chunk + [c]):
+            if _walkable(inst, cat, spot, chunk + [c]):
                 chunk.append(c)
                 remaining.remove(c)
+        if not chunk:
+            raise InfeasibleInstanceError(f"customers {remaining} cannot be partitioned into admissible sets")
         cost, order = walk_tour(inst, spot, chunk)
         orders.append(order)
         walk += cost

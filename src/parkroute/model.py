@@ -12,7 +12,7 @@ memory-prohibitive here -- variable accounting covers those).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InfeasibleSolutionError, ResourceLimitError, UnsupportedError
 from .instance import Instance, validate_instance
@@ -36,12 +36,7 @@ class Breakdown:
         return self.park_min + self.drive_min + self.walk_min + self.load_min
 
     def to_dict(self) -> dict:
-        return {
-            "park_min": self.park_min,
-            "drive_min": self.drive_min,
-            "walk_min": self.walk_min,
-            "load_min": self.load_min,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

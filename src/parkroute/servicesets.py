@@ -3,11 +3,11 @@ parked-customer variable reduction, and the subset-partition table.
 
 A service set is a group of customers served in one walking loop from a parked
 vehicle.  The catalog enumerates every set that fits the carrier capacity
-(count, weight, volume).  ``_order_costs`` is the one loop over the orders of
-a set of up to ``ORDER_LOOP_MAX`` customers; Held-Karp prices larger sets.
-``walk_tour``, the one scalar pricer, runs it on one (spot, set) pair and
-returns the walking order too; ``walk_cost_table`` runs it in numpy over all
-pairs of a size class, once per catalog, in one table every reader shares.
+(count, weight, volume).  ``walk_cost_table`` prices every (set, spot) pair
+by one subset DP, once per catalog, in one table every reader shares.
+``walk_tour``, the one scalar pricer, also returns the walking order: an order
+loop up to ``ORDER_LOOP_MAX`` customers, Held-Karp above; its cost lies within
+1e-12 above the table's.
 ``PartitionTable`` splits every subset of a customer group into candidate
 walking sets at least cost, per parking spot; the exact solver and the
 heuristic's set assignment both read their splits from it.  It fills its
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, pairwise, permutations
+from itertools import chain, combinations, pairwise, permutations
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .instance import Instance
 from .tsp import CHUNK, held_karp_cycle, layer_runs
 
 MAX_WALK_SET = 12
-ORDER_LOOP_MAX = 4  # larger sets go through Held-Karp, faster from five customers on
+ORDER_LOOP_MAX = 4  # walk_tour's larger sets go through Held-Karp, faster from five customers on
 DEFAULT_PAIR_CAP = 20_000_000
 
 
@@ -54,22 +54,22 @@ class ServiceSetCatalog:
     sets: tuple[ServiceSet, ...]
     reduced: bool = False
     _index: dict[tuple[int, ...], int] = field(init=False, repr=False, compare=False)
-    _member_sets: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    masks: np.ndarray = field(init=False, repr=False, compare=False)  # set j: bit c - 1 for customer c
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._index = {s.members: j for j, s in enumerate(self.sets)}
-        by_member: dict[int, list[int]] = {}
-        for j, s in enumerate(self.sets):
-            for c in s.members:
-                by_member.setdefault(c, []).append(j)
-        self._member_sets = {c: tuple(js) for c, js in by_member.items()}
+        one = np.ones((), dtype=np.int64 if self.inst.n < 64 else object)  # Python ints past 63 customers
+        members = np.fromiter(chain.from_iterable(s.members for s in self.sets), dtype=np.intp)
+        starts = np.cumsum([0] + [s.size for s in self.sets[:-1]], dtype=np.intp)[:len(self.sets)]
+        self.masks = np.add.reduceat(np.left_shift(one, members - 1), starts)
+        self.masks.flags.writeable = False
 
     def index_of(self, members) -> int:
         return self._index[tuple(sorted(members))]
 
     def sets_containing(self, customer: int) -> tuple[int, ...]:
-        return self._member_sets.get(customer, ())
+        return tuple(np.flatnonzero(self.masks >> (customer - 1) & 1).tolist())
 
     def admissible(self, parking: int, j: int) -> bool:
         return not (self.reduced and self.sets[j].size >= 2 and parking in self.sets[j].members)
@@ -81,6 +81,8 @@ class ServiceSetCatalog:
         return self.pair_count() - self.removed_pair_count()
 
     def removed_pair_count(self) -> int:
+        if not self.reduced:
+            return 0
         spots = set(self.inst.spots)  # admissible refuses only a spot inside the set
         return sum(not self.admissible(c, j) for j, s in enumerate(self.sets) for c in s.members if c in spots)
 
@@ -91,29 +93,43 @@ class ServiceSetCatalog:
     def walk_cost_table(self) -> np.ndarray:
         """``table[j, s]``: the walk cost of set j from spot ``inst.spots[s]``,
         inf where the pair is inadmissible.  Filled on the first call and
-        returned, read-only, by every later one.  Bit for bit what
-        ``walk_tour`` returns: sets of up to ``ORDER_LOOP_MAX`` customers run
-        its order loop in numpy, one size class at a time over all its
-        (set, spot) pairs; larger sets call it once per admissible pair."""
+        returned, read-only, by every later one.  A forward subset DP (Held &
+        Karp 1962) over the sets' subsets T, a popcount layer at a time:
+        ``path[T, j, s] = min_i path[T - j, i, s] + W[i, j]``, and a set's loop
+        is ``min_j path[T, j, s] + W[j, s]``.  Float addition is monotone, so
+        each entry is the least left-to-right sum of legs over the set's orders."""
         if self._table is not None:
             return self._table
         W = self.inst.walk
         p = np.array(self.inst.spots)
-        sizes = np.array([s.size for s in self.sets])
+        sizes = np.array([s.size for s in self.sets], dtype=np.intp)
+        top = int(sizes.max(initial=0))
+        if top > MAX_WALK_SET:
+            raise UnsupportedError(f"walking sets larger than {MAX_WALK_SET} are unsupported, got {top}")
+        one = np.ones((), dtype=self.masks.dtype)
+        layers, below = [], self.masks[:0]  # layers[k - 1]: the distinct k-subsets, increasing, and their bits
+        for k in range(top, 0, -1):
+            keys = np.sort(np.concatenate((self.masks[sizes == k], below)))
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            pos = np.nonzero(keys[:, None] >> np.arange(self.inst.n) & 1)[1].reshape(-1, k)
+            layers.insert(0, (keys, pos))
+            below = (keys[:, None] ^ np.left_shift(one, pos)).ravel()
         table = np.empty((len(self.sets), len(p)))
-        for size in sorted(set(sizes.tolist())):
-            rows = np.flatnonzero(sizes == size)
-            members = np.array([self.sets[j].members for j in rows])
-            if size <= ORDER_LOOP_MAX:
-                best = None
-                for _, cost in _order_costs(lambda a, b: W[a, b], p, tuple(members.T[:, :, None])):
-                    best = cost if best is None else np.where(cost < best - 1e-12, cost, best)
-                table[rows] = best
+        for k, (keys, pos) in enumerate(layers, 1):
+            if k == 1:
+                path = W[p, pos + 1][:, None]
             else:
-                table[rows] = [[walk_tour(self.inst, i, self.sets[j].members)[0] if self.admissible(i, j)
-                                else np.inf for i in self.inst.spots] for j in rows]
-            if self.reduced and size >= 2:
-                table[rows] = np.where((members[:, :, None] == p).any(axis=1), np.inf, table[rows])
+                step = np.empty((len(keys), k, len(p)))
+                for t in range(k):
+                    v = path[np.searchsorted(layers[k - 2][0], keys ^ np.left_shift(one, pos[:, t]))]
+                    v += W[pos[:, np.arange(k) != t] + 1, pos[:, t, None] + 1][:, :, None]
+                    step[:, t] = v.min(axis=1)
+                path = step
+            js = np.flatnonzero(sizes == k)
+            r = np.searchsorted(keys, self.masks[js])
+            table[js] = np.min([path[r, t] + W[pos[r, t, None] + 1, p] for t in range(k)], axis=0)
+        if self.reduced:  # admissible's ban: a set of two or more from a member's spot
+            table[(sizes[:, None] >= 2) & (self.masks[:, None] >> (p - 1) & 1 == 1)] = np.inf
         table.flags.writeable = False
         self._table = table
         return table
@@ -182,6 +198,7 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
     Up to ``ORDER_LOOP_MAX`` customers the order loop decides: of the orders
     within 1e-12 of the cheapest, the first in lexicographic order wins, so
     decoded solutions are deterministic.  Larger sets go through Held-Karp.
+    The cost lies within 1e-12 above ``walk_cost_table``'s.
     """
     ms = tuple(sorted(members))
     m = len(ms)
@@ -192,24 +209,16 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
     W = inst.walk
     if m <= ORDER_LOOP_MAX:
         best = None
-        for order, cost in _order_costs(W.item, parking, ms):
+        for order in permutations(ms):
+            cost = 0.0  # plus the legs, left to right
+            for a, b in pairwise((parking, *order, parking)):
+                cost += W.item(a, b)
             if best is None or cost < best[0] - 1e-12:
                 best = (cost, order)
         return best
     ids = (parking,) + ms
     cost, order = held_karp_cycle(W[np.ix_(ids, ids)])
     return cost, tuple(ms[v - 1] for v in order)
-
-
-def _order_costs(leg, parking, members):
-    """Yield (order, loop cost from ``parking``) for the orders of ``members``
-    in lexicographic order, legs ``leg(a, b)`` summed left to right: on ids
-    one pair, on index arrays that broadcast every pair of a size class."""
-    for order in permutations(members):
-        cost = leg(parking, order[0])
-        for a, b in pairwise(order):
-            cost = cost + leg(a, b)
-        yield order, cost + leg(order[-1], parking)
 
 
 # ---------------------------------------------------------------------------

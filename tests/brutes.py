@@ -272,20 +272,35 @@ def self_singleton_form(inst, sol):
 
 # ---------------------------------------------------------------------------
 # per-mask references for the layered numpy fills; each uses the same
-# operands in the same order, so the tables must agree bit for bit, except
+# operands in the same order (``loop_walk_costs`` every order's legs, whose
+# minimum the walk table's subset DP reaches because float addition is
+# monotone), so the tables must agree bit for bit, except
 # ``loop_completion_table``, which prices whole bundles and so agrees with the
 # per-set fill only to rounding
 
 
 def loop_walk_costs(cat):
-    """Walk cost of every catalog set (rows) from every spot (columns), one
-    scalar ``walk_time`` call per admissible pair, inf elsewhere."""
-    from parkroute.servicesets import walk_time
-
-    return np.array([
-        [walk_time(cat.inst, i, s.members) if cat.admissible(i, j) else np.inf for i in cat.inst.spots]
-        for j, s in enumerate(cat.sets)
-    ])
+    """Walk cost of every catalog set (rows) from every spot (columns), inf
+    where the pair is inadmissible: the float minimum over the set's service
+    orders of the loop's legs summed left to right, each order priced over
+    all the sets of its size class and all spots at once."""
+    W = cat.inst.walk
+    p = np.array(cat.inst.spots)
+    sizes = np.array([s.size for s in cat.sets])
+    costs = np.empty((len(cat.sets), len(p)))
+    for k in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == k)
+        m = np.array([cat.sets[j].members for j in rows])
+        best = np.full((len(rows), len(p)), np.inf)
+        for order in permutations(range(k)):
+            cost = W[p, m[:, order[0], None]]
+            for a, b in zip(order, order[1:]):
+                cost = cost + W[m[:, a], m[:, b]][:, None]
+            best = np.minimum(best, cost + W[m[:, order[-1], None], p])
+        costs[rows] = best
+    banned = [[not cat.admissible(i, j) for i in cat.inst.spots] for j in range(len(cat.sets))]
+    costs[np.array(banned, dtype=bool).reshape(costs.shape)] = np.inf
+    return costs
 
 
 def loop_partition_values(customers, candidates, costs):

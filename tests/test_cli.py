@@ -200,6 +200,25 @@ def test_grid_oracle_defaults_to_the_dp_limit(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("sweep", ["p=0:1e-6:1", "p=0:1e-300:1", "p=0:5e-324:1", "p=0:1:10000"])
+def test_grid_sweep_with_too_many_points_is_an_error(tmp_path, capsys, monkeypatch, sweep):
+    # counted before the list is built: 1e-300 steps would never end
+    def no_loop(*args):
+        raise AssertionError("the sweep loop ran")
+
+    monkeypatch.setattr(parkroute.cli, "round", no_loop, raising=False)
+    out_csv = tmp_path / "grid.csv"
+    assert main(["grid", "--q", "2", "--sqrt-n", "2", "--sweep", sweep, "-o", str(out_csv)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep") and f"more than {parkroute.cli.MAX_SWEEP_POINTS} points" in err
+    assert not out_csv.exists()
+
+
+def test_a_sweep_at_the_point_limit_is_built():
+    values = parkroute.cli._parse_sweep(f"p=1:1:{parkroute.cli.MAX_SWEEP_POINTS}")
+    assert len(values) == parkroute.cli.MAX_SWEEP_POINTS and values[-1] == parkroute.cli.MAX_SWEEP_POINTS
+
+
 @pytest.mark.parametrize("sweep", ["p=0:1:inf", "p=nan:1:2", "p=0:nan:2", "p=-inf:1:0", "p=0:inf:1"])
 def test_grid_sweep_with_a_non_finite_number_is_an_error(tmp_path, capsys, monkeypatch, sweep):
     # refused before the sweep's loop runs: an infinite stop would never end

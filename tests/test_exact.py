@@ -21,7 +21,7 @@ from parkroute.heuristic import heuristic_solve, heuristic_solve_full, solve_ssa
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model, evaluate_solution
 from parkroute.servicesets import (
-    PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog, walk_time,
+    PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog,
 )
 
 
@@ -359,7 +359,8 @@ def test_check_feasible_flags_missing_coverage():
 @pytest.mark.parametrize("n, seed", [(1, 0), (4, 1), (7, 2), (9, 3)])
 def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
     # reference: each customer's least walk share plus park share over its
-    # admissible (spot, set) pairs, summed over a mask lowest bit last
+    # admissible (spot, set) pairs, summed over a mask lowest bit last; walk
+    # costs from the permutation brute force
     inst = gen_geo_instance(n, seed, p=1.3, q=3)
     if seed == 3:
         inst = replace(inst, parking_locations=(1, 4, 7, 8))
@@ -368,13 +369,13 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
         cat = reduce_catalog(cat)
     searcher = _Searcher(inst, cat)
     searcher.setup_search()
+    walk = loop_walk_costs(cat)
     delta = np.full(n + 1, np.inf)
-    for i in inst.spots:
+    for col, i in enumerate(inst.spots):
         for c in inst.customers:
             for j in cat.sets_containing(c):
                 if cat.admissible(i, j):
-                    members = cat.sets[j].members
-                    delta[c] = min(delta[c], walk_time(inst, i, members) / len(members) + inst.park_time[i] / n)
+                    delta[c] = min(delta[c], walk[j, col] / cat.sets[j].size + inst.park_time[i] / n)
     dsum = np.zeros(1 << n)
     for mask in range(1, 1 << n):
         low = (mask & -mask).bit_length()

@@ -21,7 +21,9 @@ from parkroute.heuristic import (
 )
 from parkroute.instance import Instance, gen_geo_instance, save_instance
 from parkroute.model import structural_violations
-from parkroute.servicesets import PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, walk_tour
+from parkroute.servicesets import (
+    PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog, walk_tour,
+)
 from parkroute.tsp import solve_tsp
 
 
@@ -277,6 +279,27 @@ def test_a_group_above_the_walk_set_cap_takes_the_greedy_split(tmp_path):
     assert main(["solve", "--method", "heuristic", str(tmp_path / "inst.json"), "-o", str(tmp_path / "h.json")]) == 2
     # a weight capacity of 3 keeps every candidate set within the cap: still exact
     assert heuristic_solve_full(replace(inst, capacity_weight=3.0)).ssa_exact
+
+
+def test_the_greedy_split_keeps_to_the_catalog():
+    # high search time opens one spot for all 21 customers, above the exact
+    # split's 20; on a reduced catalog no set of two or more may hold spot 7
+    inst = gen_geo_instance(21, 1, p=1000.0, q=3)
+    red = reduce_catalog(enumerate_catalog(inst))
+    res = heuristic_solve_full(inst, red)
+    assert res.solution.stops == (7,) and not res.ssa_exact
+    assert check_feasible(inst, red, res.solution) == []
+    assert (7,) in res.solution.served[0]
+    # without a catalog the chunks follow capacity alone, and 7 joins a set
+    free = heuristic_solve_full(inst).solution.served[0]
+    assert any(7 in order and len(order) > 1 for order in free)
+
+
+def test_the_greedy_split_refuses_a_customer_without_a_set():
+    inst = gen_geo_instance(21, 1, p=1000.0, q=3)
+    sets = tuple(ServiceSet((c,)) for c in inst.customers if c != 4)
+    with pytest.raises(InfeasibleInstanceError):
+        solve_ssa(inst, ServiceSetCatalog(inst=inst, sets=sets), 7, inst.customers)
 
 
 def test_heuristic_single_customer_equals_exact():

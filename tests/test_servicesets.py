@@ -10,6 +10,8 @@ from parkroute.errors import ResourceLimitError, UnsupportedError
 from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
 from parkroute.servicesets import (
     PartitionTable,
+    ServiceSet,
+    ServiceSetCatalog,
     count_sets,
     enumerate_catalog,
     pair_count,
@@ -200,8 +202,8 @@ def test_removed_pairs_closed_form_small():
 
 
 def test_walk_cost_table_is_filled_once_and_matches_walk_tour():
-    # sets of up to five customers, reduced and not: the order loop in numpy
-    # up to four, scalar Held-Karp calls at five
+    # sets of up to five customers, reduced and not: the table is the
+    # permutation minimum, and walk_tour's cost lies within 1e-12 above it
     for q, reduced in product((4, 5), (False, True)):
         inst = gen_geo_instance(7, seed=12, q=q)
         cat = enumerate_catalog(inst)
@@ -217,8 +219,68 @@ def test_walk_cost_table_is_filled_once_and_matches_walk_tour():
         assert np.array_equal(table, loop_walk_costs(cat))
         j = cat.index_of((2, 4))
         cost, order = walk_tour(inst, 1, (2, 4))
-        assert table[j, inst.spots.index(1)] == cost
+        assert table[j, inst.spots.index(1)] <= cost <= table[j, inst.spots.index(1)] + 1e-12
         assert sorted(order) == [2, 4]
+
+
+def _table_cases():
+    for q in range(1, 7):
+        yield f"geo-q{q}", enumerate_catalog(gen_geo_instance(9 if q <= 4 else 7, seed=q, p=5.0, q=q))
+    yield "grid", enumerate_catalog(gen_grid_instance(GridParams(sqrt_n=4, walk_rate=1.6, capacity=4)))
+    yield "parking-subset", enumerate_catalog(replace(gen_geo_instance(9, 3, p=1.3, q=4), parking_locations=(1, 4, 7, 8)))
+    # no singletons of 1 and 2: the fill adds the subsets itself
+    inst = gen_geo_instance(3, seed=1, p=2.0, q=3)
+    yield "hand-made", ServiceSetCatalog(inst=inst, sets=(ServiceSet((1, 2)), ServiceSet((3,))))
+
+
+@pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+@pytest.mark.parametrize("name", [name for name, _ in _table_cases()])
+def test_walk_cost_table_is_the_permutation_minimum(name, reduced):
+    cat = dict(_table_cases())[name]
+    if reduced:
+        cat = reduce_catalog(cat)
+    table = cat.walk_cost_table()
+    assert np.array_equal(table, loop_walk_costs(cat))
+    for j, s in enumerate(cat.sets):
+        for col, i in enumerate(cat.inst.spots):
+            if np.isfinite(table[j, col]):
+                assert table[j, col] <= walk_tour(cat.inst, i, s.members)[0] <= table[j, col] + 1e-12
+
+
+def test_walk_cost_table_refuses_a_set_above_the_walk_set_cap():
+    inst = gen_geo_instance(14, seed=1, q=13)
+    cat = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1,)), ServiceSet(tuple(range(1, 14)))))
+    with pytest.raises(UnsupportedError):
+        cat.walk_cost_table()
+
+
+def test_walk_cost_table_loads_no_masked_arrays(monkeypatch):
+    # np.unique and np.union1d import numpy.ma, which the fill does not need
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    monkeypatch.setattr(np, "union1d", refuse)
+    cat = reduce_catalog(enumerate_catalog(gen_geo_instance(8, seed=2, q=4)))
+    assert np.array_equal(cat.walk_cost_table(), loop_walk_costs(cat))
+
+
+def test_catalog_masks_past_63_customers():
+    # the masks hold Python ints once a customer's bit leaves int64
+    inst = gen_geo_instance(70, seed=1, q=1)
+    cat = ServiceSetCatalog(inst=inst, sets=(ServiceSet((1,)), ServiceSet((69, 70)), ServiceSet((70,))))
+    assert cat.masks.tolist() == [1, (1 << 68) | (1 << 69), 1 << 69]
+    assert np.array_equal(cat.walk_cost_table(), loop_walk_costs(cat))
+    small = enumerate_catalog(gen_geo_instance(6, seed=1, q=3))
+    assert small.masks.dtype == np.int64
+    assert small.masks.tolist() == [sum(1 << (c - 1) for c in s.members) for s in small.sets]
+
+
+def test_removed_pair_count_of_an_unreduced_catalog_is_zero_at_once(monkeypatch):
+    cat = enumerate_catalog(gen_geo_instance(8, seed=2, q=3))
+    monkeypatch.setattr(ServiceSetCatalog, "admissible", None)
+    assert cat.removed_pair_count() == 0
+    assert cat.admissible_pair_count() == cat.pair_count()
 
 
 @pytest.mark.parametrize(

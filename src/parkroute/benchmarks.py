@@ -255,7 +255,9 @@ def run_benchmarks(inst: Instance, models) -> list[BenchmarkResult]:
 def parse_models(models) -> list[tuple[str, float | None]]:
     """(name, alpha) per benchmark model name: 'npt' and 'mtsp' take no
     alpha, 'ms:<alpha>' needs a number in [0, 1].  Raises UnsupportedError on
-    any other name."""
+    any other name, or when ``models`` names none."""
+    if not models:
+        raise UnsupportedError("no benchmark model named; use npt, mtsp or ms:<alpha> with alpha in [0, 1]")
     parsed: list[tuple[str, float | None]] = []
     for spec in models:
         if spec in ("npt", "mtsp"):

@@ -57,8 +57,8 @@ _EPS = 1e-9
 DP_MAX_CUSTOMERS = 18
 
 # candidate (spot, bundle) pairs the branch-and-bound prices before it stops:
-# searches stopped by it price 0.86-1.07e6 pairs a second at n = 8-10 on a
-# 2-vCPU x86-64 host, so it stands for about 280-350 s there
+# searches stopped by it price 2.9-4.1e6 pairs a second at n = 8-10 on a
+# 2-vCPU x86-64 host, so it stands for about 75-105 s there
 SEARCH_LIMIT = 300_000_000
 
 
@@ -132,7 +132,6 @@ class _Searcher:
         self.n = n
         self.full = (1 << n) - 1
         self.spots = inst.spots
-        self.D = inst.drive
         self.P = inst.park_time
 
         # walk costs per (catalog set, spot), inf where inadmissible; masks[j]: set j, bit b customer b + 1
@@ -166,6 +165,13 @@ class _Searcher:
         for b in range(self.n - 1, -1, -1):
             dsum = np.stack((dsum, dsum + delta[b]), axis=1).ravel()
         self.dsum = dsum
+        # the search reads Python floats, not boxed np.float64 scalars: the
+        # (n+1)^2 drive matrix and the park times as lists, and the 2^n-row
+        # tables through zero-copy memoryviews, one per spot column of bundle
+        self.drive_rows = self.inst.drive.tolist()
+        self.park_list = self.P.tolist()
+        self.walk_cols = [memoryview(self.bundle[:, bi]) for bi in range(len(self.spots))]
+        self.dsum_view = memoryview(dsum)
 
     # -- dynamic program (the drive matrix or its closure) --------------------
 
@@ -319,22 +325,22 @@ class _Searcher:
         if ctl.stopped or ctl.tick((len(self.spots) - visited.bit_count()) << U.bit_count()):
             ctl.abandon(node_lb)
             return
-        D = self.D
+        D, P, dsum = self.drive_rows, self.park_list, self.dsum_view
         kids = []
         for bi, i in enumerate(self.spots):
             if visited >> bi & 1:
                 continue
-            arrive = g + D[loc, i] + self.P[i]
+            arrive = g + D[loc][i] + P[i]
             vis2 = visited | (1 << bi)
             tail_leg = np.inf
             tail_home = np.inf
             for bk, k in enumerate(self.spots):
                 if not (vis2 >> bk & 1):
-                    if D[i, k] < tail_leg:
-                        tail_leg = D[i, k]
-                    if D[k, 0] < tail_home:
-                        tail_home = D[k, 0]
-            walks = self.bundle[:, bi]
+                    if D[i][k] < tail_leg:
+                        tail_leg = D[i][k]
+                    if D[k][0] < tail_home:
+                        tail_home = D[k][0]
+            walks = self.walk_cols[bi]
             A = U
             while A:
                 walk = walks[A]
@@ -342,16 +348,16 @@ class _Searcher:
                     cg = arrive + walk
                     rem = U & ~A
                     if rem == 0:
-                        cand = cg + D[i, 0]
+                        cand = cg + D[i][0]
                         if cand <= ctl.best_value + _EPS:
                             ctl.offer(cand, stops + [i], bundles + [A])
                     else:
-                        lb = cg + self.dsum[rem] + tail_leg + tail_home
+                        lb = cg + dsum[rem] + tail_leg + tail_home
                         if lb <= ctl.best_value + _EPS:
                             kids.append((lb, bi, i, A, cg))
                 A = (A - 1) & U
             if not self.metric_drive and U:
-                lb = arrive + self.dsum[U] + tail_leg + tail_home
+                lb = arrive + dsum[U] + tail_leg + tail_home
                 if lb <= ctl.best_value + _EPS:
                     kids.append((lb, bi, i, 0, arrive))
         kids.sort(key=lambda t: (t[0], t[2], t[3]))

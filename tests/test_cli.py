@@ -287,9 +287,12 @@ def test_benchmark_checks_every_model_name_before_solving(tmp_path, capsys, monk
     main(["gen", "--geo", "-n", "4", "--seed", "1", "-o", str(inst_path)])
     monkeypatch.setattr(parkroute.cli, "load_instance", None)  # nothing may be loaded or solved
     capsys.readouterr()
-    for models in ("npt,bogus", "npt,ms:2", "mtsp,ms:abc"):
+    for models, message in [
+        ("npt,bogus", "unknown benchmark model"), ("npt,ms:2", "unknown benchmark model"),
+        ("mtsp,ms:abc", "unknown benchmark model"), (",", "no benchmark model named"),
+    ]:
         assert main(["benchmark", "--models", models, str(inst_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: unknown benchmark model")
+        assert capsys.readouterr().err.startswith("error: " + message)
 
 
 def test_outputs_are_byte_identical_across_runs(tmp_path):

@@ -298,24 +298,57 @@ def test_budget_exhaustion_keeps_valid_bound(monkeypatch):
 
 def test_a_stopped_search_stops_at_the_same_node_whatever_the_clock_says(monkeypatch):
     # the search limit counts work, so a stopped search's result is a
-    # function of its input: the same on a second run, and the same when
-    # every clock read jumps an hour
+    # function of its input: pinned node for node, the same on a second
+    # run, and the same when every clock read jumps an hour
     inst = _skew(gen_geo_instance(10, 1, p=5, q=3), 1)
     cat = enumerate_catalog(inst)
     monkeypatch.setattr(exact, "SEARCH_LIMIT", 2_000_000)
 
     def outcome():
         res = solve_exact(inst, cat)
-        return res.status, res.value, res.bound, res.nodes
+        return res.status, res.value, res.bound, res.nodes, res.solution.stops
 
     first = outcome()
-    assert first[0] == "feasible"
-    assert first[2] <= first[1]
+    assert first == ("feasible", 83.67392655700792, 82.76322277826966, 11_432, (6, 2, 5))
     assert outcome() == first
     for name in ("monotonic", "perf_counter"):
         ticks = iter(range(0, 10**9, 3600))
         monkeypatch.setattr(time, name, lambda ticks=ticks: float(next(ticks)))
     assert outcome() == first
+
+
+@pytest.mark.parametrize("seed, r, value, nodes, stops", [
+    (1, 3, 39.60390461995722, 18_696, (5, 3, 4, 7, 2, 6, 1)),
+    (8, 0, 36.92447734687476, 16_499, (1, 7, 3, 6, 5, 4)),
+    (8, 9, 35.34390989076377, 10_851, (1, 4, 6, 5, 3, 7, 2)),
+    (11, 2, 48.758808286812034, 19_332, (7, 2, 5, 4, 6, 1, 3)),
+])
+def test_the_search_proves_the_same_optimum_node_for_node(seed, r, value, nodes, stops):
+    # skewed inputs where the closure DP's solution misses its floor and the
+    # branch-and-bound proves the optimum: its value, its tie-broken stops
+    # and its node count are pinned exactly, so any change to the order in
+    # which it prices, bounds or prunes candidates shows up here
+    inst = _skew(gen_geo_instance(7, seed, p=0, q=3), r)
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert (res.status, res.value, res.bound, res.nodes) == ("optimal", value, value, nodes)
+    assert res.solution.stops == stops
+
+
+def test_the_search_views_copy_no_table():
+    # the branch-and-bound reads its 2^n-row tables, bundle (4,096 rows by
+    # 12 spots here) and dsum, through memoryviews, which copy nothing:
+    # without any view setup_search leaves 461,332 bytes allocated, and
+    # lists of the tables' floats would leave 2.1 MB
+    inst = _skew(gen_geo_instance(12, 1, p=5, q=3), 7)
+    searcher = _Searcher(inst, enumerate_catalog(inst))
+    tracemalloc.start()
+    try:
+        searcher.setup_search()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert searcher.bundle.shape == (4096, 12)
+    assert retained <= 1.1 * 461_332
 
 
 def test_restricted_parking_and_empty_coverage():

@@ -53,12 +53,13 @@ from .model import Solution, assemble_solution, structural_violations
 from .servicesets import PartitionTable, ServiceSetCatalog, _set_layers, check_catalog
 
 _EPS = 1e-9
+_INF = float("inf")
 
 DP_MAX_CUSTOMERS = 18
 
 # candidate (spot, bundle) pairs the branch-and-bound prices before it stops:
-# searches stopped by it price 2.9-4.1e6 pairs a second at n = 8-10 on a
-# 2-vCPU x86-64 host, so it stands for about 75-105 s there
+# searches stopped by it price 3.7-5.2e6 pairs a second at n = 8-10 on a
+# 2-vCPU x86-64 host, so it stands for about 58-81 s there
 SEARCH_LIMIT = 300_000_000
 
 
@@ -99,22 +100,14 @@ class _Control:
         self.best_key: tuple | None = None
         self.best_state: tuple | None = None  # (stops, bundles)
 
-    def tick(self, candidates: int) -> bool:
-        """Count a node and its candidates; True once the search must stop."""
-        self.nodes += 1
-        self.work += candidates
-        if self.work >= SEARCH_LIMIT:
-            self.stopped = True
-        return self.stopped
-
     def abandon(self, lb: float) -> None:
         if lb < self.abandoned_lb:
             self.abandoned_lb = lb
 
-    def offer(self, value: float, stops, bundles) -> None:
+    def offer(self, value: float, stops: tuple, bundles: tuple) -> None:
         """Keep the cheapest path; ties go to fewer stops, then smaller stops."""
-        key = (len(stops), tuple(stops))
-        state = (tuple(stops), tuple(bundles))
+        key = (len(stops), stops)
+        state = (stops, bundles)
         if value < self.best_value - _EPS:
             self.best_value, self.best_key, self.best_state = value, key, state
         elif value <= self.best_value + _EPS and key < self.best_key:
@@ -168,10 +161,15 @@ class _Searcher:
         # the search reads Python floats, not boxed np.float64 scalars: the
         # (n+1)^2 drive matrix and the park times as lists, and the 2^n-row
         # tables through zero-copy memoryviews, one per spot column of bundle
-        self.drive_rows = self.inst.drive.tolist()
+        self.drive_rows = D = self.inst.drive.tolist()
         self.park_list = self.P.tolist()
         self.walk_cols = [memoryview(self.bundle[:, bi]) for bi in range(len(self.spots))]
         self.dsum_view = memoryview(dsum)
+        # the tail bounds' minima, sorted once: per spot the (drive to spot k,
+        # column of k) pairs, and the (drive home from k, column of k) pairs;
+        # a node's minimum over its unvisited spots is the first unvisited entry
+        self.legs = [sorted((D[i][k], bk) for bk, k in enumerate(self.spots)) for i in self.spots]
+        self.homes = sorted((D[k][0], bk) for bk, k in enumerate(self.spots))
 
     # -- dynamic program (the drive matrix or its closure) --------------------
 
@@ -320,48 +318,56 @@ class _Searcher:
     # -- branch and bound (any input) ----------------------------------------
 
     def expand(self, ctl: _Control, served: int, visited: int, loc: int, g: float,
-               stops: list[int], bundles: list[int], node_lb: float):
+               stops: tuple[int, ...], bundles: tuple[int, ...], node_lb: float):
         U = self.full & ~served
-        if ctl.stopped or ctl.tick((len(self.spots) - visited.bit_count()) << U.bit_count()):
+        if not ctl.stopped:
+            ctl.nodes += 1
+            ctl.work += (len(self.spots) - visited.bit_count()) << U.bit_count()
+            ctl.stopped = ctl.work >= SEARCH_LIMIT
+        if ctl.stopped:
             ctl.abandon(node_lb)
             return
         D, P, dsum = self.drive_rows, self.park_list, self.dsum_view
+        cut = ctl.best_value + _EPS
         kids = []
         for bi, i in enumerate(self.spots):
             if visited >> bi & 1:
                 continue
             arrive = g + D[loc][i] + P[i]
             vis2 = visited | (1 << bi)
-            tail_leg = np.inf
-            tail_home = np.inf
-            for bk, k in enumerate(self.spots):
-                if not (vis2 >> bk & 1):
-                    if D[i][k] < tail_leg:
-                        tail_leg = D[i][k]
-                    if D[k][0] < tail_home:
-                        tail_home = D[k][0]
+            tail_leg = tail_home = _INF
+            for d, bk in self.legs[bi]:
+                if not vis2 >> bk & 1:
+                    tail_leg = d
+                    break
+            for d, bk in self.homes:
+                if not vis2 >> bk & 1:
+                    tail_home = d
+                    break
             walks = self.walk_cols[bi]
             A = U
             while A:
                 walk = walks[A]
-                if walk < np.inf:
+                if walk < _INF:
                     cg = arrive + walk
                     rem = U & ~A
                     if rem == 0:
                         cand = cg + D[i][0]
-                        if cand <= ctl.best_value + _EPS:
-                            ctl.offer(cand, stops + [i], bundles + [A])
+                        if cand <= cut:
+                            ctl.offer(cand, stops + (i,), bundles + (A,))
+                            cut = ctl.best_value + _EPS
                     else:
                         lb = cg + dsum[rem] + tail_leg + tail_home
-                        if lb <= ctl.best_value + _EPS:
-                            kids.append((lb, bi, i, A, cg))
+                        if lb <= cut:
+                            kids.append((lb, i, A, bi, cg))
                 A = (A - 1) & U
             if not self.metric_drive and U:
                 lb = arrive + dsum[U] + tail_leg + tail_home
-                if lb <= ctl.best_value + _EPS:
-                    kids.append((lb, bi, i, 0, arrive))
-        kids.sort(key=lambda t: (t[0], t[2], t[3]))
-        for lb, bi, i, A, cg in kids:
+                if lb <= cut:
+                    kids.append((lb, i, 0, bi, arrive))
+        # (i, A) is unique within a node, so bi and cg never decide the order
+        kids.sort()
+        for lb, i, A, bi, cg in kids:
             if ctl.stopped:
                 ctl.abandon(lb)
                 continue
@@ -369,7 +375,7 @@ class _Searcher:
                 continue
             self.expand(
                 ctl, served | A, visited | (1 << bi), i, cg,
-                stops + [i], bundles + [A], lb,
+                stops + (i,), bundles + (A,), lb,
             )
 
     # -- reconstruction -----------------------------------------------------
@@ -418,7 +424,7 @@ def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
         ctl.offer(sol.total, stops, bundles)
     # search in completion-time space: the constant loading term is folded in
     # up front so incumbent totals and bounds are directly comparable
-    searcher.expand(ctl, 0, 0, 0, load, [], [], floor)
+    searcher.expand(ctl, 0, 0, 0, load, (), (), floor)
 
     if ctl.best_state is None:
         return ExactResult(solution=None, status="timeout", bound=floor, value=None, nodes=ctl.nodes)

@@ -15,10 +15,11 @@ from brutes import (
 from parkroute.benchmarks import modified_tsp
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedError
 from parkroute import exact, servicesets
+from parkroute.cli import main
 from parkroute.exact import _Searcher, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.heuristic import heuristic_solve, heuristic_solve_full, solve_ssa
-from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance
+from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance, save_instance
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model, evaluate_solution
 from parkroute.servicesets import (
     PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog,
@@ -315,6 +316,28 @@ def test_a_stopped_search_stops_at_the_same_node_whatever_the_clock_says(monkeyp
         ticks = iter(range(0, 10**9, 3600))
         monkeypatch.setattr(time, name, lambda ticks=ticks: float(next(ticks)))
     assert outcome() == first
+
+
+def test_a_search_stopped_before_any_incumbent_times_out(monkeypatch, tmp_path, capsys):
+    # a decode tie leaves the search without the DP's solution, and a limit
+    # of one candidate stops it at its root: no incumbent, the floor as the
+    # bound, and the CLI's exit code 4
+    inst = _skew(gen_geo_instance(7, 1, p=0, q=3), 3)
+
+    def tie(self, d_depot, target):
+        raise exact._ReconstructionTie
+
+    monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
+    monkeypatch.setattr(exact, "SEARCH_LIMIT", 1)
+    res = solve_exact(inst, enumerate_catalog(inst))
+    assert (res.status, res.solution, res.value) == ("timeout", None, None)
+    assert (res.bound, res.nodes) == (39.600638176591914, 1)
+
+    path = tmp_path / "n7-skewed.json"
+    save_instance(inst, path)
+    assert main(["solve", "--method", "exact", str(path), "-o", str(tmp_path / "sol.json")]) == 4
+    assert capsys.readouterr().err == "no incumbent found (bound 39.600638)\n"
+    assert not (tmp_path / "sol.json").exists()
 
 
 @pytest.mark.parametrize("seed, r, value, nodes, stops", [

@@ -192,6 +192,8 @@ def _parse_sweep(text: str) -> list[float]:
         raise ParkrouteError(f"sweep numbers must be finite, got {text!r}")
     if step <= 0:
         raise ParkrouteError("sweep step must be positive")
+    if start > stop + 1e-12:  # the first point already lies past the stop
+        raise ParkrouteError(f"sweep {text!r} has no points: its start is above its stop")
     span = (stop + 1e-12 - start) / step  # the sweep has floor(span) + 1 points, give or take rounding
     if span >= MAX_SWEEP_POINTS:
         raise ParkrouteError(f"sweep {text!r} has more than {MAX_SWEEP_POINTS} points")

@@ -4,14 +4,13 @@ Stage 1 (PA-R) opens parking spots and assigns every customer to one, trading
 the per-spot search time against one-way walking distances.  Up to
 ``PAR_EXACT_SPOTS`` = 13 spots it is exact: one numpy table prices every
 opening at once.  With more spots an add/drop/swap local search from the
-all-open set decides, flagged non-exact.  It prices its neighbourhood from
-one per-customer table of the cheapest and second-cheapest opened walk, a
-scan per numpy step, and takes the moves of a loop that prices one
-candidate at a time, bit for bit.  The vehicle is then routed over
+all-open set decides, flagged non-exact.  One cost rule sums m search times
+and n walks per opening, so a numpy step prices a whole neighbourhood as row
+sums, bit for bit the per-candidate costs.  The vehicle is then routed over
 the opened spots.  Stage 2 (SSA) optimally partitions each spot's customers
-into walking sets with the shared subset-partition table.
-The stages are independent subproblems, so the pipeline is fast and its
-output is always feasible.
+into walking sets with the shared subset-partition table.  The stages are
+independent subproblems, so the pipeline is fast and its output is always
+feasible.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ from .tsp import solve_tsp
 _EPS = 1e-9
 
 PAR_EXACT_SPOTS = 13  # PA-R enumerates every opening up to this many spots
-PROBE = 3  # flips PA-R's local search prices one call at a time before a numpy step
-SWAP_BLOCK = 1 << 18  # walk cells priced per swap step; bounds its temporaries
 
 
 @dataclass
@@ -46,10 +43,12 @@ class ParkingAssignment:
 
 
 def _assignment_cost(W: np.ndarray, park: np.ndarray, open_mask: np.ndarray) -> float:
+    """Search time of the opened spots plus each customer's cheapest walk to
+    one, as sums of m park entries (0.0 where closed) and n walks: a row sum
+    over a table of candidates is each candidate's own cost, bit for bit."""
     if not open_mask.any():
         return float("inf")
-    walk = W[open_mask].min(axis=0).sum()
-    return float(park[open_mask].sum() + walk)
+    return float(np.where(open_mask, park, 0.0).sum() + W[open_mask].min(axis=0).sum())
 
 
 def _best_opening(W: np.ndarray, park: np.ndarray) -> np.ndarray:
@@ -76,101 +75,49 @@ def _best_opening(W: np.ndarray, park: np.ndarray) -> np.ndarray:
 
 
 def _nearest(W: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The opened rows of ``mask`` and, per customer, the cheapest walk to
-    one of them, the position in the opened rows that attains it first, and
-    the cheapest walk once that row closes (inf when it is the only one)."""
+    """Per customer: the cheapest walk to an opened spot, the first spot that
+    attains it, and the cheapest walk once that spot closes (inf when it is
+    the only one)."""
     opened = np.flatnonzero(mask)
-    sub = W[opened]
-    first = sub.argmin(axis=0)
-    cols = np.arange(sub.shape[1])
-    b1 = sub[first, cols]
-    sub[first, cols] = np.inf
-    return opened, b1, first, sub.min(axis=0)
-
-
-def _drop_walks(b1: np.ndarray, first: np.ndarray, b2: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row r: every customer's cheapest walk once opened row lo + r closes."""
-    walk = np.repeat(b1[None], hi - lo, axis=0)
-    hit = np.flatnonzero((first >= lo) & (first < hi))
-    walk[first[hit] - lo, hit] = b2[hit]
-    return walk
-
-
-def _dropped(rows: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """``rows`` (..., L) without the entry at ``pos``, broadcast over pos's axes."""
-    keep = np.arange(rows.shape[-1]) != pos[..., None]
-    return np.broadcast_to(rows, keep.shape)[keep].reshape(pos.shape + (rows.shape[-1] - 1,))
-
-
-def _inserted(row: np.ndarray, pos: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Row i: ``row`` with ``new[i]`` inserted before its entry ``pos[i]``."""
-    slot = np.arange(len(row) + 1) == pos[:, None]
-    out = np.empty(slot.shape)
-    out[slot] = new
-    out[~slot] = np.tile(row, len(pos))
-    return out
+    walk = W[opened]
+    first, b1 = walk.argmin(axis=0), walk.min(axis=0)
+    walk[first, np.arange(W.shape[1])] = np.inf
+    return b1, opened[first], walk.min(axis=0)
 
 
 def _flip_costs(W: np.ndarray, park: np.ndarray, mask: np.ndarray, start: int) -> np.ndarray:
     """``_assignment_cost`` of ``mask`` with spot t flipped, for every
     t >= start, in one numpy step.  Dropping t walks the second-cheapest
-    opened spot where t was the cheapest; adding u walks the cheaper of the
-    two.  Each candidate sums one contiguous row holding the values its own
-    ``_assignment_cost`` call sums, in the same order, so the costs are
-    bit-identical."""
-    opened, b1, first, b2 = _nearest(W, mask)
-    pv = park[opened]
-    i0 = int(np.searchsorted(opened, start))
-    adds = np.flatnonzero(~mask[start:]) + start
-    cost = np.empty(len(mask) - start)
-    walk = _drop_walks(b1, first, b2, i0, len(opened)).sum(axis=1)
-    cost[opened[i0:] - start] = _dropped(pv, np.arange(i0, len(opened))).sum(axis=1) + walk
-    walk = np.minimum(b1, W[adds]).sum(axis=1)
-    cost[adds - start] = _inserted(pv, np.searchsorted(opened, adds), park[adds]).sum(axis=1) + walk
-    return cost
-
-
-def _first_flip(W: np.ndarray, park: np.ndarray, mask: np.ndarray, start: int, best: float):
-    """The first spot t >= start whose flip costs below ``best - _EPS``, as
-    (t, cost), or None.  Right after an accepted flip the next one often
-    improves too, so the first ``PROBE`` spots are priced by one
-    ``_assignment_cost`` call each, which is cheaper than a numpy step; the
-    rest by one ``_flip_costs`` step."""
-    for t in range(start, min(start + PROBE, len(mask))):
-        cand = mask.copy()
-        cand[t] = not cand[t]
-        c = _assignment_cost(W, park, cand)
-        if c < best - _EPS:
-            return t, c
-    start += PROBE
-    if start >= len(mask):
-        return None
-    cost = _flip_costs(W, park, mask, start)
-    hit = np.flatnonzero(cost < best - _EPS)
-    return (start + int(hit[0]), float(cost[hit[0]])) if len(hit) else None
+    opened spot where t was the cheapest; adding t walks the cheaper of the
+    two.  An open t's walk row ``min(b1, W[t])`` is b1, as t is opened."""
+    b1, first, b2 = _nearest(W, mask)
+    t = np.arange(start, len(mask))
+    parks = np.tile(np.where(mask, park, 0.0), (len(t), 1))
+    parks[np.arange(len(t)), t] = np.where(mask[t], 0.0, park[t])
+    walks = np.minimum(b1, W[start:])
+    hit = np.flatnonzero(first >= start)
+    walks[first[hit] - start, hit] = b2[hit]
+    return parks.sum(axis=1) + walks.sum(axis=1)
 
 
 def _first_swap(W: np.ndarray, park: np.ndarray, mask: np.ndarray, best: float):
     """The first (open t, closed u) swap in row-major order whose
     ``_assignment_cost`` is below ``best - _EPS``, as (t, u, cost), or None.
-    Priced like ``_flip_costs``, a block of open rows of at most
-    ``SWAP_BLOCK`` walk cells per numpy step."""
-    opened, b1, first, b2 = _nearest(W, mask)
+    Each step prices one open t against every closed u."""
     closed = np.flatnonzero(~mask)
     if not len(closed):
         return None
-    pos = np.searchsorted(opened, closed)
-    added = _inserted(park[opened], pos, park[closed])
-    step = max(1, SWAP_BLOCK // (len(closed) * W.shape[1]))
-    for lo in range(0, len(opened), step):
-        hi = min(lo + step, len(opened))
-        walk = np.minimum(_drop_walks(b1, first, b2, lo, hi)[:, None, :], W[closed]).sum(axis=2)
-        at = np.arange(lo, hi)[:, None]
-        cost = _dropped(added, at + (pos <= at)).sum(axis=2) + walk
+    b1, first, b2 = _nearest(W, mask)
+    parks = np.tile(np.where(mask, park, 0.0), (len(closed), 1))
+    parks[np.arange(len(closed)), closed] = park[closed]
+    adds = W[closed]
+    for t in np.flatnonzero(mask).tolist():
+        row = parks.copy()
+        row[:, t] = 0.0
+        cost = row.sum(axis=1) + np.minimum(np.where(first == t, b2, b1), adds).sum(axis=1)
         hit = np.flatnonzero(cost < best - _EPS)
         if len(hit):
-            i, j = divmod(int(hit[0]), len(closed))
-            return int(opened[lo + i]), int(closed[j]), float(cost[i, j])
+            return t, int(closed[hit[0]]), float(cost[hit[0]])
     return None
 
 
@@ -182,32 +129,27 @@ def local_search(W: np.ndarray, park: np.ndarray, mask: np.ndarray) -> np.ndarra
     the new opening.  Passes repeat while one improves; when a pass does not,
     the first improving (open, closed) swap in row-major order is taken, up
     to 60 spots.  The moves and costs are those of a loop that calls
-    ``_assignment_cost`` once per candidate.  ``_first_flip`` prices the next
-    ``PROBE`` flips that way and the rest of the pass in one numpy step;
-    ``_first_swap`` prices every swap in one step per block.
+    ``_assignment_cost`` once per candidate.
     """
-    m = len(mask)
+    m, mask = len(mask), mask.copy()
     best = _assignment_cost(W, park, mask)
     improved = True
     while improved:
         improved = False
         t = 0
         while t < m:
-            hit = _first_flip(W, park, mask, t, best)
-            if hit is None:
+            cost = _flip_costs(W, park, mask, t)
+            hit = np.flatnonzero(cost < best - _EPS)
+            if not len(hit):
                 break
-            t, best = hit
-            mask = mask.copy()
+            t, best = t + int(hit[0]), float(cost[hit[0]])
             mask[t] = not mask[t]
             improved = True
             t += 1
-        if m <= 60 and not improved:
-            swap = _first_swap(W, park, mask, best)
-            if swap is not None:
-                t, u, best = swap
-                mask = mask.copy()
-                mask[t], mask[u] = False, True
-                improved = True
+        swap = _first_swap(W, park, mask, best) if m <= 60 and not improved else None
+        if swap is not None:
+            t, u, best = swap
+            mask[t], mask[u], improved = False, True, True
     return mask
 
 
@@ -219,10 +161,9 @@ def solve_par(inst: Instance) -> ParkingAssignment:
     ``PAR_EXACT_SPOTS`` spots every opening is enumerated at once
     (``proof=True``); ties prefer fewer opened spots, then the
     lexicographically smallest spot set.  Above that limit ``local_search``
-    decides from the all-open set (``proof=False``), pricing each scan of its
-    add/drop/swap neighbourhood in one numpy step; it tries swaps only up to
-    60 spots.  A customer's spot is the first opened one within _EPS of its
-    cheapest walk.
+    decides from the all-open set (``proof=False``); it tries swaps only up
+    to 60 spots.  A customer's spot is the first opened one within _EPS of
+    its cheapest walk.
     """
     spots = inst.spots
     m = len(spots)
@@ -348,23 +289,15 @@ def heuristic_solve_full(
     check_catalog(inst, cat)
     pa = solve_par(inst)
     stops, _, routing_exact = route_parking(inst, pa.opened)
-    assigned: dict[int, list[int]] = {s: [] for s in stops}
-    for c, s in pa.assign.items():
-        assigned[s].append(c)
-    served = []
-    ssa_exact = True
-    for s in stops:
-        orders, _, exact = solve_ssa(inst, cat, s, assigned[s])
-        ssa_exact = ssa_exact and exact
-        served.append(tuple(orders))
-    solution = assemble_solution(inst, stops, served)
+    splits = [solve_ssa(inst, cat, s, [c for c, a in pa.assign.items() if a == s]) for s in stops]
+    solution = assemble_solution(inst, stops, [tuple(orders) for orders, _, _ in splits])
     return TwoEchelonResult(
         solution=solution,
         opened=pa.opened,
         assignment_objective=pa.objective,
         par_exact=pa.proof,
         routing_exact=routing_exact,
-        ssa_exact=ssa_exact,
+        ssa_exact=all(exact for *_, exact in splits),
     )
 
 

@@ -351,6 +351,8 @@ def instance_from_dict(doc: dict) -> Instance:
         raise InstanceFormatError(f"drive matrix must be {(n + 1, n + 1)}, got {drive.shape}")
     if walk.shape != (n, n):
         raise InstanceFormatError("walk matrix dimension mismatch")
+    if doc.get("parking") == []:  # the constructor reads an empty tuple as every customer
+        raise InstanceFormatError("parking must list at least one customer id; omit it to park at every customer")
     parking, meta = doc.get("parking", []), doc.get("meta", {})
     if not isinstance(parking, list):
         raise InstanceFormatError(f"parking must be a list of customer ids, got {parking!r}")

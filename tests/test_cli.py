@@ -214,6 +214,15 @@ def test_grid_sweep_with_too_many_points_is_an_error(tmp_path, capsys, monkeypat
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("sweep", ["p=5:1:1", "p=2:0.5:1.999"])
+def test_grid_sweep_with_no_points_is_an_error(tmp_path, capsys, sweep):
+    # a start above the stop used to write a header-only CSV and exit 0
+    out_csv = tmp_path / "grid.csv"
+    assert main(["grid", "--q", "2", "--sqrt-n", "2", "--sweep", sweep, "-o", str(out_csv)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: sweep {sweep!r} has no points")
+    assert not out_csv.exists()
+
+
 def test_a_sweep_at_the_point_limit_is_built():
     values = parkroute.cli._parse_sweep(f"p=1:1:{parkroute.cli.MAX_SWEEP_POINTS}")
     assert len(values) == parkroute.cli.MAX_SWEEP_POINTS and values[-1] == parkroute.cli.MAX_SWEEP_POINTS

@@ -76,12 +76,15 @@ def test_par_neighbourhood_prices_are_bit_identical_to_assignment_cost():
     for m, n in ((14, 14), (20, 33), (45, 60)):
         W = rng.uniform(0.0, 30.0, (m, n))
         park = rng.uniform(0.1, 12.0, m)
-        for trial in range(6):
-            mask = rng.random(m) < rng.uniform(0.2, 0.9)
-            if trial == 0:
-                mask[:] = False  # one spot open: dropping it costs inf
-            mask[rng.integers(m)] = True
-            start = int(rng.integers(m))
+        for trial in range(7):
+            if trial < 6:
+                mask = rng.random(m) < rng.uniform(0.2, 0.9)
+                if trial == 0:
+                    mask[:] = False  # one spot open: dropping it costs inf
+                mask[rng.integers(m)] = True
+                start = int(rng.integers(m))
+            else:  # every spot open: no swap exists, so _first_swap returns None
+                mask, start = np.ones(m, dtype=bool), 0
             loop = []
             for t in range(start, m):
                 cand = mask.copy()
@@ -94,7 +97,8 @@ def test_par_neighbourhood_prices_are_bit_identical_to_assignment_cost():
                     cand = mask.copy()
                     cand[t], cand[u] = False, True
                     pairs.append((int(t), int(u), _assignment_cost(W, park, cand)))
-            for best in (np.inf, *np.quantile([c for *_, c in pairs], [0.0, 0.5]) + 2e-9):
+            bests = (np.inf, *np.quantile([c for *_, c in pairs], [0.0, 0.5]) + 2e-9) if pairs else (np.inf,)
+            for best in bests:
                 expect = next(((t, u, c) for t, u, c in pairs if c < best - 1e-9), None)
                 assert _first_swap(W, park, mask, best) == expect
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from parkroute.cli import main
 from parkroute.errors import InfeasibleInstanceError, InstanceFormatError, UnsupportedError
 from parkroute.instance import (
     GridParams,
@@ -90,6 +91,18 @@ def test_non_finite_json_literal_rejected(tmp_path, field, literal):
     path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in doc.items()) + "}")
     with pytest.raises(InstanceFormatError):
         load_instance(path)
+
+
+def test_an_empty_parking_list_is_refused_not_read_as_every_customer(tmp_path, capsys):
+    doc = {"n": 2, "drive": [[0, 1, 2], [1, 0, 1], [2, 1, 0]], "walk": [[0, 1], [1, 0]], "park_time": [1, 1], "q": 2}
+    assert load_instance(json.dumps(doc)).spots == (1, 2)  # no key: every customer is a spot
+    with pytest.raises(InstanceFormatError, match="at least one customer id"):
+        load_instance(json.dumps(dict(doc, parking=[])))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(dict(doc, parking=[])))
+    assert main(["solve", str(path), "-o", str(tmp_path / "sol.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: parking must list at least one customer id")
+    assert not (tmp_path / "sol.json").exists()
 
 
 def test_round_trip_identity(tmp_path):

@@ -224,11 +224,12 @@ class _Searcher:
 
     def _b_row(self, mask: int) -> np.ndarray:
         """B[mask] from the fill's operands in the fill's order, so the fill's
-        row bit for bit; memoized for the decode in a dict of rows alone."""
+        row bit for bit: the drive-on minimum in one step over ``_drive_on``'s
+        sums; memoized for the decode in a dict of rows alone."""
         if mask not in self._rows:
             fit = np.flatnonzero((self.masks & ~mask) == 0)
             c = np.min(self.costs[fit] + self.F[mask ^ self.masks[fit]], axis=0, initial=np.inf)
-            self._rows[mask] = self._drive_on(c[None])[0]
+            self._rows[mask] = (c + self.park + self.d_spot).min(axis=1)
         return self._rows[mask]
 
     def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> set[tuple[int, int]]:

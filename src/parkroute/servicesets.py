@@ -12,13 +12,16 @@ loop up to ``ORDER_LOOP_MAX`` customers, Held-Karp above; its cost lies within
 walking sets at least cost, per parking spot; the exact solver and the
 heuristic's set assignment both read their splits from it.  It fills its
 table with ``_set_layers``, the one subset fill, which the exact DP's
-completion step reads too.
+completion step reads too.  The fill reads set-bit positions from the plan
+of ``tsp.layer_runs``, one byte per (mask, set bit), built once per n, and
+each layer's small subsets, built once per process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain, combinations, pairwise, permutations
 
 import numpy as np
@@ -224,15 +227,18 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
 # ---------------------------------------------------------------------------
 # subset partition
 
+@cache
 def _small_subsets(bits: int, largest: int, lowest: bool) -> np.ndarray:
     """The nonempty subsets of at most ``largest`` of ``bits`` positions,
-    smallest first, as a (min(bits, largest), count) array: column i lists
-    subset i's positions, its last one repeated to fill the column; with
-    ``lowest``, only those holding position 0."""
+    smallest first, as a read-only (min(bits, largest), count) ``uint8`` array:
+    column i lists subset i's positions, its last one repeated to fill the
+    column; with ``lowest``, only those holding position 0."""
     width = min(bits, largest)
     subsets = [s + s[-1:] * (width - k) for k in range(1, width + 1)
                for s in combinations(range(bits), k) if s[0] == 0 or not lowest]
-    return np.array(subsets, dtype=np.intp).T
+    table = np.array(subsets, dtype=np.uint8).T
+    table.flags.writeable = False
+    return table
 
 
 def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, table: np.ndarray, lowest: bool):
@@ -263,8 +269,8 @@ def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, tabl
         least = np.empty((len(M), cols))
         for i in range(0, len(M), step):
             m = M[i:i + step]
-            # A[k, j]: the k-th small subset of m[j], the OR of its set bits
-            A = np.bitwise_or.reduce(np.left_shift(1, pos[i:i + step].T[subsets]), axis=0)
+            # A[k, j]: the k-th small subset of m[j], the OR of its bit values
+            A = np.bitwise_or.reduce(np.left_shift(np.int64(1), pos[i:i + step]).T[subsets], axis=0)
             for lo in range(0, len(A), 2 * CHUNK):  # one pass unless the block is one mask
                 a = A[lo:lo + 2 * CHUNK]
                 v = np.take(walk, np.take(row, a.ravel()), axis=0)

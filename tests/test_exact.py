@@ -533,6 +533,21 @@ def test_layered_tables_equal_the_per_mask_loops(case, reduced):
     assert np.allclose(rebuilt, per_mask, atol=1e-9, rtol=0)
 
 
+@pytest.mark.parametrize("make", [lambda: gen_geo_instance(9, 1, p=5.0, q=3),
+                                  lambda: _skew(gen_geo_instance(7, 1, p=0, q=3), 3)], ids=["geo-n9", "skewed-n7"])
+def test_b_row_takes_the_drive_on_minimum_of_the_fill_bit_for_bit(make):
+    # the decode's one-step drive-on row against the fill's column-by-column
+    # step, from the same C row, for every mask (the closure on skewed-n7)
+    inst = make()
+    searcher = _Searcher(inst, enumerate_catalog(inst))
+    searcher.solve_dp()
+    searcher._rows = {}
+    for mask in range(searcher.full + 1):
+        fit = np.flatnonzero((searcher.masks & ~mask) == 0)
+        c = np.min(searcher.costs[fit] + searcher.F[mask ^ searcher.masks[fit]], axis=0, initial=np.inf)
+        assert np.array_equal(searcher._b_row(mask), searcher._drive_on(c[None])[0]), mask
+
+
 @pytest.mark.parametrize("case", ["geo-n6", "weight-volume", "grid-4x4-first-9", "geo-n11-q6"],
                          ids=lambda case: f"False-{case}")
 def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):

@@ -1,0 +1,47 @@
+"""Exact solutions pinned byte for byte.
+
+``golden/`` holds the solution JSONs that ``parkroute solve --method exact``
+writes for three instances, with ``config.instance`` (the input's path)
+dropped.  A change to the DP, its decode or the branch-and-bound that moves
+any answer, bound or node count fails here.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from parkroute.cli import main
+from parkroute.instance import gen_geo_instance, save_instance
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _skewed_n7():
+    # CI's skewed n = 7 input, whose closure DP misses its floor
+    base = gen_geo_instance(7, 1, p=0.0, q=3)
+    skew = np.random.default_rng(3).uniform(1.0, 1.6, size=base.drive.shape)
+    return replace(base, drive=base.drive * skew)
+
+
+INSTANCES = {
+    "geo-n12-s1": lambda: gen_geo_instance(12, 1, p=5.0, q=3),
+    "geo-n13-s1": lambda: gen_geo_instance(13, 1, p=5.0, q=3),
+    "skewed-n7": _skewed_n7,
+}
+
+
+def solve_document(tmp_path, name):
+    """The text ``solve --method exact`` writes for instance ``name``, without ``config.instance``."""
+    save_instance(INSTANCES[name](), tmp_path / "instance.json")
+    assert main(["solve", "--method", "exact", str(tmp_path / "instance.json"), "-o", str(tmp_path / "out.json")]) == 0
+    doc = json.loads((tmp_path / "out.json").read_text())
+    del doc["config"]["instance"]
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", list(INSTANCES))
+def test_exact_solutions_match_the_golden_files_byte_for_byte(tmp_path, name):
+    assert solve_document(tmp_path, name) == (GOLDEN / f"solve-exact-{name}.json").read_text()

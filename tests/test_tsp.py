@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from brutes import loop_held_karp_cycle, loop_nearest_neighbor_cycle, loop_or_opt, loop_two_opt
+from parkroute import tsp
 from parkroute.errors import ResourceLimitError
 from parkroute.tsp import (
+    CHUNK,
     held_karp_cycle,
     layer_runs,
     nearest_neighbor_cycle,
@@ -37,6 +39,28 @@ def test_layer_runs_walk_each_layer_once_in_increasing_order(n, layers, step):
     for M, pos in runs:
         assert 1 <= len(M) <= step(pos.shape[1])
         assert pos.tolist() == [[b for b in range(n) if m >> b & 1] for m in M.tolist()]
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+@pytest.mark.parametrize("step", [lambda _: CHUNK, lambda bits: CHUNK // bits], ids=["fill", "held-karp"])
+def test_layer_runs_read_one_read_only_plan_per_n(n, step):
+    # the step rules of the DP fill and Held-Karp: each run's positions give
+    # back its masks through int64 shifts (a uint8 shift wraps past bit 7),
+    # lowest bit first, and a second walk reads the same plan
+    first = list(layer_runs(n, range(1, n + 1), step))
+    assert sum(len(M) for M, _ in first) == 2**n - 1
+    for M, pos in first:
+        assert pos.dtype == np.uint8
+        assert not M.flags.writeable and not pos.flags.writeable
+        assert np.array_equal(np.bitwise_or.reduce(np.left_shift(np.int64(1), pos), axis=1), M)
+        assert (np.diff(pos.astype(int), axis=1) > 0).all()
+    again = list(layer_runs(n, range(1, n + 1), step))
+    assert len(again) == len(first)
+    for (M, pos), (M2, pos2) in zip(first, again):
+        assert np.array_equal(M, M2) and np.array_equal(pos, pos2)
+        assert np.shares_memory(pos, pos2)
+    if n == 16:  # one byte per (mask, set bit)
+        assert sum(pos.nbytes for _, pos in tsp._LAYERS[16]) == 16 * 2**15
 
 
 def _brute_cycle(dist):

@@ -9,7 +9,11 @@ the subset fill ``PartitionTable`` shares: it yields the walk-then-finish
 minimum one run of masks of a popcount layer at a time, and the DP adds its
 park and drive terms to each run.  The decode reads the same per-set
 transitions back, one catalog set per step; a stop's bundle is the union of
-the sets walked there.
+the sets walked there.  The fill and the decode are one kernel,
+``_Completion``, of its operands alone: the sets' bit masks and walk costs,
+each spot column's park time, the column-to-column legs, an exit leg per
+column for the fill and an entry leg per column for its value and decode.
+``solve_exact`` gives it the depot's legs.
 
 On a metric drive matrix revisits and pass-through stops (stops that park
 and serve no one) never improve, so the DP's solution is optimal.  Off the
@@ -18,14 +22,14 @@ the matrix's shortest-path closure instead.  The closure is never above the
 true matrix and prices a detour through a pass-through stop without its park
 time, so the DP's value is a proven floor.  Its solution, costed on the true
 matrix, is optimal when it meets the floor; otherwise it is the incumbent of
-a depth-first branch-and-bound over parking sequences whose root bound is
-the floor.  The search's per-node bound combines the unavoidable drive legs
-with a per-customer share of the cheapest admissible walk-plus-park
-increment, which stays admissible on any input, and it allows pass-through
-stops exactly when the drive matrix breaks the triangle inequality.  Either
-path accepts at most ``DP_MAX_CUSTOMERS`` = 18 customers: the DP's one
-table holds 2^n rows per spot, and the branch-and-bound proves nothing that
-large within ``SEARCH_LIMIT``.
+a depth-first branch-and-bound, ``_Searcher``, over parking sequences whose
+root bound is the floor.  The search's per-node bound combines the
+unavoidable drive legs with a per-customer share of the cheapest admissible
+walk-plus-park increment, which stays admissible on any input, and it allows
+pass-through stops exactly when the drive matrix breaks the triangle
+inequality.  Either path accepts at most ``DP_MAX_CUSTOMERS`` = 18
+customers: the DP's one table holds 2^n rows per spot, and the
+branch-and-bound proves nothing that large within ``SEARCH_LIMIT``.
 
 The search stops on a count of work, not on a clock: each node adds its
 candidate (spot, bundle) pairs, its unvisited spots times the 2^|unserved|
@@ -34,10 +38,11 @@ reaches ``SEARCH_LIMIT``.  A stopped search thus ends at the same node on
 every machine, and the solve's output depends on its input alone.
 
 The branch-and-bound prices bundles from one dense
-``servicesets.PartitionTable`` over all customers and spots, built only when
-that search runs.  A solution's stops are split into walking sets by the
-heuristic's per-spot set partition, ``heuristic.solve_ssa``, over each stop's
-own bundle, which gives the same split as the dense table.
+``servicesets.PartitionTable`` over all customers and spots; ``_Searcher``
+is built only when that search runs.  A solution's stops are split into
+walking sets by the heuristic's per-spot set partition,
+``heuristic.solve_ssa``, over each stop's own bundle, which gives the same
+split as the dense table.
 """
 
 from __future__ import annotations
@@ -115,111 +120,50 @@ class _Control:
             self.best_key, self.best_state = key, state
 
 
-class _Searcher:
-    def __init__(self, inst: Instance, cat: ServiceSetCatalog):
-        n = inst.n
-        if n > DP_MAX_CUSTOMERS:
-            raise ResourceLimitError(f"exact search supports up to {DP_MAX_CUSTOMERS} customers, got {n}")
-        self.inst = inst
-        self.cat = cat
-        self.n = n
-        self.full = (1 << n) - 1
-        self.spots = inst.spots
-        self.P = inst.park_time
+class _Completion:
+    """The completion DP and its decode, over ``n`` customer bits and the
+    spot columns of its operands: set j holds the bits of ``masks[j]`` and
+    walks ``costs[j, k]`` from column k (inf where it may not), its largest
+    set holds ``largest`` bits, parking at column k takes ``park[k]``,
+    driving from column j to k ``legs[j, k]``, and the route leaves column k
+    by ``exit[k]``.  It reads no instance, catalog or depot: the caller
+    gives each column's entry leg to ``value`` and ``decode``, and the decode
+    breaks ties by column, so columns in ascending spot id break them by spot.
 
-        # walk costs per (catalog set, spot), inf where inadmissible; masks[j]: set j, bit b customer b + 1
-        self.costs = costs = cat.walk_cost_table()
-        self.masks = cat.masks
-        covered = int(np.bitwise_or.reduce(self.masks[np.isfinite(costs).any(axis=1)]))
-        missing = [c for c in inst.customers if not covered >> (c - 1) & 1]
-        if missing:
-            raise InfeasibleInstanceError(f"customers {missing} appear in no admissible set")
+    B[mask, j] is the cheapest way to serve ``mask`` and leave, starting
+    parked at column j.  A transition walks one set.  F[mask, k] is the
+    cheapest way to finish ``mask`` once parked at column k: drive on,
+    B[mask, k], or walk a set S from k and finish ``mask ^ S`` from there,
+    C[mask, k] = min over sets S of walk[S, k] + F[mask ^ S, k].  So
+    C[mask, k] walks the cheapest split of some nonempty bundle from k before
+    driving on, and parking at k first costs qp[mask, k] = C[mask, k] +
+    park[k].  A mask reads only masks with fewer customers: ``_set_layers``
+    yields C a run of one popcount layer at a time, reading F, and each run's
+    F rows are written before the next run is drawn; only F is kept, and the
+    decode rebuilds the B rows it reads.  It needs distinct sets.
 
-        # off the triangle inequality the branch-and-bound lets a stop pass
-        # through, serving no one, and the DP drives on the closure instead
-        self.metric_drive = _triangle_stats(inst.drive)[0] == 0
-        self.D_dp = inst.drive if self.metric_drive else _closure(inst.drive)
+    The DP allows revisits and pass-through stops.  On metric legs neither
+    improves a route, so the value is the optimum; otherwise it is a floor."""
 
-    def setup_search(self):
-        """The branch-and-bound's tables.  bundle[A, s]: walk cost of bundle A
-        from spot column s, inf where A cannot be served from there.
-        dsum[mask]: the summed per-customer share of the cheapest
-        walk-plus-park increment over the customers of ``mask``; a customer's
-        share is the least, over its sets and the spots, of the set's walk
-        cost divided by its size plus the spot's park time divided by n."""
-        self.bundle = PartitionTable(self.inst.customers, [s.members for s in self.cat.sets], self.costs).value
-        sizes = np.array([s.size for s in self.cat.sets])
-        share = (self.costs / sizes[:, None] + self.P[list(self.spots)] / self.n).min(axis=1)
-        holds = (self.masks[:, None] >> np.arange(self.n) & 1) == 1
-        delta = np.where(holds, share[:, None], np.inf).min(axis=0)  # per bit
-        # dsum[mask] = dsum[mask minus its lowest bit] + delta[lowest bit]:
-        # double over the bits from the highest down, interleaving each new bit
-        dsum = np.zeros(1)
-        for b in range(self.n - 1, -1, -1):
-            dsum = np.stack((dsum, dsum + delta[b]), axis=1).ravel()
-        self.dsum = dsum
-        # the search reads Python floats, not boxed np.float64 scalars: the
-        # (n+1)^2 drive matrix and the park times as lists, and the 2^n-row
-        # tables through zero-copy memoryviews, one per spot column of bundle
-        self.drive_rows = D = self.inst.drive.tolist()
-        self.park_list = self.P.tolist()
-        self.walk_cols = [memoryview(self.bundle[:, bi]) for bi in range(len(self.spots))]
-        self.dsum_view = memoryview(dsum)
-        # the tail bounds' minima, sorted once: per spot the (drive to spot k,
-        # column of k) pairs, and the (drive home from k, column of k) pairs;
-        # a node's minimum over its unvisited spots is the first unvisited entry
-        self.legs = [sorted((D[i][k], bk) for bk, k in enumerate(self.spots)) for i in self.spots]
-        self.homes = sorted((D[k][0], bk) for bk, k in enumerate(self.spots))
-
-    # -- dynamic program (the drive matrix or its closure) --------------------
-
-    def solve_dp(self) -> tuple[float, tuple[int, ...], tuple[int, ...], int]:
-        """Completion DP on ``D_dp``: B[mask][j] is the cheapest way to serve
-        the customer mask and return to the depot starting parked at spot j.
-        On a metric drive matrix neither revisiting a spot nor parking
-        without serving can improve a solution, so the value is the optimum.
-        The closure is metric and never above the true matrix, and a detour
-        through a pass-through stop costs at least the closure's leg, so there
-        the value bounds every solution on the true matrix from below.
-
-        A transition walks one catalog set.  F[mask, k] is the cheapest way
-        to finish ``mask`` once parked at spot k: drive on, B[mask, k], or
-        walk a set S from k and finish ``mask ^ S`` from there,
-        C[mask, k] = min over sets S of walk[S, k] + F[mask ^ S, k].  So
-        C[mask, k] walks the cheapest split of some nonempty bundle from k
-        before driving on, and parking at k first costs
-        qp[mask, k] = C[mask, k] + park[k].  A mask reads only masks with
-        fewer customers: ``_set_layers`` yields C a run of one popcount
-        layer at a time, reading F, and each run's F rows are written before
-        the next run is drawn; only F is kept, and the decode rebuilds the B
-        rows it reads.  It needs distinct sets, which a catalog's are.
-
-        Returns (value-without-load, stops, bundles, states)."""
-        S = self.spots
-        D = self.D_dp
-        size = self.full + 1
-        self.park = np.array([float(self.P[j]) for j in S])
-        self.d_spot = D[np.ix_(S, S)]
-        d_depot = np.array([D[0, j] for j in S])
-        largest = max(s.size for s in self.cat.sets)
-
-        self.F = F = np.empty((size, len(S)))
-        F[0] = [D[j, 0] for j in S]
-        for M, c in _set_layers(self.n, self.masks, self.costs, largest, F, False):
+    def __init__(self, n: int, masks: np.ndarray, costs: np.ndarray, largest: int,
+                 park: np.ndarray, legs: np.ndarray, exit: np.ndarray):
+        self.n, self.masks, self.costs, self.park, self.legs = n, masks, costs, park, legs
+        self.F = F = np.empty((1 << n, len(park)))
+        F[0] = exit
+        for M, c in _set_layers(n, masks, costs, largest, F, False):
             F[M] = np.minimum(self._drive_on(c), c)
-        # c is the full mask's row; the value stands even if the decode ties,
-        # and bounds the search below, since the DP allows revisits
-        self.dp_value = opt = float((d_depot + (c + self.park)).min())
+        self._parked = c + park  # c is the full mask's row
 
-        stops, bundles = self._dp_reconstruct(d_depot, opt)
-        return opt, tuple(stops), tuple(bundles), size * len(S)
+    def value(self, entry: np.ndarray) -> float:
+        """The least route over every customer that enters column k by ``entry[k]``."""
+        return float((entry + self._parked).min())
 
     def _drive_on(self, c: np.ndarray) -> np.ndarray:
-        """B rows from C rows: min over k of (C[:, k] + park[k]) + d_spot[j, k], column by column."""
+        """B rows from C rows: min over k of (C[:, k] + park[k]) + legs[j, k], column by column."""
         qp = c + self.park
-        b = qp[:, :1] + self.d_spot[:, 0]
+        b = qp[:, :1] + self.legs[:, 0]
         for k in range(1, qp.shape[1]):
-            np.minimum(b, qp[:, k, None] + self.d_spot[:, k], out=b)
+            np.minimum(b, qp[:, k, None] + self.legs[:, k], out=b)
         return b
 
     def _b_row(self, mask: int) -> np.ndarray:
@@ -229,15 +173,15 @@ class _Searcher:
         if mask not in self._rows:
             fit = np.flatnonzero((self.masks & ~mask) == 0)
             c = np.min(self.costs[fit] + self.F[mask ^ self.masks[fit]], axis=0, initial=np.inf)
-            self._rows[mask] = (c + self.park + self.d_spot).min(axis=1)
+            self._rows[mask] = (c + self.park + self.legs).min(axis=1)
         return self._rows[mask]
 
-    def _dp_transitions(self, mask: int, arrival: np.ndarray, target: float) -> set[tuple[int, int]]:
-        """The distinct (spot column, bundle) pairs that, arriving with the
-        per-spot drive times ``arrival``, complete ``mask`` within _EPS of
-        ``target``, read back one catalog set at a time the way the fill
-        prices them: a stop at column k starts with a set S within ``mask``
-        for which ``arrival + ((walk[S] + F[mask ^ S]) + park)`` attains the
+    def _transitions(self, mask: int, arrival: np.ndarray, target: float) -> set[tuple[int, int]]:
+        """The distinct (column, bundle) pairs that, arriving with the
+        per-column drive times ``arrival``, complete ``mask`` within _EPS of
+        ``target``, read back one set at a time the way the fill prices
+        them: a stop at column k starts with a set S within ``mask`` for
+        which ``arrival + ((walk[S] + F[mask ^ S]) + park)`` attains the
         target at k, then walks on as ``_stop_tails`` allows from
         ``mask ^ S``.  Its bundle is the union of the sets walked."""
         fit = np.flatnonzero((self.masks & ~mask) == 0)
@@ -253,7 +197,7 @@ class _Searcher:
         }
 
     def _stop_tails(self, rest: int, k: int) -> set[int]:
-        """The bundles within ``rest`` that a stop at spot column k can still
+        """The bundles within ``rest`` that a stop at column k can still
         walk on an optimal completion of ``rest`` before it drives on: the
         empty bundle where B[rest, k] attains F[rest, k], and S plus a tail of
         ``rest ^ S`` for each set S whose walk[S, k] + F[rest ^ S, k]
@@ -268,55 +212,94 @@ class _Searcher:
             self._tails[rest, k] = tails
         return self._tails[rest, k]
 
-    def _dp_reconstruct(self, d_depot: np.ndarray, target: float):
-        """Greedy front construction of the canonical optimal solution:
-        value first, then fewest stops, then the lexicographically smallest
-        stop sequence (bundles canonicalized by smallest bit mask)."""
-        S = self.spots
+    def decode(self, entry: np.ndarray, target: float) -> tuple[list[int], list[int]]:
+        """Greedy front construction of the canonical route of value
+        ``target``, entering column k by ``entry[k]``: value first, then
+        fewest stops, then the lexicographically smallest column sequence
+        (bundles canonicalized by smallest bit mask).  Returns its columns
+        and bundles; raises ``_ReconstructionTie`` when every continuation
+        of value ``target`` revisits a column."""
         memo: dict[tuple[int, int], int] = {}
         self._tails = {}
         self._rows = {0: self.F[0]}
-        stops: list[int] = []
+        cols: list[int] = []
         bundles: list[int] = []
-        mask = self.full
-        arrival = d_depot
+        mask = len(self.F) - 1
+        arrival = entry
         visited = 0
         while mask:
             choices = [
-                (1 + self._fewest_stops(mask ^ A, sj, memo), S[sj], A, sj)
-                for sj, A in self._dp_transitions(mask, arrival, target)
-                if not visited >> sj & 1
+                (1 + self._fewest_stops(mask ^ A, k, memo), k, A)
+                for k, A in self._transitions(mask, arrival, target)
+                if not visited >> k & 1
             ]
             if not choices:
-                # every optimal continuation would revisit a spot: a tie-only
-                # corner case; the caller falls back to the sequence search
                 raise _ReconstructionTie
-            _, j, A, sj = min(choices)
-            stops.append(j)
+            _, k, A = min(choices)
+            cols.append(k)
             bundles.append(A)
-            visited |= 1 << sj
+            visited |= 1 << k
             mask ^= A
-            arrival = self.d_spot[sj]
+            arrival = self.legs[k]
             if mask:
-                target = float(self._b_row(mask)[sj])
-        return stops, bundles
+                target = float(self._b_row(mask)[k])
+        return cols, bundles
 
     def _fewest_stops(self, mask: int, si: int, memo: dict) -> int:
-        """Fewest stops of an optimal completion of ``mask`` from spot column
-        si, memoized in ``memo``.  A method rather than a cached closure: a
+        """Fewest stops of an optimal completion of ``mask`` from column si,
+        memoized in ``memo``.  A method rather than a cached closure: a
         closure that calls itself is a reference cycle, which would keep the
-        searcher's tables alive after the solve until the collector runs."""
+        tables alive after the solve until the collector runs."""
         if mask == 0:
             return 0
         if (mask, si) not in memo:
             memo[mask, si] = min(
                 (1 + self._fewest_stops(mask ^ A, sj, memo)
-                 for sj, A in self._dp_transitions(mask, self.d_spot[si], self._b_row(mask)[si])),
-                default=len(self.spots) + self.n,
+                 for sj, A in self._transitions(mask, self.legs[si], self._b_row(mask)[si])),
+                default=len(self.park) + self.n,
             )
         return memo[mask, si]
 
-    # -- branch and bound (any input) ----------------------------------------
+
+class _Searcher:
+    """The branch-and-bound over parking sequences, on the true drive matrix.
+    bundle[A, s]: walk cost of bundle A from spot column s, inf where A
+    cannot be served from there.  dsum[mask]: the summed per-customer share
+    of the cheapest walk-plus-park increment over the customers of ``mask``;
+    a customer's share is the least, over its sets and the spots, of the
+    set's walk cost divided by its size plus the spot's park time divided by
+    n.  Off the triangle inequality (``metric_drive`` false) a stop may pass
+    through, serving no one."""
+
+    def __init__(self, inst: Instance, cat: ServiceSetCatalog, metric_drive: bool):
+        n = inst.n
+        self.full = (1 << n) - 1
+        self.spots = inst.spots
+        self.metric_drive = metric_drive
+        costs = cat.walk_cost_table()
+        self.bundle = PartitionTable(inst.customers, [s.members for s in cat.sets], costs).value
+        sizes = np.array([s.size for s in cat.sets])
+        share = (costs / sizes[:, None] + inst.park_time[list(self.spots)] / n).min(axis=1)
+        holds = (cat.masks[:, None] >> np.arange(n) & 1) == 1
+        delta = np.where(holds, share[:, None], np.inf).min(axis=0)  # per bit
+        # dsum[mask] = dsum[mask minus its lowest bit] + delta[lowest bit]:
+        # double over the bits from the highest down, interleaving each new bit
+        dsum = np.zeros(1)
+        for b in range(n - 1, -1, -1):
+            dsum = np.stack((dsum, dsum + delta[b]), axis=1).ravel()
+        self.dsum = dsum
+        # the search reads Python floats, not boxed np.float64 scalars: the
+        # (n+1)^2 drive matrix and the park times as lists, and the 2^n-row
+        # tables through zero-copy memoryviews, one per spot column of bundle
+        self.drive_rows = D = inst.drive.tolist()
+        self.park_list = inst.park_time.tolist()
+        self.walk_cols = [memoryview(self.bundle[:, bi]) for bi in range(len(self.spots))]
+        self.dsum_view = memoryview(dsum)
+        # the tail bounds' minima, sorted once: per spot the (drive to spot k,
+        # column of k) pairs, and the (drive home from k, column of k) pairs;
+        # a node's minimum over its unvisited spots is the first unvisited entry
+        self.legs = [sorted((D[i][k], bk) for bk, k in enumerate(self.spots)) for i in self.spots]
+        self.homes = sorted((D[k][0], bk) for bk, k in enumerate(self.spots))
 
     def expand(self, ctl: _Control, served: int, visited: int, loc: int, g: float,
                stops: tuple[int, ...], bundles: tuple[int, ...], node_lb: float):
@@ -379,17 +362,16 @@ class _Searcher:
                 stops + (i,), bundles + (A,), lb,
             )
 
-    # -- reconstruction -----------------------------------------------------
 
-    def materialize(self, stops: tuple[int, ...], bundles: tuple[int, ...]) -> Solution:
-        """Split each stop's bundle into walking sets with ``solve_ssa``: its
-        candidates come in catalog order and ``walk_tour`` prices them within
-        1e-12 of the catalog's table, inside the split's 1e-9 tolerance."""
-        served = []
-        for i, mask in zip(stops, bundles):
-            members = [c for c in self.inst.customers if mask >> (c - 1) & 1]
-            served.append(tuple(solve_ssa(self.inst, self.cat, i, members)[0]))
-        return assemble_solution(self.inst, stops, served)
+def _materialize(inst: Instance, cat: ServiceSetCatalog, stops: tuple[int, ...], bundles) -> Solution:
+    """Split each stop's bundle into walking sets with ``solve_ssa``: its
+    candidates come in catalog order and ``walk_tour`` prices them within
+    1e-12 of the catalog's table, inside the split's 1e-9 tolerance."""
+    served = []
+    for i, mask in zip(stops, bundles):
+        members = [c for c in inst.customers if mask >> (c - 1) & 1]
+        served.append(tuple(solve_ssa(inst, cat, i, members)[0]))
+    return assemble_solution(inst, stops, served)
 
 
 def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
@@ -406,20 +388,37 @@ def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
     decode tie the search starts with the floor alone.
     """
     check_catalog(inst, cat)
-    searcher = _Searcher(inst, cat)
+    n = inst.n
+    if n > DP_MAX_CUSTOMERS:
+        raise ResourceLimitError(f"exact search supports up to {DP_MAX_CUSTOMERS} customers, got {n}")
+    costs = cat.walk_cost_table()
+    covered = int(np.bitwise_or.reduce(cat.masks[np.isfinite(costs).any(axis=1)]))
+    missing = [c for c in inst.customers if not covered >> (c - 1) & 1]
+    if missing:
+        raise InfeasibleInstanceError(f"customers {missing} appear in no admissible set")
+    # off the triangle inequality the branch-and-bound lets a stop pass
+    # through, serving no one, and the DP drives on the closure instead
+    metric_drive = _triangle_stats(inst.drive)[0] == 0
+    D = inst.drive if metric_drive else _closure(inst.drive)
+    S = list(inst.spots)  # the DP's columns, in ascending spot id
+    dp = _Completion(n, cat.masks, costs, max(s.size for s in cat.sets), inst.park_time[S], D[np.ix_(S, S)], D[S, 0])
+    entry, states = D[0, S], dp.F.size
 
-    load = inst.n * inst.load_per_package
+    load = n * inst.load_per_package
+    # the DP relaxes every solution, so its value plus loading is a floor
+    value = dp.value(entry)
+    floor = value + load
     try:
-        _, stops, bundles, states = searcher.solve_dp()
-        sol = searcher.materialize(stops, bundles)
+        cols, bundles = dp.decode(entry, value)
+        stops, bundles = tuple(S[k] for k in cols), tuple(bundles)
+        sol = _materialize(inst, cat, stops, bundles)
     except _ReconstructionTie:
         sol = None  # no canonical decode; the search starts without an incumbent
-    # the DP relaxes every solution, so its value plus loading is a floor
-    floor = searcher.dp_value + load
+    del dp  # the search reads none of the DP's tables
     if sol is not None and sol.total <= floor + _EPS:
         return ExactResult(solution=sol, status="optimal", bound=floor, value=sol.total, nodes=states)
 
-    searcher.setup_search()
+    searcher = _Searcher(inst, cat, metric_drive)
     ctl = _Control()
     if sol is not None:
         ctl.offer(sol.total, stops, bundles)
@@ -429,7 +428,7 @@ def solve_exact(inst: Instance, cat: ServiceSetCatalog) -> ExactResult:
 
     if ctl.best_state is None:
         return ExactResult(solution=None, status="timeout", bound=floor, value=None, nodes=ctl.nodes)
-    sol = searcher.materialize(*ctl.best_state)
+    sol = _materialize(inst, cat, *ctl.best_state)
     if ctl.stopped:
         return ExactResult(
             solution=sol, status="feasible",

@@ -16,14 +16,13 @@ feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .errors import InfeasibleInstanceError
 from .instance import Instance
 from .model import Solution, assemble_solution
-from .servicesets import MAX_WALK_SET, PartitionTable, ServiceSetCatalog, check_catalog, walk_tour
+from .servicesets import MAX_WALK_SET, PartitionTable, ServiceSetCatalog, _fitting_sets, check_catalog, walk_tour
 from .tsp import solve_tsp
 
 _EPS = 1e-9
@@ -221,9 +220,7 @@ def solve_ssa(
     if k > 20:
         return _greedy_ssa(inst, cat, spot, K)
 
-    q = inst.capacity_count if inst.capacity_count is not None else k
-    cands = [members for size in range(1, min(q, k) + 1) for members in combinations(K, size)
-             if _walkable(inst, cat, spot, members)]
+    cands = [members for members in _fitting_sets(inst, K) if _walkable(inst, cat, spot, members)]
     if cands and len(cands[-1]) > MAX_WALK_SET:  # the largest comes last
         return _greedy_ssa(inst, cat, spot, K)
 

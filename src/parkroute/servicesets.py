@@ -3,8 +3,9 @@ parked-customer variable reduction, and the subset-partition table.
 
 A service set is a group of customers served in one walking loop from a parked
 vehicle.  The catalog enumerates every set that fits the carrier capacity
-(count, weight, volume).  ``walk_cost_table`` prices every (set, spot) pair
-by one subset DP, once per catalog, in one table every reader shares.
+(count, weight, volume), growing each from a smaller set that fits, as the
+heuristic's candidates grow.  ``walk_cost_table`` prices every (set, spot)
+pair by one subset DP, once per catalog, in one table every reader shares.
 ``walk_tour``, the one scalar pricer, also returns the walking order: an order
 loop up to ``ORDER_LOOP_MAX`` customers, Held-Karp above; its cost lies within
 1e-12 above the table's.
@@ -147,36 +148,33 @@ def check_catalog(inst: Instance, cat: ServiceSetCatalog | None) -> None:
 def enumerate_catalog(inst: Instance) -> ServiceSetCatalog:
     """All customer subsets satisfying every active capacity, smallest first.
 
-    Raises when the (parking, set) pair count would exceed
+    Raises once the (parking, set) pair count would exceed
     ``DEFAULT_PAIR_CAP``; at that point use the heuristic pipeline instead.
     """
-    n = inst.n
-    q = inst.capacity_count
-    if q is None and inst.capacity_weight is None and inst.capacity_volume is None:
+    if inst.capacity_count is None and inst.capacity_weight is None and inst.capacity_volume is None:
         raise UnsupportedError("need a package-count, weight, or volume capacity to bound the catalog")
-    qmax = min(q if q is not None else n, n)
+    sets = _fitting_sets(inst, inst.customers, DEFAULT_PAIR_CAP // len(inst.spots))
+    return ServiceSetCatalog(inst=inst, sets=tuple(ServiceSet(members) for members in sets))
 
-    # size bound for the pair cap uses the count-only closed form first
-    if inst.capacity_weight is None and inst.capacity_volume is None:
-        projected = len(inst.spots) * count_sets(n, qmax)
-        if projected > DEFAULT_PAIR_CAP:
+
+def _fitting_sets(inst: Instance, customers, limit: float = math.inf) -> list[tuple[int, ...]]:
+    """Every nonempty group of the increasing ``customers`` that fits the
+    instance's capacities, in (size, members) order.  Weights and volumes
+    are non-negative, so every subset of a group that fits fits too: each
+    group grows from a fitting one by a customer above its largest member.
+    A lone package always fits, as the ``Instance`` constructor checks.
+    Raises once more than ``limit`` groups fit, the catalog's pair cap over
+    its spots."""
+    after = {c: customers[i + 1:] for i, c in enumerate(customers)}
+    sets = [(c,) for c in customers]
+    for members in sets:  # the list grows as it is read: one size after another
+        sets += [grown for c in after[members[-1]] if not inst.over_capacity(grown := members + (c,))]
+        if len(sets) > limit:
             raise ResourceLimitError(
-                f"catalog would hold {projected} (parking, set) pairs; cap is {DEFAULT_PAIR_CAP}. "
+                f"catalog would hold more than {DEFAULT_PAIR_CAP} (parking, set) pairs. "
                 "Use the heuristic solver for instances of this size."
             )
-
-    sets: list[ServiceSet] = []
-    for size in range(1, qmax + 1):
-        for members in combinations(inst.customers, size):
-            if not inst.over_capacity(members):
-                sets.append(ServiceSet(members))
-    cat = ServiceSetCatalog(inst=inst, sets=tuple(sets))
-    if cat.pair_count() > DEFAULT_PAIR_CAP:
-        raise ResourceLimitError(
-            f"catalog holds {cat.pair_count()} (parking, set) pairs; cap is {DEFAULT_PAIR_CAP}. "
-            "Use the heuristic solver for instances of this size."
-        )
-    return cat
+    return sets
 
 
 def reduce_catalog(cat: ServiceSetCatalog) -> ServiceSetCatalog:

@@ -67,6 +67,15 @@ def brute_partition_cost(inst, parking, customers):
 def brute_optimum(inst):
     """Exact optimum by enumerating stop sequences, customer-to-stop
     assignments, and per-stop partitions.  Only usable for tiny n."""
+    return brute_open_path(inst, inst.drive[0], inst.drive[:, 0]) + inst.n * inst.load_per_package
+
+
+def brute_open_path(inst, entry, exit):
+    """The cheapest path, loading left out, that serves every customer: it
+    drives ``entry[s]`` to its first stop s, the drive matrix between stops
+    (none entered twice), and ``exit[s]`` from its last stop s.  It
+    enumerates stop sequences, customer-to-stop assignments, and per-stop
+    partitions; ``entry`` and ``exit`` are indexed by spot id."""
     n = inst.n
     D, P = inst.drive, inst.park_time
     customers = list(range(1, n + 1))
@@ -81,7 +90,7 @@ def brute_optimum(inst):
     best = float("inf")
     for r in range(1, n + 1):
         for stops in permutations(inst.spots, r):
-            drive = D[0, stops[0]] + sum(D[a, b] for a, b in zip(stops, stops[1:])) + D[stops[-1], 0]
+            drive = entry[stops[0]] + sum(D[a, b] for a, b in zip(stops, stops[1:])) + exit[stops[-1]]
             park = sum(P[s] for s in stops)
             base = drive + park
             if base >= best:
@@ -98,7 +107,7 @@ def brute_optimum(inst):
                             break
                 else:
                     best = min(best, base + walk)
-    return best + n * inst.load_per_package
+    return best
 
 
 def brute_par(inst):
@@ -363,22 +372,21 @@ def loop_set_completion_table(candidates, costs, drive, park_time, spots):
     return B, F
 
 
-def dense_table_decode(searcher, target, B):
+def dense_table_decode(inst, cat, target, B):
     """The exact DP's decode over the dense partition table and the whole
-    completion table ``B`` (``loop_set_completion_table``'s), after a filled
-    ``searcher.solve_dp()``: from each remaining mask, every nonempty submask
-    A priced as a bundle, ``(arrival + park + bundle[A]) + B[mask ^ A]``,
-    against the target within 1e-9; the canonical choice is the fewest
-    stops, then the smallest stop, then the smallest bundle mask.  Returns
-    (stops, bundles, served), each stop's sets split by the dense table and
-    listed in walking order."""
+    completion table ``B`` (``loop_set_completion_table``'s on the drive
+    matrix), from the DP's value ``target``: from each remaining mask, every
+    nonempty submask A priced as a bundle, ``(arrival + park + bundle[A]) +
+    B[mask ^ A]``, against the target within 1e-9; the canonical choice is
+    the fewest stops, then the smallest stop, then the smallest bundle mask.
+    Returns (stops, bundles, served), each stop's sets split by the dense
+    table and listed in walking order."""
     from parkroute.exact import _ReconstructionTie
     from parkroute.servicesets import PartitionTable, walk_tour
 
-    inst = searcher.inst
-    S = list(searcher.spots)
-    part = PartitionTable(inst.customers, [s.members for s in searcher.cat.sets], searcher.costs)
-    d_spot = searcher.d_spot
+    S = list(inst.spots)
+    part = PartitionTable(inst.customers, [s.members for s in cat.sets], cat.walk_cost_table())
+    d_spot = inst.drive[np.ix_(S, S)]
     park = np.array([float(inst.park_time[j]) for j in S])
 
     def transitions(mask, arrival, target):
@@ -416,7 +424,7 @@ def dense_table_decode(searcher, target, B):
         _, j, A, sj = min(choices)
         stops.append(j)
         bundles.append(A)
-        sets = [searcher.cat.sets[c].members for c in part.split(A, sj)]
+        sets = [cat.sets[c].members for c in part.split(A, sj)]
         served.append(tuple(walk_tour(inst, j, members)[1] for members in sets))
         visited |= 1 << sj
         mask ^= A

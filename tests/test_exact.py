@@ -16,10 +16,12 @@ from parkroute.benchmarks import modified_tsp
 from parkroute.errors import InfeasibleInstanceError, ResourceLimitError, UnsupportedError
 from parkroute import exact, servicesets
 from parkroute.cli import main
-from parkroute.exact import _Searcher, check_feasible, solve_exact
+from parkroute.exact import _Completion, _Searcher, _closure, _materialize, check_feasible, solve_exact
 from parkroute.gridlab import construct_q2_value, tsp_park_all_value
 from parkroute.heuristic import heuristic_solve, heuristic_solve_full, solve_ssa
-from parkroute.instance import GridParams, Instance, gen_geo_instance, gen_grid_instance, save_instance
+from parkroute.instance import (
+    GridParams, Instance, gen_geo_instance, gen_grid_instance, save_instance, validate_instance,
+)
 from parkroute.model import Breakdown, ModelOptions, Solution, assemble_solution, build_model, evaluate_solution
 from parkroute.servicesets import (
     PartitionTable, ServiceSet, ServiceSetCatalog, enumerate_catalog, reduce_catalog,
@@ -31,6 +33,25 @@ def _skew(inst, seed):
     which breaks the triangle inequality."""
     factor = np.random.default_rng(seed).uniform(1.0, 1.6, size=inst.drive.shape)
     return replace(inst, drive=inst.drive * factor)
+
+
+def _kernel(inst, cat):
+    """The completion DP on the operands ``solve_exact`` gives it (the drive
+    matrix, or its closure off the triangle inequality, over the spots in
+    ascending id) and the depot's entry legs."""
+    S = list(inst.spots)
+    D = inst.drive if validate_instance(inst).drive_triangle_violations == 0 else _closure(inst.drive)
+    largest = max(s.size for s in cat.sets)
+    dp = _Completion(inst.n, cat.masks, cat.walk_cost_table(), largest, inst.park_time[S], D[np.ix_(S, S)], D[S, 0])
+    return dp, D[0, S]
+
+
+def _solve_dp(inst, cat):
+    """The kernel, its value and its decoded stops and bundles, as ``solve_exact`` reads them."""
+    dp, entry = _kernel(inst, cat)
+    value = dp.value(entry)
+    cols, bundles = dp.decode(entry, value)
+    return dp, value, tuple(inst.spots[k] for k in cols), tuple(bundles)
 
 
 def test_single_customer_closed_form():
@@ -178,14 +199,14 @@ def test_the_search_runs_without_the_heuristic(monkeypatch):
         raise RuntimeError("the exact solver called the heuristic")
 
     searched = []
-    setup = _Searcher.setup_search
+    setup = _Searcher.__init__
 
-    def record(self):
+    def record(self, *args):
         searched.append(True)
-        setup(self)
+        setup(self, *args)
 
     monkeypatch.setattr(parkroute.heuristic, "heuristic_solve", fail)
-    monkeypatch.setattr(_Searcher, "setup_search", record)
+    monkeypatch.setattr(_Searcher, "__init__", record)
     res = solve_exact(inst, cat)
     assert searched == [True]
     assert res.status == "optimal"
@@ -201,11 +222,11 @@ def test_a_decode_tie_falls_back_to_the_search(monkeypatch):
     dp = solve_exact(inst, cat)
     targets = []
 
-    def tie(self, d_depot, target):
+    def tie(self, entry, target):
         targets.append(target)
         raise exact._ReconstructionTie
 
-    monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
+    monkeypatch.setattr(_Completion, "decode", tie)
     searched = solve_exact(inst, cat)
     assert targets == [pytest.approx(dp.bound - inst.n * inst.load_per_package, abs=1e-9)]
     assert searched.status == dp.status == "optimal"
@@ -219,7 +240,7 @@ def test_a_decode_tie_falls_back_to_the_search(monkeypatch):
     cat = enumerate_catalog(inst)
     monkeypatch.undo()
     dp = solve_exact(inst, cat)
-    monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
+    monkeypatch.setattr(_Completion, "decode", tie)
     monkeypatch.setattr(exact, "SEARCH_LIMIT", 200_000)
     cut = solve_exact(inst, cat)
     assert cut.status == "feasible"
@@ -324,10 +345,10 @@ def test_a_search_stopped_before_any_incumbent_times_out(monkeypatch, tmp_path, 
     # bound, and the CLI's exit code 4
     inst = _skew(gen_geo_instance(7, 1, p=0, q=3), 3)
 
-    def tie(self, d_depot, target):
+    def tie(self, entry, target):
         raise exact._ReconstructionTie
 
-    monkeypatch.setattr(_Searcher, "_dp_reconstruct", tie)
+    monkeypatch.setattr(_Completion, "decode", tie)
     monkeypatch.setattr(exact, "SEARCH_LIMIT", 1)
     res = solve_exact(inst, enumerate_catalog(inst))
     assert (res.status, res.solution, res.value) == ("timeout", None, None)
@@ -360,13 +381,14 @@ def test_the_search_proves_the_same_optimum_node_for_node(seed, r, value, nodes,
 def test_the_search_views_copy_no_table():
     # the branch-and-bound reads its 2^n-row tables, bundle (4,096 rows by
     # 12 spots here) and dsum, through memoryviews, which copy nothing:
-    # without any view setup_search leaves 461,332 bytes allocated, and
+    # without any view the constructor leaves 461,332 bytes allocated, and
     # lists of the tables' floats would leave 2.1 MB
     inst = _skew(gen_geo_instance(12, 1, p=5, q=3), 7)
-    searcher = _Searcher(inst, enumerate_catalog(inst))
+    cat = enumerate_catalog(inst)
+    cat.walk_cost_table()
     tracemalloc.start()
     try:
-        searcher.setup_search()
+        searcher = _Searcher(inst, cat, False)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -423,8 +445,7 @@ def test_bound_table_matches_the_per_customer_loop(n, seed, reduced):
     cat = enumerate_catalog(inst)
     if reduced:
         cat = reduce_catalog(cat)
-    searcher = _Searcher(inst, cat)
-    searcher.setup_search()
+    searcher = _Searcher(inst, cat, True)
     walk = loop_walk_costs(cat)
     delta = np.full(n + 1, np.inf)
     for col, i in enumerate(inst.spots):
@@ -448,9 +469,8 @@ def test_a_pass_through_stop_materialises_as_an_empty_stop():
     drive[0, 2] = drive[0, 1] + drive[1, 2] + 1.0
     skewed = replace(inst, drive=drive)
     cat = ServiceSetCatalog(inst=skewed, sets=(ServiceSet((1, 2)), ServiceSet((3,))))
-    searcher = _Searcher(skewed, cat)
-    assert not searcher.metric_drive
-    sol = searcher.materialize((1, 2), (0b000, 0b111))
+    assert validate_instance(skewed).drive_triangle_violations > 0
+    sol = _materialize(skewed, cat, (1, 2), (0b000, 0b111))
     assert sol.served[0] == ()
     assert [[sorted(o) for o in stop_sets] for stop_sets in sol.served] == [[], [[1, 2], [3]]]
     assert check_feasible(skewed, cat, sol) == []
@@ -503,9 +523,9 @@ _CASES = [
 ] + [("geo-n12", False)]
 
 
-def _assert_decode_rows(searcher, B):
+def _assert_decode_rows(dp, B):
     # every B row the decode rebuilt from F is the loop's row, bit for bit
-    assert all(np.array_equal(row, B[mask]) for mask, row in searcher._rows.items())
+    assert all(np.array_equal(row, B[mask]) for mask, row in dp._rows.items())
 
 
 @pytest.mark.parametrize("case, reduced", _CASES, ids=[f"{case}-{reduced}-False" for case, reduced in _CASES])
@@ -518,16 +538,15 @@ def test_layered_tables_equal_the_per_mask_loops(case, reduced):
     cat = enumerate_catalog(inst)
     if reduced:
         cat = reduce_catalog(cat)
-    searcher = _Searcher(inst, cat)
-    searcher.solve_dp()
-    part = PartitionTable(inst.customers, [s.members for s in cat.sets], searcher.costs)
+    dp = _solve_dp(inst, cat)[0]
+    part = PartitionTable(inst.customers, [s.members for s in cat.sets], cat.walk_cost_table())
     costs = loop_walk_costs(cat)
     assert np.array_equal(part.costs, costs)
     assert np.array_equal(part.value, loop_partition_values(inst.customers, [s.members for s in cat.sets], costs))
     B, F = loop_set_completion_table([s.members for s in cat.sets], costs, inst.drive, inst.park_time, inst.spots)
-    assert np.array_equal(searcher.F, F)
-    _assert_decode_rows(searcher, B)
-    rebuilt = np.array([searcher._b_row(mask) for mask in range(len(F))])
+    assert np.array_equal(dp.F, F)
+    _assert_decode_rows(dp, B)
+    rebuilt = np.array([dp._b_row(mask) for mask in range(len(F))])
     assert np.array_equal(rebuilt, B)
     per_mask = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
     assert np.allclose(rebuilt, per_mask, atol=1e-9, rtol=0)
@@ -539,13 +558,12 @@ def test_b_row_takes_the_drive_on_minimum_of_the_fill_bit_for_bit(make):
     # the decode's one-step drive-on row against the fill's column-by-column
     # step, from the same C row, for every mask (the closure on skewed-n7)
     inst = make()
-    searcher = _Searcher(inst, enumerate_catalog(inst))
-    searcher.solve_dp()
-    searcher._rows = {}
-    for mask in range(searcher.full + 1):
-        fit = np.flatnonzero((searcher.masks & ~mask) == 0)
-        c = np.min(searcher.costs[fit] + searcher.F[mask ^ searcher.masks[fit]], axis=0, initial=np.inf)
-        assert np.array_equal(searcher._b_row(mask), searcher._drive_on(c[None])[0]), mask
+    dp = _solve_dp(inst, enumerate_catalog(inst))[0]
+    dp._rows = {}
+    for mask in range(len(dp.F)):
+        fit = np.flatnonzero((dp.masks & ~mask) == 0)
+        c = np.min(dp.costs[fit] + dp.F[mask ^ dp.masks[fit]], axis=0, initial=np.inf)
+        assert np.array_equal(dp._b_row(mask), dp._drive_on(c[None])[0]), mask
 
 
 @pytest.mark.parametrize("case", ["geo-n6", "weight-volume", "grid-4x4-first-9", "geo-n11-q6"],
@@ -563,16 +581,15 @@ def test_layers_with_more_subsets_than_a_chunk(monkeypatch, case):
         inst = _identity_case(case)
         monkeypatch.setattr(servicesets, "CHUNK", 16)
     cat = enumerate_catalog(inst)
-    searcher = _Searcher(inst, cat)
-    value, stops, bundles, _ = searcher.solve_dp()
-    B, F = loop_set_completion_table([s.members for s in cat.sets], searcher.costs, inst.drive, inst.park_time,
-                                     inst.spots)
-    assert np.array_equal(searcher.F, F)
-    _assert_decode_rows(searcher, B)
+    dp, value, stops, bundles = _solve_dp(inst, cat)
+    B, F = loop_set_completion_table([s.members for s in cat.sets], cat.walk_cost_table(), inst.drive,
+                                     inst.park_time, inst.spots)
+    assert np.array_equal(dp.F, F)
+    _assert_decode_rows(dp, B)
     monkeypatch.undo()
-    plain = _Searcher(inst, cat)
-    assert plain.solve_dp()[1:3] == (stops, bundles)
-    assert np.array_equal(plain.F, F)
+    plain = _solve_dp(inst, cat)
+    assert plain[2:4] == (stops, bundles)
+    assert np.array_equal(plain[0].F, F)
 
 
 @pytest.mark.parametrize("case", ["geo-n6", "geo-n12", "parking-subset", "weight-volume", "grid-2x2", "grid-4x4-first-9"],
@@ -583,14 +600,14 @@ def test_decode_reads_the_same_solution_from_the_per_mask_table(case):
     # when it reads its B rows from the bundle-form table
     inst = _identity_case(case)
     cat = enumerate_catalog(inst)
-    searcher = _Searcher(inst, cat)
-    value, stops, bundles, _ = searcher.solve_dp()
-    part = PartitionTable(inst.customers, [s.members for s in cat.sets], searcher.costs)
+    dp, value, stops, bundles = _solve_dp(inst, cat)
+    part = PartitionTable(inst.customers, [s.members for s in cat.sets], cat.walk_cost_table())
     per_mask = loop_completion_table(part.value, inst.drive, inst.park_time, inst.spots)
     read = []
-    searcher._b_row = lambda mask: read.append(mask) or per_mask[mask]
+    dp._b_row = lambda mask: read.append(mask) or per_mask[mask]
     d_depot = inst.drive[0, list(inst.spots)]
-    assert searcher._dp_reconstruct(d_depot, value) == (list(stops), list(bundles))
+    cols, decoded = dp.decode(d_depot, value)
+    assert ([inst.spots[k] for k in cols], decoded) == (list(stops), list(bundles))
     assert read
 
 
@@ -619,42 +636,46 @@ def test_decode_matches_the_dense_table_decode(case, reduced):
     cat = enumerate_catalog(inst)
     if reduced:
         cat = reduce_catalog(cat)
-    searcher = _Searcher(inst, cat)
-    value, stops, bundles, _ = searcher.solve_dp()
-    B, F = loop_set_completion_table([s.members for s in cat.sets], searcher.costs, inst.drive, inst.park_time,
-                                     inst.spots)
-    assert np.array_equal(searcher.F, F)
-    _assert_decode_rows(searcher, B)
-    ref_stops, ref_bundles, ref_served = dense_table_decode(searcher, value, B)
+    dp, value, stops, bundles = _solve_dp(inst, cat)
+    B, F = loop_set_completion_table([s.members for s in cat.sets], cat.walk_cost_table(), inst.drive,
+                                     inst.park_time, inst.spots)
+    assert np.array_equal(dp.F, F)
+    _assert_decode_rows(dp, B)
+    ref_stops, ref_bundles, ref_served = dense_table_decode(inst, cat, value, B)
     assert (stops, bundles) == (tuple(ref_stops), tuple(ref_bundles))
-    assert searcher.materialize(stops, bundles).served == tuple(ref_served)
+    assert _materialize(inst, cat, stops, bundles).served == tuple(ref_served)
 
 
 @pytest.mark.parametrize("skew", [False, True])
 def test_solve_exact_frees_its_searcher(monkeypatch, skew):
-    # with the collector off, the searcher and its tables must go as soon as
-    # the solve returns: nothing it built may hold a reference cycle
+    # with the collector off, the DP kernel, the searcher and their tables
+    # must go as soon as the solve returns: nothing they built may hold a
+    # reference cycle.  Every solve builds the kernel; only the skewed one
+    # builds the searcher
     inst = gen_geo_instance(6, seed=4, p=2.0, q=2)
     if skew:  # the closure DP's solution misses its floor: the search runs
         inst = _skew(gen_geo_instance(4, 12, p=0.5, q=3), 7)
-    searchers = []
+    built = {_Completion: [], _Searcher: []}
 
-    class Tracked(_Searcher):
-        def __init__(self, *args):
-            super().__init__(*args)
-            searchers.append(weakref.ref(self))
+    def tracked(cls):
+        class Tracked(cls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built[cls].append(weakref.ref(self))
+        return Tracked
 
-    monkeypatch.setattr(exact, "_Searcher", Tracked)
+    monkeypatch.setattr(exact, "_Completion", tracked(_Completion))
+    monkeypatch.setattr(exact, "_Searcher", tracked(_Searcher))
     cat = enumerate_catalog(inst)
     gc.collect()
     gc.disable()
     try:
         res = solve_exact(inst, cat)
-        alive = [ref() is not None for ref in searchers]
+        alive = {cls.__name__: [ref() is not None for ref in refs] for cls, refs in built.items()}
     finally:
         gc.enable()
     assert res.status == "optimal"
-    assert alive == [False]
+    assert alive == {"_Completion": [False], "_Searcher": [False] if skew else []}
 
 
 def test_the_dp_keeps_one_table_of_2_to_the_n_rows():
@@ -664,15 +685,16 @@ def test_the_dp_keeps_one_table_of_2_to_the_n_rows():
     # priced, the one before it and its drive-on step, and two gathered
     # blocks of 2 * CHUNK (subset, mask) pairs; the decode keeps a few rows
     inst = gen_geo_instance(14, 1, p=5.0, q=3)
-    searcher = _Searcher(inst, enumerate_catalog(inst))
+    cat = enumerate_catalog(inst)
+    cat.walk_cost_table()
     tracemalloc.start()
     try:
-        searcher.solve_dp()
+        dp = _solve_dp(inst, cat)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     run = servicesets.CHUNK * len(inst.spots) * 8
-    assert peak <= searcher.F.nbytes + 12 * run
+    assert peak <= dp.F.nbytes + 12 * run
 
 
 @pytest.mark.parametrize("entry", [

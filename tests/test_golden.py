@@ -1,7 +1,7 @@
 """Exact solutions pinned byte for byte.
 
 ``golden/`` holds the solution JSONs that ``parkroute solve --method exact``
-writes for three instances, with ``config.instance`` (the input's path)
+writes for four instances, with ``config.instance`` (the input's path)
 dropped.  A change to the DP, its decode or the branch-and-bound that moves
 any answer, bound or node count fails here.
 """
@@ -26,10 +26,20 @@ def _skewed_n7():
     return replace(base, drive=base.drive * skew)
 
 
+def _weight_subset_n11():
+    # per-spot search times, a weight capacity alone and seven of the eleven
+    # customers as spots, so the DP's spot columns are not the spot ids
+    base = gen_geo_instance(11, 1, p=0.0, q=None, f=0.25)
+    rng = np.random.default_rng(1)
+    return replace(base, park_time=rng.uniform(1.0, 8.0, 11), parking_locations=(2, 3, 5, 6, 8, 9, 11),
+                   weights=rng.integers(1, 4, 11).astype(float), capacity_weight=5.0)
+
+
 INSTANCES = {
     "geo-n12-s1": lambda: gen_geo_instance(12, 1, p=5.0, q=3),
     "geo-n13-s1": lambda: gen_geo_instance(13, 1, p=5.0, q=3),
     "skewed-n7": _skewed_n7,
+    "weight-subset-n11": _weight_subset_n11,
 }
 
 

@@ -191,7 +191,7 @@ def test_grid_sweep_regime_flip():
 def test_grid_oracle_proves_every_row_without_the_search(monkeypatch, q, sqrt_n):
     # grid drive matrices are metric, so each oracle solve is proven by the
     # DP alone: the branch-and-bound, the one part with a search limit, never runs
-    def no_search(self):
+    def no_search(self, *args):
         raise AssertionError("the oracle reached the branch-and-bound")
 
     solves = []
@@ -201,7 +201,7 @@ def test_grid_oracle_proves_every_row_without_the_search(monkeypatch, q, sqrt_n)
         solves.append(res.status)
         return res
 
-    monkeypatch.setattr(exact._Searcher, "setup_search", no_search)
+    monkeypatch.setattr(exact._Searcher, "__init__", no_search)
     monkeypatch.setattr(gridlab, "solve_exact", recorded)
     for walk_rate in (1.0, 1.6):
         base = GridParams(sqrt_n=sqrt_n, walk_rate=walk_rate)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brutes import brute_mtsp, brute_optimum, brute_par, brute_partition_cost, milp_optimum
+from brutes import (
+    _set_ok, brute_mtsp, brute_open_path, brute_optimum, brute_par, brute_partition_cost, milp_optimum,
+)
 from parkroute.benchmarks import modified_tsp
 from parkroute import exact
-from parkroute.exact import _ReconstructionTie, _Searcher, check_feasible, solve_exact
+from parkroute.exact import check_feasible, solve_exact
 from parkroute.heuristic import PAR_EXACT_SPOTS, _assignment_cost, heuristic_solve, solve_par
 from parkroute.instance import (
     GridParams,
@@ -65,6 +67,14 @@ def instances(draw, min_n=1, max_n=6):
 
 @SETTINGS
 @given(instances())
+def test_the_catalog_holds_every_subset_that_fits_in_size_then_member_order(inst):
+    cat = enumerate_catalog(inst)
+    fits = [m for k in range(1, inst.n + 1) for m in combinations(inst.customers, k) if _set_ok(inst, m)]
+    assert [s.members for s in cat.sets] == fits
+
+
+@SETTINGS
+@given(instances())
 def test_partition_table_matches_brute_force(inst):
     cat = enumerate_catalog(inst)
     costs = np.array([[walk_time(inst, i, s.members) for i in inst.spots] for s in cat.sets])
@@ -97,6 +107,36 @@ def test_exact_optimum_matches_highs(inst):
     assert res.value == pytest.approx(milp_optimum(build_model(inst, cat)), abs=1e-6)
 
 
+@SETTINGS
+@given(instances(), st.integers(0, 10_000))
+def test_the_open_ended_dp_kernel_matches_the_open_path_brute_force(inst, end_seed):
+    # a window over every customer, entered from one point and left to
+    # another as from a route's neighbouring stops: two more points of the
+    # unit square, or the depot, with their drive legs at the instance's rate
+    # of 12.5 a unit, so the whole drive matrix stays metric
+    cat = enumerate_catalog(inst)
+    rng = np.random.default_rng(end_seed)
+    ends = rng.random((2, 2))
+    if rng.random() < 0.25:
+        ends[rng.integers(2)] = inst.coords[0]
+    leg = np.sqrt(((inst.coords[:, None, :] - ends[None, :, :]) ** 2).sum(axis=2)) * 12.5
+    entry, exit = leg[:, 0], leg[:, 1]
+    S = list(inst.spots)
+    largest = max(s.size for s in cat.sets)
+    dp = exact._Completion(inst.n, cat.masks, cat.walk_cost_table(), largest, inst.park_time[S],
+                           inst.drive[np.ix_(S, S)], exit[S])
+    value = dp.value(entry[S])
+    assert value == pytest.approx(brute_open_path(inst, entry, exit), abs=1e-9)
+    # the decoded path, priced stop by stop, has the kernel's value
+    cols, bundles = dp.decode(entry[S], value)
+    stops = [S[k] for k in cols]
+    assert sorted(c for A in bundles for c in inst.customers if A >> (c - 1) & 1) == list(inst.customers)
+    cost = entry[stops[0]] + exit[stops[-1]] + sum(inst.drive[a, b] for a, b in zip(stops, stops[1:]))
+    cost += sum(inst.park_time[s] + brute_partition_cost(inst, s, [c for c in inst.customers if A >> (c - 1) & 1])
+                for s, A in zip(stops, bundles))
+    assert cost == pytest.approx(value, abs=1e-9)
+
+
 def _skewed(inst, skew_seed):
     """Random skew, plus one depot leg longer than its detour through another
     customer, so the triangle inequality fails and the DP runs on the
@@ -121,12 +161,12 @@ def test_exact_search_matches_brute_force_on_skewed_drive(inst, skew_seed):
     assert res.status == "optimal"
     assert res.value == pytest.approx(best, abs=1e-9)
     assert res.bound <= best + 1e-9
-    searcher = _Searcher(inst, cat)
-    try:
-        searcher.solve_dp()
-    except _ReconstructionTie:
-        pass
-    assert searcher.dp_value + inst.n * inst.load_per_package <= best + 1e-9
+    S = list(inst.spots)
+    D = exact._closure(inst.drive)  # the closure DP, as solve_exact runs it off the triangle inequality
+    largest = max(s.size for s in cat.sets)
+    dp = exact._Completion(inst.n, cat.masks, cat.walk_cost_table(), largest, inst.park_time[S], D[np.ix_(S, S)],
+                           D[S, 0])
+    assert dp.value(D[0, S]) + inst.n * inst.load_per_package <= best + 1e-9
 
 
 @SETTINGS

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from itertools import combinations, permutations, product
 
@@ -191,6 +192,40 @@ def test_pair_cap_resource_error(monkeypatch):
     monkeypatch.setattr(servicesets, "DEFAULT_PAIR_CAP", 100)
     with pytest.raises(ResourceLimitError):
         enumerate_catalog(inst)
+
+
+def test_pair_cap_stops_the_enumeration_as_the_catalog_grows():
+    # 100 spots cap the catalog at 200,000 sets; the sets of up to three
+    # customers number 166,750, and those of four 3,921,225, which the
+    # enumeration must not build before it stops
+    inst = gen_geo_instance(100, seed=1, q=5)
+    start = time.monotonic()
+    with pytest.raises(ResourceLimitError, match="more than 20000000"):
+        enumerate_catalog(inst)
+    assert time.monotonic() - start < 5.0
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_weight_and_volume_catalogs_hold_every_subset_that_fits(n):
+    # no count capacity: the catalog grows only the sets that fit, and holds
+    # exactly the subsets that fit, in (size, members) order
+    rng = np.random.default_rng(n)
+    inst = replace(gen_geo_instance(n, seed=n, q=None), weights=rng.integers(1, 5, n).astype(float),
+                   capacity_weight=7.0, volumes=rng.uniform(0.5, 3.0, n), capacity_volume=4.5)
+    cat = enumerate_catalog(inst)
+    fits = [m for k in range(1, n + 1) for m in combinations(inst.customers, k)
+            if sum(inst.weights[list(m)]) <= 7.0 + 1e-9 and sum(inst.volumes[list(m)]) <= 4.5 + 1e-9]
+    assert [s.members for s in cat.sets] == fits
+
+
+def test_a_weight_only_catalog_at_n_30_is_enumerated_at_once():
+    # unit weights and a weight capacity of 3: the 4,525 sets of at most
+    # three customers, without testing the other 2^30 subsets
+    inst = replace(gen_geo_instance(30, seed=1, q=None), weights=np.ones(30), capacity_weight=3.0)
+    start = time.monotonic()
+    cat = enumerate_catalog(inst)
+    assert time.monotonic() - start < 1.0
+    assert [s.members for s in cat.sets] == [m for k in (1, 2, 3) for m in combinations(inst.customers, k)]
 
 
 def test_removed_pairs_closed_form_small():

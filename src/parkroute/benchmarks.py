@@ -2,6 +2,12 @@
 cluster-second on a fixed service order), and the relaxed weighted
 drive/walk objective.
 
+Modified TSP splits its order by one forward DP over the service positions:
+after t customers, each spot holds the cheapest closed route and the
+cheapest open block parked there, and each set ending at t extends the open
+block or opens a new one.  Ties keep the earlier choice: a candidate
+replaces another only when cheaper by more than 1e-12.
+
 Every benchmark returns a feasible solution re-costed under the true
 completion-time objective, so each one is an upper bound on the optimum.
 The no-parking and relaxed benchmarks solve a modified instance: exactly, by
@@ -21,12 +27,6 @@ from .instance import Instance
 from .model import Solution, assemble_solution
 from .servicesets import enumerate_catalog
 from .tsp import solve_tsp
-
-# floats in one block of modified TSP's split table: n = 50 takes two blocks.
-# Blocks four times larger save under a millisecond there and raise the
-# process's peak resident memory by about 1 MB.
-SPLIT_CELLS = 1 << 16
-
 
 @dataclass
 class BenchmarkResult:
@@ -110,120 +110,97 @@ def relaxed_ms(inst: Instance, alpha: float = 0.6) -> BenchmarkResult:
     )
 
 
-def _split_block(segs, lo: int, hi: int, cols: slice, end: int, with_cut: bool = False):
-    """Optimal splits of positions a..t into order-respecting sets walked
-    from each spot in ``cols``, for every block start lo <= a <= hi and every
-    a <= t <= end, filled together.
-
-    ``g[a - lo, t + 1 - lo]`` holds the split of a..t (``g[a - lo, a - lo]``
-    = 0 is the empty one).  Each t tries the sets of ``segs[t]`` in
-    increasing s, and one numpy step updates every start a <= s, so each
-    start sees the additions a one-start fill makes, in its order.  With
-    ``with_cut``, ``cut`` holds the first position of the split's last set.
-    """
-    starts = hi - lo + 1
-    g = np.full((starts, end + 2 - lo, cols.stop - cols.start), np.inf)
-    g[np.arange(starts), np.arange(starts)] = 0.0
-    cut = np.zeros(g.shape, dtype=int) if with_cut else None
-    for t in range(lo, end + 1):
-        row = g[:, t + 1 - lo]
-        for s, w in segs[t]:
-            if s < lo:
-                continue
-            k = min(s, hi) - lo + 1  # starts a <= s
-            v = g[:k, s - lo] + w[cols]
-            better = v < row[:k] - 1e-12
-            np.copyto(row[:k], v, where=better)
-            if with_cut:
-                np.copyto(cut[:k, t + 1 - lo], s, where=better)
-    return g, cut
-
-
 def modified_tsp(inst: Instance) -> BenchmarkResult:
     """Fix the service order by a driving-time TSP, then choose parking events
     and contiguous service sets along that order by dynamic programming.
 
-    A stop's block may hold several consecutive sets; its parking spot is the
-    cheapest customer location inside the block.  Walking follows the fixed
-    order within each set.
+    A stop's block may hold several consecutive sets; its parking spot is a
+    customer location inside the block.  Walking follows the fixed order
+    within each set.
 
     The DP is the route-first/cluster-second split of Beasley (1983) and
-    Prins (2004).  Block starts a run in increasing order, so the best prefix
-    ending at a - 1 is final when a is reached.  The order-respecting split
-    from a to n, vectorised over the spots at or after a, then prices the
-    block a..b for every end b at once.  As in Vidal (2016), the split is
-    shared across block starts: ``_split_block`` fills it for a run of starts
-    at once, as many as keep its table within ``SPLIT_CELLS`` floats, so the
-    O(n^2 q) cells take O(n q) numpy steps per run.  The decode re-runs a
-    one-start split for each chosen block.
+    Prins (2004), run forward over the service positions t = 1..n, with one
+    numpy step over the spots per set ending at t.  ``close[t, j]``: the
+    first t customers served, the last block closed at spot column j (column
+    0 is the depot).  A block at k opens at t if k is served at t or later,
+    for ``op = min_j close[t - 1, j] + D[j, k] + park[k]`` (first j on
+    ties), and carries its pair (op, g), g its walks so far.  A set s..t
+    extends the pair before s: the open block's, or a new block's (op, 0.0)
+    where that is cheaper by more than 1e-12.  Of the sets ending at t, in
+    increasing s, a later one wins only when cheaper by more than 1e-12.
+    Each total is the float sum op + g; the block closes at k from k's
+    position on.  O(n (m^2 + q m)) work for m spots.
     """
     n = inst.n
     _, order, tsp_exact = solve_tsp(inst.drive)  # customer ids, fixed service order
-    D = inst.drive
-    W = inst.walk
-    q = inst.capacity_count if inst.capacity_count is not None else n
+    D, W = inst.drive, inst.walk
     pos = {c: t for t, c in enumerate(order, 1)}
-    sp = np.array(sorted(inst.spots, key=pos.get))  # spots in service order
-    spos = np.array([pos[i] for i in sp])
+    sp = np.array(sorted(inst.spots))  # spot columns 1..m, by id
+    spos = np.array([pos[i] for i in sp])  # their service positions
+    m = len(sp)
 
     # prefix sums along the order for chain walks
     chain = np.zeros(n + 1)
     for t in range(2, n + 1):
         chain[t] = chain[t - 1] + W[order[t - 2], order[t - 1]]
 
-    # segs[t]: (s, walk of positions s..t from every spot) for each set that
-    # may end at t, s increasing; longer than q never fits
     out = W[np.ix_(sp, order)].T  # out[s - 1, k]: spot k to the s-th customer
     back = W[np.ix_(order, sp)]  # back[t - 1, k]: the t-th customer to spot k
-    segs = [
-        [(s, out[s - 1] + (chain[t] - chain[s]) + back[t - 1])
-         for s in range(max(1, t - q + 1), t + 1) if not inst.over_capacity(order[s - 1:t])]
-        for t in range(n + 1)
-    ]
-
-    F = np.full((n + 1, n + 1), np.inf)  # F[t, i]: served first t, last spot i
-    F[0, 0] = 0.0
-    start = np.zeros((n + 1, n + 1), dtype=int)  # block start of the best F[t, i]
-    prev = np.zeros((n + 1, n + 1), dtype=int)  # and the spot before it
-    lo, last = 1, int(spos[-1])  # no block starts after the last spot
-    while lo <= last:
-        k_lo = int(np.searchsorted(spos, lo))
-        per_start = (n + 2 - lo) * (len(sp) - k_lo)
-        hi = min(last, lo + max(1, SPLIT_CELLS // per_start) - 1)
-        g, _ = _split_block(segs, lo, hi, slice(k_lo, len(sp)), n)
-        for a in range(lo, hi + 1):
-            if not np.isfinite(F[a - 1]).any():
-                continue  # no feasible prefix ends at a - 1
-            k0 = int(np.searchsorted(spos, a))
-            ids = sp[k0:]
-            arrive = F[a - 1][:, None] + D[:, ids]
-            j = arrive.argmin(axis=0)  # first index on ties
-            total = (arrive[j, np.arange(len(ids))] + inst.park_time[ids]) + g[a - lo, a + 1 - lo :, k0 - k_lo :]
-            cur = F[a:, ids]
-            better = (np.arange(a, n + 1)[:, None] >= spos[k0:]) & (total < cur - 1e-12)
-            F[a:, ids] = np.where(better, total, cur)
-            start[a:, ids] = np.where(better, a, start[a:, ids])
-            prev[a:, ids] = np.where(better, j, prev[a:, ids])
-        lo = hi + 1
-    finish = F[n, 1:] + D[1:, 0]
-    i = int(finish.argmin()) + 1
-    objective = finish[i - 1] + n * inst.load_per_package
+    into = D[np.ix_(np.r_[0, sp], sp)]  # into[j, k]: column j to spot k
+    # park[t, k]: spot k's search time where a block may open at t, else inf;
+    # shut[t, k]: 0 where a block at k may close at t, else inf
+    steps = np.arange(n + 1)[:, None]
+    park = np.where(spos >= steps, inst.park_time[sp], np.inf)
+    shut = np.where(spos <= steps, 0.0, np.inf)
+    close = np.full((n + 1, m + 1), np.inf)
+    close[0, 0] = 0.0
+    # row p: at each spot, the pair that serves position p + 1, whether its
+    # block opens there, and the column the block came from
+    pair_op, pair_g = np.empty((n, m)), np.empty((n, m))
+    opened = np.zeros((n, m), dtype=bool)
+    prev = np.zeros((n, m), dtype=int)
+    cut = np.zeros((n + 1, m), dtype=int)  # first position of the last set
+    op = g = total = np.full(m, np.inf)  # the open block after t - 1 customers
+    cols = np.arange(m)
+    for t in range(1, n + 1):
+        arrive = close[t - 1][:, None] + into
+        j = arrive.argmin(axis=0)  # first column on ties
+        new = arrive[j, cols] + park[t]
+        fresh = new < total - 1e-12
+        pair_op[t - 1] = np.where(fresh, new, op)
+        pair_g[t - 1] = np.where(fresh, 0.0, g)
+        opened[t - 1], prev[t - 1] = fresh, j
+        first = t  # sets s..t fit for s >= first: a set inside one that fits fits too
+        while first > 1 and not inst.over_capacity(order[first - 2 : t]):
+            first -= 1
+        walks = out[first - 1 : t] + (chain[t] - chain[first : t + 1])[:, None] + back[t - 1]
+        gs = pair_g[first - 1 : t] + walks
+        totals = pair_op[first - 1 : t] + gs
+        best = np.zeros(m, dtype=int)
+        total = totals[0]
+        for r in range(1, t + 1 - first):
+            better = totals[r] < total - 1e-12
+            best[better] = r
+            total = np.where(better, totals[r], total)
+        op, g = pair_op[first - 1 + best, cols], gs[best, cols]
+        cut[t] = first + best
+        close[t, 1:] = total + shut[t]
+    finish = close[n, 1:] + D[sp, 0]
+    k = int(finish.argmin())
+    objective = finish[k] + n * inst.load_per_package
 
     # decode blocks back to front
     stops, served = [], []
-    b = n
-    while b > 0:
-        a, k = int(start[b, i]), int(np.searchsorted(spos, pos[i]))
-        cut = _split_block(segs, a, a, slice(k, k + 1), b, with_cut=True)[1][0, :, 0]
+    t = n
+    while t > 0:
         sets = []
-        t = b
-        while t >= a:
-            s = int(cut[t - a + 1])
+        while not sets or not opened[t, k]:
+            s = int(cut[t, k])
             sets.append(tuple(order[s - 1 : t]))
             t = s - 1
-        stops.append(i)
+        stops.append(int(sp[k]))
         served.append(tuple(reversed(sets)))
-        b, i = a - 1, int(prev[b, i])
+        k = int(prev[t, k]) - 1
     stops.reverse()
     served.reverse()
     solution = assemble_solution(inst, stops, served)

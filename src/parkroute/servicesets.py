@@ -163,12 +163,18 @@ def _fitting_sets(inst: Instance, customers, limit: float = math.inf) -> list[tu
     are non-negative, so every subset of a group that fits fits too: each
     group grows from a fitting one by a customer above its largest member.
     A lone package always fits, as the ``Instance`` constructor checks.
-    Raises once more than ``limit`` groups fit, the catalog's pair cap over
-    its spots."""
+    Growth ends at the first group over the count capacity, since every group
+    still to grow is as large.  Raises once more than ``limit`` groups fit,
+    the catalog's pair cap over its spots."""
     after = {c: customers[i + 1:] for i, c in enumerate(customers)}
     sets = [(c,) for c in customers]
     for members in sets:  # the list grows as it is read: one size after another
-        sets += [grown for c in after[members[-1]] if not inst.over_capacity(grown := members + (c,))]
+        for c in after[members[-1]]:
+            over = inst.over_capacity(grown := members + (c,))
+            if "package" in over:
+                return sets
+            if not over:
+                sets.append(grown)
         if len(sets) > limit:
             raise ResourceLimitError(
                 f"catalog would hold more than {DEFAULT_PAIR_CAP} (parking, set) pairs. "

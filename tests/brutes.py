@@ -580,8 +580,7 @@ def loop_local_search(W, park, mask):
 def loop_split(n, sp, segs, a, cols):
     """Optimal split of positions a..t into order-respecting sets walked
     from each spot in cols, for every t >= a, one start at a time; row
-    t - a + 1 holds t.  ``modified_tsp``'s split before it shared one fill
-    across block starts."""
+    t - a + 1 holds t."""
     g = np.full((n - a + 2, len(sp[cols])), np.inf)
     cut = np.zeros(g.shape, dtype=int)
     g[0] = 0.0
@@ -597,8 +596,12 @@ def loop_split(n, sp, segs, a, cols):
 
 
 def loop_modified_tsp(inst):
-    """``benchmarks.modified_tsp`` with one ``loop_split`` per block start;
-    returns (completion, model objective, stops, served)."""
+    """The block-start split that ``benchmarks.modified_tsp`` once ran: for
+    each block start a in increasing order, one ``loop_split`` prices the
+    block a..b at every spot for every end b, and the best prefix ending at
+    a - 1 is final when a is reached.  The reference that the forward DP
+    over service positions must match bit for bit; returns (completion,
+    model objective, stops, served)."""
     from parkroute.model import assemble_solution
     from parkroute.tsp import solve_tsp
 

@@ -122,10 +122,22 @@ def _mtsp_cases():
     base = gen_geo_instance(30, 5, p=4.0, q=4)
     yield replace(base, weights=rng.uniform(0.5, 2.0, 30), capacity_weight=3.0,
                   volumes=rng.uniform(0.5, 2.0, 30), capacity_volume=3.5)
+    for n in (2, 5, 9, 16, 30, 50):
+        # p = 0: opening a block at the spot that closed the last one costs
+        # exactly what carrying that block on does, so the two tie
+        for q in (1, 3):
+            yield gen_geo_instance(n, 3, p=0.0, q=q)
+        rng = np.random.default_rng(n)
+        base = gen_geo_instance(n, 4, p=0.0, q=3, f=0.1)
+        subset = rng.choice(np.arange(1, n + 1), max(1, 2 * n // 3), replace=False)
+        # per-spot search times at a subset of the customers
+        yield replace(base, park_time=rng.uniform(0.5, 8.0, n), parking_locations=tuple(subset.tolist()))
+        # a weight capacity alone: the count does not bound a set
+        yield replace(gen_geo_instance(n, 5, p=2.0, q=None), weights=rng.uniform(0.2, 1.5, n), capacity_weight=3.0)
 
 
 def test_modified_tsp_matches_the_per_start_split():
-    # the split filled for a block of starts at once against one split per
+    # the forward DP over service positions against one split per block
     # start: the same objective, stops and sets, bit for bit
     for inst in _mtsp_cases():
         res = modified_tsp(inst)
@@ -134,8 +146,9 @@ def test_modified_tsp_matches_the_per_start_split():
 
 
 def test_modified_tsp_memory_stays_within_the_split_block():
-    # one table over every start would hold n^2 m floats (27 MB here); a
-    # block of starts stays within SPLIT_CELLS floats (512 KiB)
+    # one split table over every block start would hold n^2 m floats (27 MB
+    # here); the forward DP keeps a few (n, m) tables, and the whole run
+    # peaks near 2.3 MB
     inst = gen_geo_instance(150, 1, p=5.0, q=3)
     tracemalloc.start()
     try:

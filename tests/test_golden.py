@@ -1,9 +1,13 @@
-"""Exact solutions pinned byte for byte.
+"""Exact solutions and benchmark tables pinned byte for byte.
 
 ``golden/`` holds the solution JSONs that ``parkroute solve --method exact``
 writes for four instances, with ``config.instance`` (the input's path)
 dropped.  A change to the DP, its decode or the branch-and-bound that moves
-any answer, bound or node count fails here.
+any answer, bound or node count fails here.  It also holds the CSVs that
+``parkroute benchmark`` writes for a 50-customer input and, with
+``--with-optimum``, for the weight-subset input, with the ``instance``
+column set to a fixed name, so a benchmark model that moves any completion,
+stop count or breakdown fails too.
 """
 
 import json
@@ -55,3 +59,22 @@ def solve_document(tmp_path, name):
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_exact_solutions_match_the_golden_files_byte_for_byte(tmp_path, name):
     assert solve_document(tmp_path, name) == (GOLDEN / f"solve-exact-{name}.json").read_text()
+
+
+BENCHMARKS = {
+    "geo-n50-s1": (lambda: gen_geo_instance(50, 1, p=5.0, q=3), ["--models", "npt,mtsp,ms:0.6,ms:0.8"]),
+    "weight-subset-n11": (_weight_subset_n11, ["--with-optimum"]),
+}
+
+
+def benchmark_document(tmp_path, name):
+    """The CSV ``benchmark`` writes for input ``name``, its ``instance`` column set to ``name``."""
+    make, flags = BENCHMARKS[name]
+    save_instance(make(), tmp_path / "instance.json")
+    assert main(["benchmark", *flags, str(tmp_path / "instance.json"), "-o", str(tmp_path / "out.csv")]) == 0
+    return (tmp_path / "out.csv").read_text().replace(str(tmp_path / "instance.json"), name)
+
+
+@pytest.mark.parametrize("name", list(BENCHMARKS))
+def test_benchmark_tables_match_the_golden_files_byte_for_byte(tmp_path, name):
+    assert benchmark_document(tmp_path, name) == (GOLDEN / f"benchmark-{name}.csv").read_text()

@@ -2,6 +2,10 @@
 cluster-second on a fixed service order), and the relaxed weighted
 drive/walk objective.
 
+No-parking-time is the relaxed model at weights (1, 1): both minimize
+``drive_w * drive + walk_w * walk`` with the search times dropped, on one
+park-free variant of the instance.
+
 Modified TSP splits its order by one forward DP over the service positions:
 after t customers, each spot holds the cheapest closed route and the
 cheapest open block parked there, and each set ending at t extends the open
@@ -9,10 +13,11 @@ block or opens a new one.  Ties keep the earlier choice: a candidate
 replaces another only when cheaper by more than 1e-12.
 
 Every benchmark returns a feasible solution re-costed under the true
-completion-time objective, so each one is an upper bound on the optimum.
-The no-parking and relaxed benchmarks solve a modified instance: exactly, by
-``exact.solve_exact``, up to ``exact.DP_MAX_CUSTOMERS`` customers, and by the
-two-echelon heuristic above that.
+completion-time objective, so each one is an upper bound on the optimum; a
+result's completion and stop count are read from that solution.  The
+park-free variants are solved exactly, by ``exact.solve_exact``, up to
+``exact.DP_MAX_CUSTOMERS`` customers, and by the two-echelon heuristic
+above that.
 """
 
 from __future__ import annotations
@@ -33,11 +38,16 @@ class BenchmarkResult:
     name: str
     solution: Solution
     model_objective: float
-    completion: float
-    stops: int
     solver: str
     exact: bool
-    degenerate: bool = False
+
+    @property
+    def completion(self) -> float:
+        return self.solution.total
+
+    @property
+    def stops(self) -> int:
+        return self.solution.num_stops
 
 
 def _solve_variant(variant: Instance):
@@ -61,53 +71,33 @@ def _solve_variant(variant: Instance):
     return out.solution, "heuristic", False
 
 
-def no_parking_benchmark(inst: Instance) -> BenchmarkResult:
-    """Solve with all search times forced to zero, then re-cost the resulting
-    structure with the true parking times (completion = v + sum of p over the
-    stops actually used)."""
-    n = inst.n
-    variant = replace(inst, park_time=np.zeros(n + 1))
+def _park_free(inst: Instance, name: str, drive_w: float, walk_w: float) -> BenchmarkResult:
+    """Minimize drive_w * drive + walk_w * walk with the search times set to
+    zero (loading, a constant, left out of the variant), then re-cost the
+    route on ``inst``.  The model objective is the weighted sum plus loading,
+    read from the re-costed breakdown."""
+    variant = replace(inst, drive=inst.drive * drive_w, walk=inst.walk * walk_w,
+                      park_time=np.zeros(inst.n + 1), load_per_package=0.0)
     sol0, solver, exact = _solve_variant(variant)
-    recosted = assemble_solution(inst, sol0.stops, sol0.served)
-    return BenchmarkResult(
-        name="no-parking-time",
-        solution=recosted,
-        model_objective=sol0.total,
-        completion=recosted.total,
-        stops=recosted.num_stops,
-        solver=solver,
-        exact=exact,
-    )
+    solution = assemble_solution(inst, sol0.stops, sol0.served)
+    bd = solution.breakdown
+    objective = drive_w * bd.drive_min + walk_w * bd.walk_min + bd.load_min
+    return BenchmarkResult(name, solution, objective, solver, exact)
+
+
+def no_parking_benchmark(inst: Instance) -> BenchmarkResult:
+    """Drive + walk with all search times forced to zero; the completion adds
+    the true search times of the stops actually used."""
+    return _park_free(inst, "no-parking-time", 1.0, 1.0)
 
 
 def relaxed_ms(inst: Instance, alpha: float = 0.6) -> BenchmarkResult:
-    """Optimize alpha*drive + (1-alpha)*walk (parking search time absent from
-    the objective, loading constant added), multiple sets per spot allowed;
-    completion is recomputed with the true parking times."""
+    """alpha * drive + (1 - alpha) * walk with the search times dropped,
+    multiple sets per spot allowed; the completion uses the true search
+    times."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    n = inst.n
-    variant = replace(
-        inst,
-        drive=inst.drive * alpha,
-        walk=inst.walk * (1.0 - alpha),
-        park_time=np.zeros(n + 1),
-        load_per_package=0.0,
-    )
-    sol0, solver, exact = _solve_variant(variant)
-    recosted = assemble_solution(inst, sol0.stops, sol0.served)
-    bd = recosted.breakdown
-    objective = alpha * bd.drive_min + (1.0 - alpha) * bd.walk_min + bd.load_min
-    return BenchmarkResult(
-        name=f"relaxed-ms:{alpha:g}",
-        solution=recosted,
-        model_objective=objective,
-        completion=recosted.total,
-        stops=recosted.num_stops,
-        solver=solver,
-        exact=exact,
-        degenerate=alpha in (0.0, 1.0),
-    )
+    return _park_free(inst, f"relaxed-ms:{alpha:g}", alpha, 1.0 - alpha)
 
 
 def modified_tsp(inst: Instance) -> BenchmarkResult:
@@ -203,16 +193,7 @@ def modified_tsp(inst: Instance) -> BenchmarkResult:
         k = int(prev[t, k]) - 1
     stops.reverse()
     served.reverse()
-    solution = assemble_solution(inst, stops, served)
-    return BenchmarkResult(
-        name="modified-tsp",
-        solution=solution,
-        model_objective=objective,
-        completion=solution.total,
-        stops=solution.num_stops,
-        solver="dp",
-        exact=tsp_exact,
-    )
+    return BenchmarkResult("modified-tsp", assemble_solution(inst, stops, served), objective, "dp", tsp_exact)
 
 
 def run_benchmarks(inst: Instance, models) -> list[BenchmarkResult]:

@@ -38,7 +38,8 @@ DEFAULT_PAIR_CAP = 20_000_000
 
 @dataclass(frozen=True, order=True)
 class ServiceSet:
-    """A nonempty, sorted, duplicate-free customer group within capacity."""
+    """A nonempty, sorted, duplicate-free customer group within capacity;
+    ``ServiceSetCatalog`` checks all but the capacity."""
 
     members: tuple[int, ...]
 
@@ -62,11 +63,19 @@ class ServiceSetCatalog:
     _table: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        """Refuse a set that is empty, is not strictly increasing customer ids
+        in 1..n, or repeats another, then build the sets' bit masks."""
         self._index = {s.members: j for j, s in enumerate(self.sets)}
-        one = np.ones((), dtype=np.int64 if self.inst.n < 64 else object)  # Python ints past 63 customers
+        sizes = np.array([s.size for s in self.sets], dtype=np.intp)
         members = np.fromiter(chain.from_iterable(s.members for s in self.sets), dtype=np.intp)
-        starts = np.cumsum([0] + [s.size for s in self.sets[:-1]], dtype=np.intp)[:len(self.sets)]
-        self.masks = np.add.reduceat(np.left_shift(one, members - 1), starts)
+        next_set = np.diff(np.repeat(np.arange(len(sizes)), sizes)) > 0  # between members of two sets
+        if not sizes.all() or not (next_set | (np.diff(members) > 0)).all() \
+                or ((members < 1) | (members > self.inst.n)).any() or len(self._index) < len(self.sets):
+            raise UnsupportedError(
+                f"catalog sets must be nonempty, distinct and strictly increasing customer ids in 1..{self.inst.n}"
+            )
+        one = np.ones((), dtype=np.int64 if self.inst.n < 64 else object)  # Python ints past 63 customers
+        self.masks = np.add.reduceat(np.left_shift(one, members - 1), np.cumsum(sizes) - sizes)
         self.masks.flags.writeable = False
 
     def index_of(self, members) -> int:

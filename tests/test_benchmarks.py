@@ -186,12 +186,6 @@ def test_relaxed_ms_alpha_steers_structure():
     assert high.solution.breakdown.walk_min > 0.0
 
 
-def test_relaxed_ms_degenerate_extremes_flagged():
-    inst = gen_geo_instance(4, seed=6, q=2)
-    assert relaxed_ms(inst, alpha=1.0).degenerate
-    assert not relaxed_ms(inst, alpha=0.8).degenerate
-
-
 def test_relaxed_ms_walking_increases_with_alpha():
     # higher alpha penalizes driving more, so optimal walking minutes cannot drop
     inst = gen_geo_instance(6, seed=8, drive_factor=12.0, walk_factor=13.0, p=4.0, q=3)

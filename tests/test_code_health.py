@@ -1,7 +1,9 @@
 """Static checks on the package source, read with ``ast``: no module imports
-a name it never uses, and the option count that ROADMAP aim 2 tracks."""
+a name it never uses or a package beyond the standard library and numpy,
+and the option count that ROADMAP aim 2 tracks."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,19 @@ def unused_imports(tree: ast.Module) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in read)
+
+
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Top-level packages the module imports beyond the standard library,
+    numpy and parkroute itself, the runtime dependencies ``pyproject.toml``
+    declares; a relative import is the package's own."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"numpy", "parkroute"})
 
 
 def defaulted_parameters(tree: ast.Module) -> dict[str, int]:
@@ -72,6 +87,17 @@ def test_no_unused_imports(path):
 def test_unused_import_check_sees_an_unused_name():
     tree = ast.parse("from x import a, b\nimport c.d\nimport e as f\nprint(a, c.d)\n")
     assert unused_imports(tree) == ["b (line 1)", "f (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.stem)
+def test_runtime_imports_are_the_standard_library_and_numpy(path):
+    assert foreign_imports(_tree(path)) == []
+
+
+def test_foreign_import_check_sees_scipy():
+    tree = ast.parse("import numpy as np\nfrom . import tsp\nimport json\n"
+                     "def solve():\n    from scipy.optimize import milp\n    import scipy.sparse\n")
+    assert foreign_imports(tree) == ["scipy"]
 
 
 def test_option_count():

@@ -5,9 +5,9 @@ writes for four instances, with ``config.instance`` (the input's path)
 dropped.  A change to the DP, its decode or the branch-and-bound that moves
 any answer, bound or node count fails here.  It also holds the CSVs that
 ``parkroute benchmark`` writes for a 50-customer input and, with
-``--with-optimum``, for the weight-subset input, with the ``instance``
-column set to a fixed name, so a benchmark model that moves any completion,
-stop count or breakdown fails too.
+``--with-optimum``, for the weight-subset input and the skewed input with
+loading, with the ``instance`` column set to a fixed name, so a benchmark
+model that moves any completion, stop count or breakdown fails too.
 """
 
 import json
@@ -64,6 +64,9 @@ def test_exact_solutions_match_the_golden_files_byte_for_byte(tmp_path, name):
 BENCHMARKS = {
     "geo-n50-s1": (lambda: gen_geo_instance(50, 1, p=5.0, q=3), ["--models", "npt,mtsp,ms:0.6,ms:0.8"]),
     "weight-subset-n11": (_weight_subset_n11, ["--with-optimum"]),
+    # loading on a skewed input: the no-parking variant's inner solve runs the branch-and-bound
+    "skewed-n7-load": (lambda: replace(_skewed_n7(), load_per_package=0.3),
+                       ["--models", "npt,mtsp,ms:0.6,ms:0.8", "--with-optimum"]),
 }
 
 

@@ -311,6 +311,20 @@ def test_catalog_masks_past_63_customers():
     assert small.masks.tolist() == [sum(1 << (c - 1) for c in s.members) for s in small.sets]
 
 
+@pytest.mark.parametrize("sets", [
+    ((1, 1), (3,)),  # a repeated customer would take customer 2's bit
+    ((2, 1), (3,)),  # unsorted: the catalog's index would miss the set
+    ((), (1,)),
+    ((1,), (5,)),  # past n
+    ((0, 1),),
+    ((1, 2), (3,), (1, 2)),  # a set twice
+], ids=["repeat", "unsorted", "empty", "past-n", "zero", "twice"])
+def test_a_malformed_catalog_is_refused_where_it_is_built(sets):
+    inst = gen_geo_instance(4, seed=1, q=3)
+    with pytest.raises(UnsupportedError, match="catalog sets must be"):
+        ServiceSetCatalog(inst=inst, sets=tuple(ServiceSet(s) for s in sets))
+
+
 def test_removed_pair_count_of_an_unreduced_catalog_is_zero_at_once(monkeypatch):
     cat = enumerate_catalog(gen_geo_instance(8, seed=2, q=3))
     monkeypatch.setattr(ServiceSetCatalog, "admissible", None)

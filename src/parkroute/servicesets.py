@@ -15,7 +15,7 @@ heuristic's set assignment both read their splits from it.  It fills its
 table with ``_set_layers``, the one subset fill, which the exact DP's
 completion step reads too.  The fill reads set-bit positions from the plan
 of ``tsp.layer_runs``, one byte per (mask, set bit), built once per n, and
-each layer's small subsets, built once per process.
+each layer's small subsets as an incidence matrix, built once per process.
 """
 
 from __future__ import annotations
@@ -243,13 +243,14 @@ def walk_tour(inst: Instance, parking: int, members) -> tuple[float, tuple[int, 
 @cache
 def _small_subsets(bits: int, largest: int, lowest: bool) -> np.ndarray:
     """The nonempty subsets of at most ``largest`` of ``bits`` positions,
-    smallest first, as a read-only (min(bits, largest), count) ``uint8`` array:
-    column i lists subset i's positions, its last one repeated to fill the
-    column; with ``lowest``, only those holding position 0."""
-    width = min(bits, largest)
-    subsets = [s + s[-1:] * (width - k) for k in range(1, width + 1)
+    smallest first and each size in lexicographic order, as the rows of a
+    read-only (count, bits) 0/1 ``float64`` incidence matrix; with
+    ``lowest``, only those holding position 0."""
+    subsets = [s for k in range(1, min(bits, largest) + 1)
                for s in combinations(range(bits), k) if s[0] == 0 or not lowest]
-    table = np.array(subsets, dtype=np.uint8).T
+    table = np.zeros((len(subsets), bits))
+    rows = np.repeat(np.arange(len(subsets)), [len(s) for s in subsets])
+    table[rows, list(chain.from_iterable(subsets))] = 1.0
     table.flags.writeable = False
     return table
 
@@ -266,7 +267,9 @@ def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, tabl
     then.  A run holds at most ``CHUNK`` masks.  Each mask is priced against
     its subsets of at most ``largest`` bits, in blocks of at most
     ``2 * CHUNK`` (subset, mask) pairs; a layer with more subsets than that
-    goes one mask at a time, its subsets ``2 * CHUNK`` at a time."""
+    goes one mask at a time, its subsets ``2 * CHUNK`` at a time.  A block's
+    subset masks are one float64 product of the layer's incidence matrix with
+    the masks' bit values, exact in any order of summation up to n = 53."""
     cols = table.shape[1]
     # walk[row[A]]: the cost of set A; a mask that is no set reads the
     # trailing inf row
@@ -278,12 +281,12 @@ def _set_layers(n: int, masks: np.ndarray, costs: np.ndarray, largest: int, tabl
         if pos.shape[1] != bits:  # a new layer
             bits = pos.shape[1]
             subsets = _small_subsets(bits, largest, lowest)
-            step = max(1, 2 * CHUNK // subsets.shape[1])
+            step = max(1, 2 * CHUNK // len(subsets))
         least = np.empty((len(M), cols))
         for i in range(0, len(M), step):
             m = M[i:i + step]
-            # A[k, j]: the k-th small subset of m[j], the OR of its bit values
-            A = np.bitwise_or.reduce(np.left_shift(np.int64(1), pos[i:i + step]).T[subsets], axis=0)
+            # A[k, j]: the k-th small subset of m[j], the sum of its bit values
+            A = (subsets @ np.ldexp(1.0, pos[i:i + step].T)).astype(np.int64)
             for lo in range(0, len(A), 2 * CHUNK):  # one pass unless the block is one mask
                 a = A[lo:lo + 2 * CHUNK]
                 v = np.take(walk, np.take(row, a.ravel()), axis=0)

@@ -6,15 +6,16 @@ smallest node order so downstream output is reproducible.
 
 No routine loops over masks or moves in Python.  Held-Karp fills a dense
 table one popcount layer at a time, in runs of masks from ``layer_runs``,
-the mask walker the exact DP's subset fill shares.  The walker reads one
-plan per n, built once per process: each layer's masks and their set-bit
-positions, one byte per (mask, set bit), 53 KB at n = 13 and 2.25 MiB at
-n = 18.  2-opt and Or-opt price a block of moves at once, at most ``CHUNK``
-of them, and apply the first improving move in the order a scalar double
-loop over the moves meets it.  Each priced entry adds the operands that
-loop adds, in the same order, and a minimum is exact, so tours and costs
-are bit-identical to the loops
-(``tests/brutes.py`` keeps them as references).
+the mask walker the exact DP's subset fill shares; like that fill, it takes
+each run's minimum over contiguous slabs, one per set bit.  The walker
+reads one plan per n, built once per process: each layer's masks and their
+set-bit positions, one byte per (mask, set bit), 53 KB at n = 13 and
+2.25 MiB at n = 18.  2-opt and Or-opt price a block of moves at once, at
+most ``CHUNK`` of them, and apply the first improving move in the order a
+scalar double loop over the moves meets it.  Each priced entry adds the
+operands that loop adds, in the same order, and a minimum is exact, so
+tours and costs are bit-identical to the loops (``tests/brutes.py`` keeps
+them as references).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import ResourceLimitError
 _EPS = 1e-9
 
 HELD_KARP_MAX_NODES = 14
-CHUNK = 1024  # masks per layer run, or pairs (mask and bit, tour move) priced per vectorised step
+CHUNK = 1024  # masks per subset-fill run, or (bit and mask, tour move) pairs priced per vectorised step
 _LAYERS: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}  # n: per popcount layer, its masks and their bits
 
 
@@ -72,10 +73,11 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     Returns (cost, order) with order excluding node 0.  Supports asymmetric
     matrices.  The table ``tail[mask, u]`` over the k = m - 1 other nodes is
     filled one popcount layer at a time, since a mask reads only masks with
-    one bit fewer, in runs of at most ``CHUNK`` (mask, bit) pairs.  The full
-    mask's row is never read, so its layer is skipped.  Among optimal
-    orders the lexicographically smallest is decoded.  Exponential state
-    space; refuses more than HELD_KARP_MAX_NODES nodes.
+    one bit fewer, in runs of at most ``CHUNK`` (mask, bit) pairs gathered
+    bit-major, so the minimum over a mask's bits runs over contiguous slabs.
+    The full mask's row is never read, so its layer is skipped.  Among
+    optimal orders the lexicographically smallest is decoded.  Exponential
+    state space; refuses more than HELD_KARP_MAX_NODES nodes.
     """
     m = dist.shape[0]
     if m > HELD_KARP_MAX_NODES:
@@ -94,11 +96,12 @@ def held_karp_cycle(dist: np.ndarray) -> tuple[float, list[int]]:
     tail[0] = dist[1:, 0]
     tail[np.left_shift(1, np.arange(k))] = leg + tail[0][:, None]
     for M, pos in layer_runs(k, range(2, k), lambda bits: CHUNK // bits):
-        # cand[a, b, u]: leave node u + 1 for the b-th bit v of mask a, then
+        # cand[b, a, u]: leave node u + 1 for the b-th bit v of mask a, then
         # finish mask a without v
-        cand = leg[pos]
-        cand += tail[M[:, None] ^ np.left_shift(np.int64(1), pos), pos][:, :, None]
-        tail[M] = cand.min(axis=1)
+        v = pos.T
+        cand = leg[v]
+        cand += tail[M ^ np.left_shift(np.int64(1), v), v][:, :, None]
+        tail[M] = cand.min(axis=0)
 
     # lexicographically smallest optimal order via greedy front construction:
     # the first v whose step is within 1e-12 of the cheapest step

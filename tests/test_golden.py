@@ -1,9 +1,13 @@
 """Exact solutions and benchmark tables pinned byte for byte.
 
 ``golden/`` holds the solution JSONs that ``parkroute solve --method exact``
-writes for four instances, with ``config.instance`` (the input's path)
+writes for five instances, with ``config.instance`` (the input's path)
 dropped.  A change to the DP, its decode or the branch-and-bound that moves
-any answer, bound or node count fails here.  It also holds the CSVs that
+any answer, bound or node count fails here.  One of them runs at q = 6,
+whose 12-bit layer holds more than 2 * ``CHUNK`` small subsets, so the
+fill prices it one mask at a time.  ``solve --method heuristic`` at
+n = 50 is pinned the same way: it opens 13 spots, so its route is a
+14-node Held-Karp.  It also holds the CSVs that
 ``parkroute benchmark`` writes for a 50-customer input and, with
 ``--with-optimum``, for the weight-subset input and the skewed input with
 loading, with the ``instance`` column set to a fixed name, so a benchmark
@@ -42,15 +46,19 @@ def _weight_subset_n11():
 INSTANCES = {
     "geo-n12-s1": lambda: gen_geo_instance(12, 1, p=5.0, q=3),
     "geo-n13-s1": lambda: gen_geo_instance(13, 1, p=5.0, q=3),
+    "geo-n12-q6-s1": lambda: gen_geo_instance(12, 1, p=5.0, q=6),
     "skewed-n7": _skewed_n7,
     "weight-subset-n11": _weight_subset_n11,
 }
 
 
-def solve_document(tmp_path, name):
-    """The text ``solve --method exact`` writes for instance ``name``, without ``config.instance``."""
-    save_instance(INSTANCES[name](), tmp_path / "instance.json")
-    assert main(["solve", "--method", "exact", str(tmp_path / "instance.json"), "-o", str(tmp_path / "out.json")]) == 0
+def solve_document(tmp_path, name, method="exact"):
+    """The text ``solve --method method`` writes for instance ``name``, without ``config.instance``;
+    the heuristic exits 2, feasible without proof."""
+    make = HEURISTIC_INSTANCES[name] if method == "heuristic" else INSTANCES[name]
+    save_instance(make(), tmp_path / "instance.json")
+    rc = main(["solve", "--method", method, str(tmp_path / "instance.json"), "-o", str(tmp_path / "out.json")])
+    assert rc == (2 if method == "heuristic" else 0)
     doc = json.loads((tmp_path / "out.json").read_text())
     del doc["config"]["instance"]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -59,6 +67,16 @@ def solve_document(tmp_path, name):
 @pytest.mark.parametrize("name", list(INSTANCES))
 def test_exact_solutions_match_the_golden_files_byte_for_byte(tmp_path, name):
     assert solve_document(tmp_path, name) == (GOLDEN / f"solve-exact-{name}.json").read_text()
+
+
+HEURISTIC_INSTANCES = {
+    "geo-n50-s1": lambda: gen_geo_instance(50, 1, p=5.0, q=3),
+}
+
+
+@pytest.mark.parametrize("name", list(HEURISTIC_INSTANCES))
+def test_heuristic_solutions_match_the_golden_files_byte_for_byte(tmp_path, name):
+    assert solve_document(tmp_path, name, "heuristic") == (GOLDEN / f"solve-heuristic-{name}.json").read_text()
 
 
 BENCHMARKS = {

@@ -22,6 +22,7 @@ from parkroute.servicesets import (
     walk_time,
     walk_tour,
 )
+from parkroute.tsp import layer_runs
 
 
 def test_pair_counts_n50_reference_values():
@@ -411,6 +412,53 @@ def test_partition_table_without_candidates(k):
     part = PartitionTable(customers, [], np.empty((0, 2)))
     assert np.array_equal(part.value, loop_partition_values(customers, [], np.empty((0, 2))))
     assert (part.value[0] == 0.0).all() and np.isinf(part.value[1:]).all()
+
+
+@pytest.mark.parametrize("largest", range(1, 7))
+@pytest.mark.parametrize("lowest", [False, True], ids=["all", "lowest"])
+def test_small_subsets_are_the_combinations_in_size_then_lexicographic_order(largest, lowest):
+    # row i of the 0/1 incidence matrix holds the positions of the i-th
+    # combination; with lowest, only those holding position 0 (uncached, so
+    # the test keeps no tables)
+    for bits in range(1, 19):
+        table = servicesets._small_subsets.__wrapped__(bits, largest, lowest)
+        want = [s for k in range(1, min(bits, largest) + 1) for s in combinations(range(bits), k)
+                if s[0] == 0 or not lowest]
+        assert table.shape == (len(want), bits) and table.dtype == np.float64 and not table.flags.writeable
+        assert np.isin(table, (0.0, 1.0)).all()
+        assert [tuple(np.flatnonzero(row)) for row in table] == want
+
+
+def _product_blocks(runs, largest, lowest):
+    # the fill's blocks of at most 2 * CHUNK (subset, mask) pairs, or one
+    # mask, and the product that gives each block's subset masks
+    for M, pos in runs:
+        subsets = servicesets._small_subsets(pos.shape[1], largest, lowest)
+        step = max(1, 2 * servicesets.CHUNK // len(subsets))
+        for i in range(0, len(M), step):
+            p = pos[i:i + step]
+            yield subsets, p, (subsets @ np.ldexp(1.0, p.T)).astype(np.int64)
+
+
+def _or_of_positions(subsets, pos):
+    # A[k, j]: the OR of 1 << pos[j, b] over the positions b of subset k
+    bit = np.left_shift(np.int64(1), pos.T)
+    return np.bitwise_or.reduce(np.where(subsets[:, :, None] == 1, bit[None], 0), axis=1)
+
+
+@pytest.mark.parametrize("lowest", [False, True], ids=["all", "lowest"])
+def test_the_products_subset_masks_are_the_or_of_their_bits(lowest):
+    # the float64 product sums distinct powers of two below 2^n, exact in
+    # any order: on every run of every n <= 14 and on a sample of the runs
+    # at n = 18, one-mask blocks (the full layers) included
+    def runs(n):
+        return list(layer_runs(n, range(1, n + 1), lambda _: servicesets.CHUNK))
+
+    for n in range(1, 15):
+        for subsets, pos, A in _product_blocks(runs(n), 6, lowest):
+            assert np.array_equal(A, _or_of_positions(subsets, pos))
+    for subsets, pos, A in _product_blocks(runs(18)[::23] + runs(18)[-1:], 6, lowest):
+        assert np.array_equal(A, _or_of_positions(subsets, pos))
 
 @pytest.mark.parametrize("reduced", [False, True])
 def test_walk_costs_and_partition_table_on_the_4x4_grid(reduced):

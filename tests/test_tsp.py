@@ -182,8 +182,9 @@ def test_two_opt_never_ends_above_its_start_on_nearly_symmetric_matrices():
 
 
 def test_held_karp_memory_at_the_node_cap():
-    # the dense (2^13, 13) table takes 0.85 MB; blocks of CHUNK (mask, bit)
-    # pairs keep the temporaries beside it small
+    # the dense (2^13, 13) table takes 0.85 MB; blocks of CHUNK (bit, mask)
+    # pairs, gathered bit-major into (bits, masks, 13) arrays of at most
+    # 106 KB, keep the temporaries beside it small
     dist = _random_metric(np.random.default_rng(14), 14)
     held_karp_cycle(dist)
     tracemalloc.start()
